@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -24,7 +25,7 @@ from . import __version__
 from .blend import optimize_weights, read_predictions, save_ensemble, write_predictions
 from . import cv_stack, features as features_mod, gbdt, ingest
 from . import pipeline as pipeline_mod, report as report_mod, synth as synth_mod
-from .errors import ConfigError, CreditStackError, DataError, MissingLabelError
+from .errors import ConfigError, CreditStackError, DataError
 from .metric import composite_metric
 from .serialize import write_json
 
@@ -135,9 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_synth(args) -> int:
     config = synth_mod.config_from_json(args.config)
     if args.seed is not None:
-        config = synth_mod.SynthConfig(
-            **{**config.__dict__, "seed": args.seed}
-        )
+        config = dataclasses.replace(config, seed=args.seed)
     table, labels = synth_mod.generate(config)
     ingest.write_csv(table, args.out_data)
     ingest.write_labels(labels, args.out_labels)
@@ -177,7 +176,7 @@ def _cmd_features(args) -> int:
     if args.encode is not None:
         overrides["encode"] = args.encode
     if overrides:
-        spec = features_mod.AggregationSpec(**{**spec.__dict__, **overrides})
+        spec = dataclasses.replace(spec, **overrides)
 
     vocab = None
     fit = True
@@ -192,22 +191,12 @@ def _cmd_features(args) -> int:
     return 0
 
 
-def _aligned_labels(matrix, labels_path) -> np.ndarray:
-    labels = ingest.read_labels(labels_path)
-    out = np.empty(matrix.n_rows, dtype=np.int8)
-    for i, cid in enumerate(matrix.customer_ids):
-        if cid not in labels:
-            raise MissingLabelError(f"no label for customer {cid!r}")
-        out[i] = labels[cid]
-    return out
-
-
 def _cmd_train(args) -> int:
     matrix = features_mod.load_matrix(args.features)
-    y = _aligned_labels(matrix, args.labels)
+    y = ingest.align_labels(matrix.customer_ids, ingest.read_labels(args.labels))
     config = gbdt.config_from_json(args.config)
     if args.seed is not None:
-        config = gbdt.TrainConfig(**{**config.__dict__, "seed": args.seed})
+        config = dataclasses.replace(config, seed=args.seed)
     model = gbdt.train(matrix, y, config)
     gbdt.save_model(model, args.model_out)
     log.info("trained %d trees into %s", model.n_trees, args.model_out)
@@ -216,7 +205,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_stack(args) -> int:
     matrix = features_mod.load_matrix(args.features)
-    y = _aligned_labels(matrix, args.labels)
+    y = ingest.align_labels(matrix.customer_ids, ingest.read_labels(args.labels))
     base_cfg = gbdt.config_from_json(args.base_config)
     meta_cfg = gbdt.config_from_json(args.meta_config)
     seed = args.seed if args.seed is not None else base_cfg.seed
@@ -256,11 +245,7 @@ def _cmd_blend(args) -> int:
                 )
             vec = np.array([lookup[cid] for cid in first_ids])
         vectors.append(vec)
-    label_map = ingest.read_labels(args.labels)
-    try:
-        y = np.array([label_map[cid] for cid in first_ids], dtype=np.int8)
-    except KeyError as exc:
-        raise MissingLabelError(f"no label for customer {exc.args[0]!r}") from None
+    y = ingest.align_labels(first_ids, ingest.read_labels(args.labels))
 
     names = [Path(p).stem for p in args.pred]
     if len(set(names)) != len(names):
@@ -273,11 +258,7 @@ def _cmd_blend(args) -> int:
 
 def _cmd_eval(args) -> int:
     ids, preds = read_predictions(args.pred)
-    label_map = ingest.read_labels(args.labels)
-    try:
-        y = np.array([label_map[cid] for cid in ids], dtype=np.int8)
-    except KeyError as exc:
-        raise MissingLabelError(f"no label for customer {exc.args[0]!r}") from None
+    y = ingest.align_labels(ids, ingest.read_labels(args.labels))
     rep = composite_metric(y, preds)
     write_json(args.report, rep.as_dict())
     log.info("M = %.6f (G %.6f, D %.6f) over %d rows", rep.M, rep.G, rep.D, rep.n_rows)
@@ -297,10 +278,7 @@ def _cmd_importance(args) -> int:
 def _cmd_run(args) -> int:
     config = pipeline_mod.config_from_json(args.config)
     if args.seed is not None:
-        config = pipeline_mod.PipelineConfig(
-            **{**{f: getattr(config, f) for f in config.__dataclass_fields__},
-               "seed": args.seed}
-        )
+        config = dataclasses.replace(config, seed=args.seed)
     out = pipeline_mod.run_pipeline(config)
     log.info("run complete: %s", out)
     return 0

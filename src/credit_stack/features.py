@@ -12,10 +12,9 @@ repeated pipeline stages never re-parse CSVs.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,7 @@ from .errors import (
     VocabularyMissingError,
 )
 from .ingest import MISSING_CODE, LabeledTable, StatementTable
-from .serialize import ensure_parent
+from .serialize import ensure_parent, load_config_doc
 
 CONTINUOUS_STATS = ("mean", "std", "min", "max", "last", "median")
 CATEGORICAL_STATS = ("count", "last", "nunique")
@@ -67,36 +66,11 @@ class AggregationSpec:
 
 def spec_from_json(source) -> AggregationSpec:
     """Load an AggregationSpec from a JSON file, string path, or dict."""
-    if isinstance(source, (str, Path)):
-        try:
-            doc = json.loads(Path(source).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read aggregation spec {source}: {exc}") from exc
-    else:
-        doc = source
-    if not isinstance(doc, dict):
-        raise ConfigError("aggregation spec must be a JSON object")
-    known = {
-        "continuous_stats",
-        "categorical_stats",
-        "lag_enabled",
-        "recent_window",
-        "encode",
-        "columns",
-    }
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown aggregation spec keys: {sorted(unknown)}")
-    kwargs: dict = {}
+    doc = load_config_doc(source, "aggregation spec", AggregationSpec)
     for key in ("continuous_stats", "categorical_stats", "columns"):
-        if key in doc and doc[key] is not None:
-            kwargs[key] = tuple(doc[key])
-        elif key in doc:
-            kwargs[key] = None
-    for key in ("lag_enabled", "recent_window", "encode"):
-        if key in doc:
-            kwargs[key] = doc[key]
-    return AggregationSpec(**kwargs)
+        if doc.get(key) is not None:
+            doc[key] = tuple(doc[key])
+    return AggregationSpec(**doc)
 
 
 @dataclass
@@ -178,18 +152,6 @@ def aggregate_categorical(series) -> dict:
         "last": float(real[-1]) if real.size else math.nan,
         "nunique": float(np.unique(real).size),
     }
-
-
-def lag_features(agg_row: dict) -> dict:
-    """last-minus-mean drift per raw column, NaN when either side is.
-
-    ``agg_row`` maps raw column name to that column's stat dict.
-    """
-    out = {}
-    for raw, stats in agg_row.items():
-        last, mean = stats.get("last", math.nan), stats.get("mean", math.nan)
-        out[f"{raw}_lag"] = last - mean  # NaN propagates
-    return out
 
 
 def select_recent_window(table: StatementTable, k: int) -> StatementTable:

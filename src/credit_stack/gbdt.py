@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import heapq
 import json
-import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,10 +37,7 @@ from .errors import (
     TrainError,
 )
 from .features import FeatureMatrix
-from .metric import composite_metric
-from .serialize import dumps as _json_dumps, ensure_parent
-
-log = logging.getLogger(__name__)
+from .serialize import dumps as _json_dumps, ensure_parent, load_config_doc
 
 
 @dataclass(frozen=True)
@@ -57,7 +53,6 @@ class TrainConfig:
     goss_b: float = 0.0
     max_bins: int = 255
     seed: int = 0
-    early_stop_rounds: int | None = None
 
     def __post_init__(self):
         if self.rounds < 0:
@@ -70,6 +65,11 @@ class TrainConfig:
             raise ConfigError("min_child_weight must be >= 0")
         if self.l2_lambda < 0:
             raise ConfigError("l2_lambda must be >= 0")
+        if self.l2_lambda == 0 and self.min_child_weight == 0:
+            raise ConfigError(
+                "l2_lambda and min_child_weight must not both be 0: "
+                "an empty leaf's value would divide by zero"
+            )
         if not (0.0 <= self.goss_a <= 1.0 and 0.0 <= self.goss_b <= 1.0):
             raise ConfigError("goss_a and goss_b must lie in [0, 1]")
         if self.goss_a + self.goss_b > 1.0 + 1e-12:
@@ -80,8 +80,6 @@ class TrainConfig:
             )
         if not 2 <= self.max_bins <= 255:
             raise ConfigError(f"max_bins must be in 2..255, got {self.max_bins}")
-        if self.early_stop_rounds is not None and self.early_stop_rounds < 1:
-            raise ConfigError("early_stop_rounds must be >= 1 when set")
 
     @property
     def goss_enabled(self) -> bool:
@@ -90,20 +88,7 @@ class TrainConfig:
 
 def config_from_json(source) -> TrainConfig:
     """Load a TrainConfig from a JSON file path or a parsed dict."""
-    if isinstance(source, (str, Path)):
-        try:
-            doc = json.loads(Path(source).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read train config {source}: {exc}") from exc
-    else:
-        doc = source
-    if not isinstance(doc, dict):
-        raise ConfigError("train config must be a JSON object")
-    allowed = set(TrainConfig.__dataclass_fields__)
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-    return TrainConfig(**doc)
+    return TrainConfig(**load_config_doc(source, "train config", TrainConfig))
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +228,6 @@ class Node:
     missing_left: bool = True
     left: int = -1
     right: int = -1
-    # training-only routing fields, not serialized
-    feature_idx: int = -1
-    split_bin: int = -1
 
 
 @dataclass
@@ -294,9 +276,7 @@ class _TreeGrower:
             left_rows, right_rows = self._partition(cand)
             node = self.nodes[cand.node_id]
             node.is_leaf = False
-            node.feature_idx = cand.feature_idx
             node.feature = self.mapper.column_names[cand.feature_idx]
-            node.split_bin = cand.split_bin
             node.threshold = float(self.mapper.edges[cand.feature_idx][cand.split_bin])
             node.missing_left = cand.missing_left
             self.records.append((node.feature, cand.gain))
@@ -368,29 +348,13 @@ class _TreeGrower:
         return cand.rows[go_left], cand.rows[~go_left]
 
 
-def _route_binned(nodes, binned, mapper: BinMapper) -> np.ndarray:
-    """Raw leaf values for every row of an already-binned matrix."""
-    out = np.zeros(binned.shape[0], dtype=np.float64)
-    stack = [(0, np.arange(binned.shape[0], dtype=np.int64))]
-    while stack:
-        nid, rows = stack.pop()
-        if rows.size == 0:
-            continue
-        node = nodes[nid]
-        if node.is_leaf:
-            out[rows] = node.value
-            continue
-        bins = binned[rows, node.feature_idx]
-        go_left = bins <= node.split_bin
-        if node.missing_left:
-            go_left |= bins == mapper.missing_bin(node.feature_idx)
-        stack.append((node.left, rows[go_left]))
-        stack.append((node.right, rows[~go_left]))
-    return out
-
-
 def _route_raw(nodes, values: np.ndarray, col_of: dict) -> np.ndarray:
-    """Raw leaf values straight from feature values via stored thresholds."""
+    """Raw leaf values straight from feature values via stored thresholds.
+
+    The comparison runs in float64, the precision of the bin edges the
+    thresholds come from, so ``x <= threshold`` sends a row the same way
+    as the binned ``bin <= split_bin`` test did while the tree grew.
+    """
     out = np.zeros(values.shape[0], dtype=np.float64)
     stack = [(0, np.arange(values.shape[0], dtype=np.int64))]
     while stack:
@@ -401,7 +365,7 @@ def _route_raw(nodes, values: np.ndarray, col_of: dict) -> np.ndarray:
         if node.is_leaf:
             out[rows] = node.value
             continue
-        x = values[rows, col_of[node.feature]]
+        x = values[rows, col_of[node.feature]].astype(np.float64)
         missing = np.isnan(x)
         with np.errstate(invalid="ignore"):
             go_left = x <= node.threshold
@@ -415,14 +379,8 @@ def _route_raw(nodes, values: np.ndarray, col_of: dict) -> np.ndarray:
 # training / scoring
 
 
-def train(matrix: FeatureMatrix, labels, config: TrainConfig, valid=None) -> BoostedModel:
-    """Boost ``config.rounds`` trees on the matrix; optionally early-stop.
-
-    ``valid`` is an optional (matrix, labels) holdout: when provided
-    together with ``config.early_stop_rounds``, training stops once the
-    holdout composite metric fails to improve for that many rounds and
-    the model is truncated to its best round.
-    """
+def train(matrix: FeatureMatrix, labels, config: TrainConfig) -> BoostedModel:
+    """Boost ``config.rounds`` trees on the matrix."""
     if matrix.n_rows < 2 or matrix.n_cols == 0:
         raise EmptyMatrixError(
             f"training needs >= 2 rows and >= 1 column, got {matrix.n_rows}x{matrix.n_cols}"
@@ -436,27 +394,15 @@ def train(matrix: FeatureMatrix, labels, config: TrainConfig, valid=None) -> Boo
 
     mapper = build_bins(matrix, config.max_bins)
     binned = mapper.transform(matrix.values)
+    col_of = {name: c for c, name in enumerate(matrix.column_names)}
     p_bar = pos / y.size
     base = math.log(p_bar / (1.0 - p_bar))
     scores = np.full(y.size, base, dtype=np.float64)
 
-    valid_binned = valid_labels = valid_scores = None
-    if valid is not None:
-        v_matrix, v_labels = valid
-        valid_binned = mapper.transform(
-            _aligned_values(v_matrix, mapper.column_names)
-        )
-        valid_labels = np.asarray(v_labels, dtype=np.float64).ravel()
-        valid_scores = np.full(valid_labels.size, base, dtype=np.float64)
-
     rng = np.random.default_rng(config.seed)
     trees: list[list[Node]] = []
-    records_per_tree: list[list] = []
-    best_round = 0
-    best_metric = -math.inf
-    since_best = 0
-
-    for round_no in range(config.rounds):
+    records: list = []
+    for _ in range(config.rounds):
         g, h = logistic_grad_hess(y, scores)
         if config.goss_enabled:
             rows, mult = goss_sample(g, config.goss_a, config.goss_b, rng)
@@ -470,41 +416,10 @@ def train(matrix: FeatureMatrix, labels, config: TrainConfig, valid=None) -> Boo
         grower = _TreeGrower(binned, mapper, gw, hw, config)
         nodes = grower.grow(rows)
         trees.append(nodes)
-        records_per_tree.append(grower.records)
-        scores += _route_binned(nodes, binned, mapper)
+        records.extend(grower.records)
+        scores += _route_raw(nodes, matrix.values, col_of)
 
-        if valid_binned is not None and config.early_stop_rounds is not None:
-            valid_scores += _route_binned(nodes, valid_binned, mapper)
-            m = composite_metric(valid_labels, _sigmoid(valid_scores)).M
-            if m > best_metric:
-                best_metric, best_round, since_best = m, round_no + 1, 0
-            else:
-                since_best += 1
-                if since_best >= config.early_stop_rounds:
-                    log.info(
-                        "early stop after round %d (best M %.6f at round %d)",
-                        round_no + 1, best_metric, best_round,
-                    )
-                    break
-
-    if valid_binned is not None and config.early_stop_rounds is not None:
-        trees = trees[:best_round]
-        records_per_tree = records_per_tree[:best_round]
-
-    flat_records = [rec for tree_recs in records_per_tree for rec in tree_recs]
-    return BoostedModel(base, config.learning_rate, trees, flat_records)
-
-
-def _aligned_values(matrix: FeatureMatrix, wanted) -> np.ndarray:
-    cols = []
-    for name in wanted:
-        try:
-            cols.append(matrix.column_names.index(name))
-        except ValueError:
-            raise MissingFeatureColumnError(
-                f"matrix lacks required feature column {name!r}"
-            ) from None
-    return matrix.values[:, cols]
+    return BoostedModel(base, config.learning_rate, trees, records)
 
 
 def predict_raw(model: BoostedModel, matrix: FeatureMatrix) -> np.ndarray:

@@ -366,6 +366,23 @@ def mask_outliers(
     return StatementTable(table.schema, table.customer_ids, table.statement_index, columns), masked
 
 
+def align_labels(customer_ids, labels: Mapping[str, int]) -> np.ndarray:
+    """int8 labels in ``customer_ids`` order, looked up in ``labels``.
+
+    A customer without a label, or with a label other than 0 or 1, is
+    an error.
+    """
+    target = np.empty(len(customer_ids), dtype=np.int8)
+    for i, cid in enumerate(customer_ids):
+        if cid not in labels:
+            raise MissingLabelError(f"no label for customer {cid!r}")
+        value = labels[cid]
+        if value not in (0, 1):
+            raise DataError(f"label for customer {cid!r} must be 0 or 1, got {value!r}")
+        target[i] = value
+    return target
+
+
 def join_labels(table: StatementTable, labels: Mapping[str, int]) -> LabeledTable:
     """Pair every customer in the table with its binary label.
 
@@ -373,14 +390,7 @@ def join_labels(table: StatementTable, labels: Mapping[str, int]) -> LabeledTabl
     are ignored (their count is logged).
     """
     customers = table.customers()
-    target = np.empty(customers.size, dtype=np.int8)
-    for i, cid in enumerate(customers):
-        if cid not in labels:
-            raise MissingLabelError(f"no label for customer {cid!r}")
-        value = labels[cid]
-        if value not in (0, 1):
-            raise DataError(f"label for customer {cid!r} must be 0 or 1, got {value!r}")
-        target[i] = value
+    target = align_labels(customers, labels)
     extras = len(labels) - customers.size
     if extras > 0:
         log.warning("ignoring %d labels for customers absent from the table", extras)

@@ -62,6 +62,8 @@ def _validated(labels, preds) -> tuple[np.ndarray, np.ndarray]:
     bad = ~np.isin(y, (0.0, 1.0))
     if bad.any():
         raise DataError(f"labels must be 0 or 1, found {y[bad][0]!r}")
+    if not np.isfinite(p).all():
+        raise DataError(f"predictions must be finite, found {p[~np.isfinite(p)][0]!r}")
     return y, p
 
 

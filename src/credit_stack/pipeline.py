@@ -23,7 +23,6 @@ Run directory layout::
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import re
 from dataclasses import dataclass
@@ -35,7 +34,7 @@ from . import cv_stack, features as features_mod, gbdt, ingest, report as report
 from .blend import EnsembleSpec, blend, optimize_weights, save_ensemble, write_predictions
 from .errors import ConfigError, CreditStackError
 from .metric import composite_metric
-from .serialize import format_float, sha256_file, write_json
+from .serialize import format_float, load_config_doc, sha256_file, write_json
 
 log = logging.getLogger(__name__)
 
@@ -98,19 +97,7 @@ class PipelineConfig:
 
 def config_from_json(source) -> PipelineConfig:
     """Load and validate a pipeline configuration document."""
-    if isinstance(source, (str, Path)):
-        try:
-            doc = json.loads(Path(source).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read pipeline config {source}: {exc}") from exc
-    else:
-        doc = source
-    if not isinstance(doc, dict):
-        raise ConfigError("pipeline config must be a JSON object")
-    allowed = set(PipelineConfig.__dataclass_fields__)
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"unknown pipeline config keys: {sorted(unknown)}")
+    doc = load_config_doc(source, "pipeline config", PipelineConfig)
     for key in ("data", "labels", "schema", "out_dir", "members"):
         if key not in doc:
             raise ConfigError(f"pipeline config is missing {key!r}")

@@ -8,8 +8,12 @@ significant digits (lossless float64 round-trip), no locale influence.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
+from dataclasses import fields
 from pathlib import Path
+
+from .errors import ConfigError
 
 
 def format_float(value: float) -> str:
@@ -99,6 +103,29 @@ def ensure_parent(path: str | Path) -> Path:
 
 def write_json(path: str | Path, obj) -> None:
     ensure_parent(path).write_text(dumps(obj), encoding="utf-8")
+
+
+def load_config_doc(source, what: str, config_class) -> dict:
+    """Read one config object from a JSON file path or an already-parsed dict.
+
+    ``what`` names the document in error messages.  The result is a
+    fresh dict whose keys are all fields of the dataclass
+    ``config_class``; an unreadable file, a non-object document or an
+    unknown key raises ConfigError.
+    """
+    if isinstance(source, (str, Path)):
+        try:
+            doc = json.loads(Path(source).read_text(encoding="utf-8"))
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read {what} {source}: {exc}") from exc
+    else:
+        doc = source
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = set(doc) - {f.name for f in fields(config_class)}
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    return dict(doc)
 
 
 def sha256_file(path: str | Path) -> str:

@@ -17,16 +17,15 @@ byte for byte.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from datetime import date as _date
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, NoSignalError
 from .ingest import MISSING_CODE, ColumnSchema, StatementTable
+from .serialize import load_config_doc
 
 #: value grid for continuous columns; matches the default cleanup precision
 GRID = 0.01
@@ -73,21 +72,10 @@ class SynthConfig:
 
 
 def config_from_json(source) -> SynthConfig:
-    if isinstance(source, (str, Path)):
-        try:
-            doc = json.loads(Path(source).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read synth config {source}: {exc}") from exc
-    else:
-        doc = source
-    if not isinstance(doc, dict):
-        raise ConfigError("synth config must be a JSON object")
-    allowed = set(SynthConfig.__dataclass_fields__)
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"unknown synth config keys: {sorted(unknown)}")
+    """Load a SynthConfig from a JSON file path or a parsed dict."""
+    doc = load_config_doc(source, "synth config", SynthConfig)
     if "signal_features" in doc:
-        doc = dict(doc, signal_features=tuple(doc["signal_features"]))
+        doc["signal_features"] = tuple(doc["signal_features"])
     return SynthConfig(**doc)
 
 

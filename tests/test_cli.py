@@ -247,6 +247,32 @@ def test_exit_codes(work, tmp_path):
                "--config", str(work / "train.json"),
                "--model-out", str(tmp_path / "m.json")) == 3
 
+    # 2: a train config whose empty leaves would divide by zero
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"l2_lambda": 0.0, "min_child_weight": 0.0}),
+                    encoding="utf-8")
+    assert run("train", "--features", str(work / "matrix.bin"),
+               "--labels", str(work / "labels.csv"),
+               "--config", str(zero),
+               "--model-out", str(tmp_path / "m.json")) == 2
+
+    # 3: a prediction CSV holding nan, scored or blended
+    ids = sorted(labels)
+    probs = np.linspace(0.1, 0.9, len(ids))
+    good, nan = tmp_path / "good.csv", tmp_path / "nan.csv"
+    write_predictions(ids, probs, good)
+    nan.write_text(
+        "customer_id,probability\n"
+        + "".join(f"{cid},{'nan' if i == 1 else p}\n"
+                  for i, (cid, p) in enumerate(zip(ids, probs))),
+        encoding="utf-8",
+    )
+    assert run("eval", "--labels", str(work / "labels.csv"),
+               "--pred", str(nan), "--report", str(tmp_path / "r.json")) == 3
+    assert run("blend", "--labels", str(work / "labels.csv"),
+               "--pred", str(good), "--pred", str(nan),
+               "--out", str(tmp_path / "w.json")) == 3
+
 
 def test_seed_override_changes_output(work, tmp_path):
     for seed, name in ((5, "a.csv"), (7, "b.csv")):

@@ -19,7 +19,6 @@ from credit_stack.features import (
     build_matrix,
     encode_categorical,
     fit_vocabulary,
-    lag_features,
     load_matrix,
     save_matrix,
     select_recent_window,
@@ -102,18 +101,6 @@ def test_aggregate_categorical_missing_excluded():
 def test_aggregate_categorical_all_missing():
     out = aggregate_categorical([MISSING_CODE, MISSING_CODE])
     assert out["count"] == 0.0 and math.isnan(out["last"]) and out["nunique"] == 0.0
-
-
-def test_lag_features_rules():
-    row = {
-        "a": {"last": 3.0, "mean": 2.0},
-        "b": {"last": 5.0, "mean": 5.0},
-        "c": {"last": math.nan, "mean": 1.0},
-    }
-    out = lag_features(row)
-    assert out["a_lag"] == 1.0
-    assert out["b_lag"] == 0.0
-    assert math.isnan(out["c_lag"])
 
 
 def test_select_recent_window_suffix():
@@ -242,6 +229,8 @@ def test_build_matrix_order_statistics_invariants():
         both = ~np.isnan(last) & ~np.isnan(mean)
         # the emitted lag equals the emitted operands' float32 difference
         np.testing.assert_array_equal(lag[both], last[both] - mean[both])
+        # and is missing whenever either operand is
+        assert np.isnan(lag[~both]).all()
 
 
 def test_aggregation_matches_direct_oracle():

@@ -3,6 +3,7 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from credit_stack.gbdt import (
     logistic_grad_hess,
     model_to_dict,
     predict,
+    predict_raw,
     save_model,
     train,
 )
@@ -246,20 +248,6 @@ def test_train_is_deterministic():
     assert d1 == d2
 
 
-def test_early_stopping_truncates():
-    rng = np.random.default_rng(21)
-    x = rng.normal(size=(400, 4)).astype(np.float32)
-    y = (x[:, 0] + rng.normal(scale=2.0, size=400) > 0).astype(np.int8)
-    m = matrix_of(x)
-    hold = matrix_of(rng.normal(size=(200, 4)).astype(np.float32))
-    hy = (hold.values[:, 0] + rng.normal(scale=2.0, size=200) > 0).astype(np.int8)
-    cfg = TrainConfig(rounds=80, early_stop_rounds=5, seed=2)
-    model = train(m, y, cfg, valid=(hold, hy))
-    assert model.n_trees < 80  # noisy labels: the holdout stalls early
-    full = train(m, y, TrainConfig(rounds=80, seed=2))
-    assert full.n_trees == 80
-
-
 # ---------------------------------------------------------------------------
 # prediction
 
@@ -281,6 +269,23 @@ def test_predict_monotone_across_single_split():
     below = matrix_of([[split["threshold"] - 0.5, 0.0, 0.0]])
     above = matrix_of([[split["threshold"] + 0.5, 0.0, 0.0]])
     assert predict(model, below)[0] < predict(model, above)[0]
+
+
+def test_predict_routes_a_float32_neighbour_like_training():
+    # The one split lands between 0.5 and the next float32 above it, at a
+    # threshold that rounds up to that neighbour in float32; scoring must
+    # compare in float64 as the binned training partition does.
+    x = np.concatenate((
+        np.arange(-37, 0),
+        [0.5, np.nextafter(np.float32(0.5), np.float32(1))],
+        np.arange(40, 133),
+    )).astype(np.float32)
+    y = (np.arange(x.size) > 37).astype(np.int8)
+    m = matrix_of(x)
+    model = train(m, y, TrainConfig(rounds=1, max_leaves=2, min_child_weight=0))
+    raw = predict_raw(model, m)
+    assert raw[38] == raw[39]
+    assert raw[38] != raw[37]
 
 
 def test_predict_matches_independent_tree_walk():
@@ -407,6 +412,11 @@ def test_config_validation():
         TrainConfig(goss_a=0.8, goss_b=0.4)  # a + b > 1
     with pytest.raises(DegenerateSamplingError):
         TrainConfig(goss_a=0.5, goss_b=0.0)
+    # an empty leaf would divide by zero
+    with pytest.raises(ConfigError):
+        TrainConfig(l2_lambda=0.0, min_child_weight=0.0)
+    TrainConfig(l2_lambda=0.0, min_child_weight=1.0)
+    TrainConfig(l2_lambda=1.0, min_child_weight=0.0)
 
 
 def test_config_from_json(tmp_path):
@@ -419,3 +429,10 @@ def test_config_from_json(tmp_path):
     assert cfg.rounds == 30 and cfg.goss_enabled and cfg.seed == 7
     with pytest.raises(ConfigError):
         config_from_json({"rounds": 5, "who": 1})
+
+
+def test_shipped_train_config_loads_and_early_stopping_is_rejected():
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "train.json"
+    assert config_from_json(shipped) == TrainConfig(rounds=100, max_leaves=31)
+    with pytest.raises(ConfigError, match="early_stop_rounds"):
+        config_from_json({"rounds": 5, "early_stop_rounds": 3})

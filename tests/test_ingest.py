@@ -18,6 +18,7 @@ from credit_stack.errors import (
 from credit_stack.ingest import (
     MISSING_CODE,
     ColumnSchema,
+    align_labels,
     compact_types,
     denoise_round,
     join_labels,
@@ -242,6 +243,16 @@ def test_join_labels_missing_names_customer(tmp_path):
     table = parse_csv(path, SCHEMA)
     with pytest.raises(MissingLabelError, match="B"):
         join_labels(table, {"A": 1})
+
+
+def test_align_labels_follows_the_given_order():
+    labels = {"A": 1, "B": 0, "C": 1}
+    out = align_labels(["C", "A", "B", "A"], labels)
+    assert out.dtype == np.int8 and out.tolist() == [1, 1, 0, 1]
+    with pytest.raises(MissingLabelError, match="D"):
+        align_labels(["A", "D"], labels)
+    with pytest.raises(DataError, match="0 or 1"):
+        align_labels(["A"], {"A": 2})
 
 
 def test_csv_round_trip_is_lossless(tmp_path):

@@ -200,3 +200,9 @@ def test_empty_input_raises():
 def test_non_binary_labels_raise():
     with pytest.raises(DataError):
         weighted_auc([1, 2, 0], [0.1, 0.2, 0.3])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_predictions_raise(bad):
+    with pytest.raises(DataError, match="finite"):
+        composite_metric([0, 1, 0, 1], [0.1, bad, 0.2, 0.9])
