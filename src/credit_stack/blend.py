@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -204,7 +205,10 @@ def write_predictions(customer_ids, probabilities, path) -> None:
 
 
 def read_predictions(path):
-    """Read a (customer_id, probability) CSV; returns (ids, float vector)."""
+    """Read a (customer_id, probability) CSV; returns (ids, float vector).
+
+    A cell that is not a finite number is a ``DataError`` naming its row.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -217,11 +221,14 @@ def read_predictions(path):
                     raise DataError(f"{path}: row {i + 2} is incomplete")
                 ids.append(rec[0])
                 try:
-                    probs.append(float(rec[1]))
+                    prob = float(rec[1])
                 except ValueError:
                     raise DataError(
                         f"{path}: row {i + 2}: {rec[1]!r} is not a number"
                     ) from None
+                if not math.isfinite(prob):
+                    raise DataError(f"{path}: row {i + 2}: {rec[1]!r} is not finite")
+                probs.append(prob)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not ids:

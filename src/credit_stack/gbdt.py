@@ -12,6 +12,21 @@ with the missing-value direction chosen per split by whichever side
 scores higher.  Trees store raw value thresholds, so scoring needs no
 binning and works on any matrix that carries the trained columns.
 
+A leaf's split search builds one histogram over all columns at once: a
+single ``np.bincount`` each for g and h over the leaf's bin indices,
+every column shifted to its own block of slots.  Each bin still sums its
+rows in ascending row order, as a per-column histogram would.  The
+prefix sums of each block give every (column, bin) candidate, and the
+candidates are scored for both missing directions in whole-array
+operations.  The winner is the first maximum in the order column, then
+missing-left before missing-right, then bin, and only a gain above 0
+splits.  A column with fewer than 2 real bins offers no candidate, and
+one whose leaf rows carry no missing hessian mass offers no
+missing-right candidate, since that split is the missing-left one.  A
+candidate whose bin holds no g and no h in the leaf has the sums of the
+one before it in its column, so it is never the first maximum and is
+not scored.
+
 Everything is deterministic: one seeded generator drives sampling, bin
 edges come from fixed quantiles, histogram sums accumulate in ascending
 row order, and ties in split search resolve to the first candidate.
@@ -254,12 +269,38 @@ class _LeafCandidate:
     missing_left: bool
 
 
+@dataclass(frozen=True)
+class _SplitLayout:
+    """Where a mapper's columns and split candidates sit in a leaf histogram.
+
+    Column c owns the flat histogram slots [c*stride, (c+1)*stride): its
+    real bins first, then its missing bin.  A candidate (c, b) sends bins
+    0..b left; a column with r >= 2 real bins offers b in 0..r-2, and a
+    column with one bin offers none.
+    """
+
+    stride: int
+    offsets: np.ndarray  # (columns,) slot of each column's bin 0
+    miss_pos: np.ndarray  # (columns,) slot of each column's missing bin
+    is_cand: np.ndarray  # (columns*stride,) bool: the slot is a candidate bin
+    first: np.ndarray  # slot of bin 0 in every column that has candidates
+
+
+def _split_layout(mapper: BinMapper) -> _SplitLayout:
+    real = np.array([mapper.n_real_bins(c) for c in range(len(mapper.edges))], dtype=np.intp)
+    stride = int(real.max()) + 1
+    offsets = np.arange(real.size, dtype=np.intp) * stride
+    is_cand = np.arange(stride) < (real - 1)[:, None]
+    return _SplitLayout(stride, offsets, offsets + real, is_cand.ravel(), offsets[real >= 2])
+
+
 class _TreeGrower:
     """Grows one best-first tree on binned rows with weighted gradients."""
 
-    def __init__(self, binned, mapper: BinMapper, g, h, config: TrainConfig):
+    def __init__(self, binned, mapper: BinMapper, layout: _SplitLayout, g, h, config: TrainConfig):
         self.binned = binned
         self.mapper = mapper
+        self.layout = layout
         self.g = g
         self.h = h
         self.cfg = config
@@ -303,41 +344,53 @@ class _TreeGrower:
         return node_id, self._best_split(node_id, rows, g_sum, h_sum)
 
     def _best_split(self, node_id, rows, g_total, h_total):
+        lay = self.layout
+        if lay.first.size == 0:
+            return None
+        n_cols = lay.offsets.size
+        slots = (self.binned[rows] + lay.offsets).ravel()
+        size = n_cols * lay.stride
+        hg = np.bincount(slots, weights=np.repeat(self.g[rows], n_cols), minlength=size)
+        hh = np.bincount(slots, weights=np.repeat(self.h[rows], n_cols), minlength=size)
+        # A candidate whose bin holds no g and no h scores exactly as the one
+        # before it in its column, which the scan meets first: score only
+        # bin 0 and the bins the leaf's rows fill.
+        live = lay.is_cand & ((hg != 0.0) | (hh != 0.0))
+        live[lay.first] = True
+        pos = np.flatnonzero(live)  # column-then-bin order
+        col = pos // lay.stride
+        gl = np.cumsum(hg.reshape(n_cols, lay.stride), axis=1).ravel()[pos]
+        hl = np.cumsum(hh.reshape(n_cols, lay.stride), axis=1).ravel()[pos]
+        miss = lay.miss_pos[col]
+        miss_g, miss_h = hg[miss], hh[miss]
+        parent = g_total * g_total / (h_total + self.cfg.l2_lambda)
+        left = self._gains(gl + miss_g, hl + miss_h, g_total, h_total, parent)
+        right = self._gains(gl, hl, g_total, h_total, parent)
+        right[miss_h == 0.0] = -np.inf  # no missing rows: same split as missing-left
+        # Each argmax is the first of its direction in column-then-bin order;
+        # between the two, the lower column wins a tie, then missing-left.
+        i, j = int(np.argmax(left)), int(np.argmax(right))
+        if right[j] > left[i] or (right[j] == left[i] and col[j] < col[i]):
+            k, missing_left, gain = j, False, right[j]
+        else:
+            k, missing_left, gain = i, True, left[i]
+        if not gain > 0.0:
+            return None
+        c, b = divmod(int(pos[k]), lay.stride)
+        return _LeafCandidate(node_id, rows, float(gain), c, b, missing_left)
+
+    def _gains(self, GL, HL, g_total, h_total, parent):
+        """Split gains, -inf where a side falls below min_child_weight."""
         cfg = self.cfg
-        best_gain = 0.0
-        best = None
-        parent = g_total * g_total / (h_total + cfg.l2_lambda)
-        for c in range(len(self.mapper.edges)):
-            r = self.mapper.n_real_bins(c)
-            if r < 2:
-                continue
-            bins = self.binned[rows, c]
-            hg = np.bincount(bins, weights=self.g[rows], minlength=r + 1)
-            hh = np.bincount(bins, weights=self.h[rows], minlength=r + 1)
-            miss_g, miss_h = hg[r], hh[r]
-            gl = np.cumsum(hg[:r])[: r - 1]
-            hl = np.cumsum(hh[:r])[: r - 1]
-            for missing_left in (True, False):
-                if missing_left:
-                    GL, HL = gl + miss_g, hl + miss_h
-                else:
-                    GL, HL = gl, hl
-                GR, HR = g_total - GL, h_total - HL
-                with np.errstate(invalid="ignore"):
-                    gain = 0.5 * (
-                        GL * GL / (HL + cfg.l2_lambda)
-                        + GR * GR / (HR + cfg.l2_lambda)
-                        - parent
-                    )
-                ok = (HL >= cfg.min_child_weight) & (HR >= cfg.min_child_weight)
-                gain = np.where(ok, gain, -np.inf)
-                b = int(np.argmax(gain))
-                if gain[b] > best_gain:
-                    best_gain = float(gain[b])
-                    best = _LeafCandidate(node_id, rows, best_gain, c, b, missing_left)
-                if miss_h == 0.0:
-                    break  # no missing rows here: both directions identical
-        return best
+        GR, HR = g_total - GL, h_total - HL
+        with np.errstate(divide="ignore", invalid="ignore"):  # masked below
+            gain = 0.5 * (
+                GL * GL / (HL + cfg.l2_lambda)
+                + GR * GR / (HR + cfg.l2_lambda)
+                - parent
+            )
+        ok = (HL >= cfg.min_child_weight) & (HR >= cfg.min_child_weight)
+        return np.where(ok, gain, -np.inf)
 
     def _partition(self, cand: _LeafCandidate):
         bins = self.binned[cand.rows, cand.feature_idx]
@@ -394,6 +447,7 @@ def train(matrix: FeatureMatrix, labels, config: TrainConfig) -> BoostedModel:
 
     mapper = build_bins(matrix, config.max_bins)
     binned = mapper.transform(matrix.values)
+    layout = _split_layout(mapper)
     col_of = {name: c for c, name in enumerate(matrix.column_names)}
     p_bar = pos / y.size
     base = math.log(p_bar / (1.0 - p_bar))
@@ -413,7 +467,7 @@ def train(matrix: FeatureMatrix, labels, config: TrainConfig) -> BoostedModel:
             rows = np.arange(y.size, dtype=np.int64)
             gw, hw = g, h
 
-        grower = _TreeGrower(binned, mapper, gw, hw, config)
+        grower = _TreeGrower(binned, mapper, layout, gw, hw, config)
         nodes = grower.grow(rows)
         trees.append(nodes)
         records.extend(grower.records)

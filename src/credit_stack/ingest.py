@@ -431,7 +431,10 @@ def write_csv(table: StatementTable, path) -> None:
 
 
 def read_labels(path) -> dict[str, int]:
-    """Load a two-column (customer_id, target) CSV into a mapping."""
+    """Load a two-column (customer_id, target) CSV into a mapping.
+
+    A customer id that appears on two rows is a ``DataError`` naming both.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -442,6 +445,7 @@ def read_labels(path) -> dict[str, int]:
             if len(header) < 2:
                 raise MissingColumnError(f"{path}: expected customer_id and target columns")
             labels: dict[str, int] = {}
+            first_row: dict[str, int] = {}
             for i, rec in enumerate(reader):
                 if len(rec) < 2:
                     raise DataError(f"{path}: row {i + 2} is incomplete")
@@ -455,6 +459,12 @@ def read_labels(path) -> dict[str, int]:
                     raise DataError(
                         f"{path}: row {i + 2}: label must be 0 or 1, got {value}"
                     )
+                if rec[0] in first_row:
+                    raise DataError(
+                        f"{path}: rows {first_row[rec[0]]} and {i + 2} both label "
+                        f"customer {rec[0]!r}"
+                    )
+                first_row[rec[0]] = i + 2
                 labels[rec[0]] = value
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc

@@ -202,3 +202,48 @@ def quantile_bin_expectation(values, max_bins):
     edges = sorted(set(float(np.quantile(x, q)) for q in qs))
     top = float(x.max())
     return [e for e in edges if e < top]
+
+
+def scan_best_split(binned, real_bins, g, h, rows, g_total, h_total, l2_lambda, min_child_weight):
+    """Best split of one leaf by the column-at-a-time scan.
+
+    ``real_bins[c]`` is column c's real bin count; its missing bin is the
+    next index.  Columns go in order, missing-left before missing-right,
+    and a later candidate wins only with a strictly greater gain, which
+    must exceed 0.  Returns (feature_idx, split_bin, missing_left, gain)
+    or None.
+    """
+    best_gain = 0.0
+    best = None
+    parent = g_total * g_total / (h_total + l2_lambda)
+    for c in range(len(real_bins)):
+        r = real_bins[c]
+        if r < 2:
+            continue
+        bins = binned[rows, c]
+        hg = np.bincount(bins, weights=g[rows], minlength=r + 1)
+        hh = np.bincount(bins, weights=h[rows], minlength=r + 1)
+        miss_g, miss_h = hg[r], hh[r]
+        gl = np.cumsum(hg[:r])[: r - 1]
+        hl = np.cumsum(hh[:r])[: r - 1]
+        for missing_left in (True, False):
+            if missing_left:
+                GL, HL = gl + miss_g, hl + miss_h
+            else:
+                GL, HL = gl, hl
+            GR, HR = g_total - GL, h_total - HL
+            with np.errstate(invalid="ignore"):
+                gain = 0.5 * (
+                    GL * GL / (HL + l2_lambda)
+                    + GR * GR / (HR + l2_lambda)
+                    - parent
+                )
+            ok = (HL >= min_child_weight) & (HR >= min_child_weight)
+            gain = np.where(ok, gain, -np.inf)
+            b = int(np.argmax(gain))
+            if gain[b] > best_gain:
+                best_gain = float(gain[b])
+                best = (c, b, missing_left, best_gain)
+            if miss_h == 0.0:
+                break  # no missing rows here: both directions identical
+    return best

@@ -216,6 +216,12 @@ def test_predictions_reader_rejects_garbage(tmp_path):
     with pytest.raises(DataError):
         read_predictions(short)
 
+    for cell in ("nan", "inf", "-inf"):
+        odd = tmp_path / f"{cell}.csv"
+        odd.write_text(f"customer_id,probability\nC1,0.5\nC2,{cell}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"row 3: .* is not finite"):
+            read_predictions(odd)
+
     empty = tmp_path / "empty.csv"
     empty.write_text("customer_id,probability\n", encoding="utf-8")
     with pytest.raises(DataError):

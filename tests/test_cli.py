@@ -247,6 +247,31 @@ def test_exit_codes(work, tmp_path):
                "--config", str(work / "train.json"),
                "--model-out", str(tmp_path / "m.json")) == 3
 
+    # 3: a labels file naming one customer twice, for train and run alike
+    first = sorted(labels)[0]
+    twice = tmp_path / "twice_labels.csv"
+    twice.write_text(
+        (work / "labels.csv").read_text(encoding="utf-8")
+        + f"{first},{1 - labels[first]}\n",
+        encoding="utf-8",
+    )
+    assert run("train", "--features", str(work / "matrix.bin"),
+               "--labels", str(twice),
+               "--config", str(work / "train.json"),
+               "--model-out", str(tmp_path / "m.json")) == 3
+    pipe = tmp_path / "twice_pipe.json"
+    pipe.write_text(
+        json.dumps({
+            "data": str(work / "data.csv"),
+            "labels": str(twice),
+            "schema": str(work / "schema.json"),
+            "out_dir": str(tmp_path / "twice_run"),
+            "members": [{"name": "wide", "train": {"rounds": 1, "max_leaves": 2}}],
+        }),
+        encoding="utf-8",
+    )
+    assert run("run", "--config", str(pipe)) == 3
+
     # 2: a train config whose empty leaves would divide by zero
     zero = tmp_path / "zero.json"
     zero.write_text(json.dumps({"l2_lambda": 0.0, "min_child_weight": 0.0}),

@@ -19,6 +19,9 @@ from credit_stack.features import FeatureMatrix
 from credit_stack.gbdt import (
     BoostedModel,
     TrainConfig,
+    _LeafCandidate,
+    _split_layout,
+    _TreeGrower,
     build_bins,
     config_from_json,
     goss_sample,
@@ -32,7 +35,7 @@ from credit_stack.gbdt import (
     train,
 )
 from credit_stack.metric import weighted_auc
-from oracles import quantile_bin_expectation, tree_walk_probability
+from oracles import quantile_bin_expectation, scan_best_split, tree_walk_probability
 
 
 def matrix_of(values, names=None, ids=None):
@@ -246,6 +249,138 @@ def test_train_is_deterministic():
     d1 = model_to_dict(train(m, y, cfg))
     d2 = model_to_dict(train(m, y, cfg))
     assert d1 == d2
+
+
+# ---------------------------------------------------------------------------
+# split search
+
+
+def random_leaf(rng):
+    """A random leaf: matrix, weighted g/h, its rows and a config.
+
+    Columns mix continuous, constant, all-missing, 2-bin one-hot and
+    few-level values, with NaN cells, and repeat earlier columns so equal
+    gains must go to the lower column.  Scores of exactly 0 make every
+    gradient +-0.5 and hessian 0.25, so sums are exact and gains tie
+    across bins and missing directions too.  Saturated scores give rows
+    with zero hessian but nonzero gradient.
+    """
+    n = int(rng.integers(2, 90))
+    cols = []
+    for _ in range(int(rng.integers(1, 7))):
+        kind = int(rng.integers(0, 6))
+        if kind == 5 and cols:
+            cols.append(cols[int(rng.integers(0, len(cols)))].copy())
+            continue
+        if kind == 1:
+            x = np.full(n, rng.normal())
+        elif kind == 2:
+            x = np.full(n, np.nan)
+        elif kind == 3:
+            x = rng.integers(0, 2, size=n).astype(np.float64)
+        elif kind == 4:
+            x = rng.integers(0, 4, size=n).astype(np.float64)
+        else:
+            x = rng.normal(size=n)
+        x[rng.random(n) < rng.choice([0.0, 0.1, 0.5])] = np.nan
+        cols.append(x)
+    m = matrix_of(np.column_stack(cols))
+
+    y = rng.integers(0, 2, size=n).astype(np.float64)
+    scores = np.zeros(n) if rng.random() < 0.4 else rng.normal(scale=2.0, size=n)
+    if rng.random() < 0.3:  # saturated rows: h is exactly 0, g is 0 or +-1
+        scores[rng.random(n) < 0.4] = rng.choice([-50.0, 50.0])
+    g, h = logistic_grad_hess(y, scores)
+    l2_lambda = float(rng.choice([0.0, 0.5, 1.0]))
+    mcw = float(rng.choice([0.0, 0.1, 0.6])) if l2_lambda else float(rng.choice([0.1, 0.6]))
+    cfg = TrainConfig(
+        max_bins=int(rng.choice([2, 3, 4, 8, 255])), l2_lambda=l2_lambda, min_child_weight=mcw
+    )
+    if rng.random() < 0.3:  # GOSS-weighted, as train() weights a sampled round
+        rows, mult = goss_sample(g, 0.3, 0.4, rng)
+        gw, hw = g * 0.0, h * 0.0
+        gw[rows], hw[rows] = g[rows] * mult, h[rows] * mult
+        g, h = gw, hw
+    elif rng.random() < 0.5:  # a deeper leaf: an ascending row subset
+        rows = np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
+    else:
+        rows = np.arange(n, dtype=np.int64)
+    return m, g, h, rows.astype(np.int64), cfg
+
+
+def oracle_split(grower, rows, g_total, h_total):
+    mapper, cfg = grower.mapper, grower.cfg
+    real_bins = [mapper.n_real_bins(c) for c in range(len(mapper.edges))]
+    with np.errstate(divide="ignore"):  # l2_lambda = 0: an empty side, masked
+        return scan_best_split(
+            grower.binned, real_bins, grower.g, grower.h, rows, g_total, h_total,
+            cfg.l2_lambda, cfg.min_child_weight,
+        )
+
+
+def leaf_grower(m, g, h, cfg):
+    mapper = build_bins(m, cfg.max_bins)
+    return _TreeGrower(mapper.transform(m.values), mapper, _split_layout(mapper), g, h, cfg)
+
+
+def test_split_search_matches_column_scan_oracle():
+    rng = np.random.default_rng(20261018)
+    splits = 0
+    for _ in range(300):
+        m, g, h, rows, cfg = random_leaf(rng)
+        grower = leaf_grower(m, g, h, cfg)
+        g_total, h_total = float(g[rows].sum()), float(h[rows].sum())
+        got = grower._best_split(7, rows, g_total, h_total)
+        want = oracle_split(grower, rows, g_total, h_total)
+        if want is None:
+            assert got is None
+            continue
+        splits += 1
+        assert got.node_id == 7 and got.rows is rows
+        assert (got.feature_idx, got.split_bin, got.missing_left, got.gain) == want
+    assert splits >= 150
+
+
+def test_split_search_ties_go_to_lower_column_and_missing_left():
+    # Two identical one-hot columns; with all scores 0 the missing-left and
+    # missing-right splits of bin 0 are mirror images with equal gain.
+    x = np.array([0.0, 1.0, np.nan, np.nan])
+    m = matrix_of(np.column_stack((x, x)))
+    g, h = logistic_grad_hess(np.array([1.0, 1.0, 0.0, 0.0]), np.zeros(4))
+    grower = leaf_grower(m, g, h, TrainConfig(min_child_weight=0.0))
+    rows = np.arange(4, dtype=np.int64)
+    got = grower._best_split(0, rows, float(g.sum()), float(h.sum()))
+    assert (got.feature_idx, got.split_bin, got.missing_left) == (0, 0, True)
+    assert (got.feature_idx, got.split_bin, got.missing_left, got.gain) == oracle_split(
+        grower, rows, float(g.sum()), float(h.sum())
+    )
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        TrainConfig(rounds=6, max_leaves=9, seed=2),
+        TrainConfig(rounds=6, max_leaves=7, max_bins=16, goss_a=0.2, goss_b=0.3,
+                    l2_lambda=0.0, min_child_weight=0.5, seed=5),
+    ],
+)
+def test_train_with_column_scan_oracle_gives_the_same_model(monkeypatch, cfg):
+    rng = np.random.default_rng(77)
+    x = rng.normal(size=(240, 6))
+    x[:, 3] = (x[:, 3] > 0.4).astype(np.float64)
+    x[:, 4] = x[:, 0]
+    x[:, 5] = 1.0
+    x[rng.random(x.shape) < 0.15] = np.nan
+    y = (np.nan_to_num(x[:, 0]) + np.nan_to_num(x[:, 1]) + rng.normal(size=240) > 0)
+    m = matrix_of(x)
+    fast = model_to_dict(train(m, y.astype(np.int8), cfg))
+
+    def scan(self, node_id, rows, g_total, h_total):
+        best = oracle_split(self, rows, g_total, h_total)
+        return None if best is None else _LeafCandidate(node_id, rows, best[3], *best[:3])
+
+    monkeypatch.setattr(_TreeGrower, "_best_split", scan)
+    assert model_to_dict(train(m, y.astype(np.int8), cfg)) == fast
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,13 @@ def test_read_labels_rejects_bad_rows(tmp_path):
         read_labels(path)
 
 
+def test_read_labels_rejects_duplicate_ids(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("customer_id,target\nA,0\nB,1\nA,1\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"rows 2 and 4 .*'A'"):
+        read_labels(path)
+
+
 def test_load_schema_round_trip(tmp_path):
     doc = schema_to_json(SCHEMA)
     import json
