@@ -6,13 +6,25 @@ statistics per continuous column, a lag column (last minus mean), count
 optional encoding of the final categorical codes.  Missing cells stay
 missing (NaN) so the tree learner can route them natively.
 
+Aggregation works one raw column at a time over whole arrays.  A
+customer's valid cells (non-NaN values, real codes) are left-packed
+into one row of a customers x max-count block.  Customers with the same
+count k then form a dense group ``block[rows, :k]``, and each statistic
+is the NumPy call a single customer's series would get (``mean``,
+``std(ddof=1)``, ``min``, ``max``, ``np.median``), taken along axis 1.
+A row of exactly k contiguous values is summed in the same order as the
+1-D series, so every float64 result has the same bits as the
+per-customer computation (kept as the test oracle in
+``tests/oracles.py``).  NaN padding with ``nan*`` reductions would
+regroup the pairwise sums and move those bits.  Categorical ``nunique``
+counts value changes along each sorted row, skipping the pad code.
+
 The engineered matrix persists to a small binary container ("CSFM") so
 repeated pipeline stages never re-parse CSVs.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -105,53 +117,7 @@ class FeatureMatrix:
 
 
 # ---------------------------------------------------------------------------
-# single-series aggregation
-
-
-def aggregate_continuous(series, stats=CONTINUOUS_STATS) -> dict:
-    """Statistics of one customer's values for one continuous column.
-
-    Missing entries are dropped first.  An empty series yields NaN for
-    every stat; a single value yields NaN for std (sample deviation
-    needs two observations).  ``last`` is the latest surviving value.
-    """
-    x = np.asarray(series, dtype=np.float64)
-    x = x[~np.isnan(x)]
-    out: dict = {}
-    n = x.size
-    for stat in stats:
-        if n == 0:
-            out[stat] = math.nan
-        elif stat == "mean":
-            out[stat] = float(x.mean())
-        elif stat == "std":
-            out[stat] = float(x.std(ddof=1)) if n > 1 else math.nan
-        elif stat == "min":
-            out[stat] = float(x.min())
-        elif stat == "max":
-            out[stat] = float(x.max())
-        elif stat == "last":
-            out[stat] = float(x[-1])
-        elif stat == "median":
-            out[stat] = float(np.median(x))
-        else:
-            raise ConfigError(f"unknown continuous stat {stat!r}")
-    return out
-
-
-def aggregate_categorical(series) -> dict:
-    """count / last / nunique of one customer's categorical codes.
-
-    The missing sentinel never counts; ``last`` is the latest real code
-    (NaN when the customer has none).
-    """
-    codes = np.asarray(series, dtype=np.int64)
-    real = codes[codes != MISSING_CODE]
-    return {
-        "count": float(real.size),
-        "last": float(real[-1]) if real.size else math.nan,
-        "nunique": float(np.unique(real).size),
-    }
+# statement window
 
 
 def select_recent_window(table: StatementTable, k: int) -> StatementTable:
@@ -229,17 +195,80 @@ def fit_vocabulary(last_codes: dict) -> dict:
     }
 
 
+# ---------------------------------------------------------------------------
+# grouped aggregation
+
+
+def _left_pack(owner: np.ndarray, values: np.ndarray, n: int, fill):
+    """Each customer's values side by side, in row order, from slot 0.
+
+    ``owner`` gives the customer index of every value and never
+    decreases.  Returns (count per customer, ``(n, max count)`` block);
+    slots past a customer's count hold ``fill``.
+    """
+    count = np.bincount(owner, minlength=n)
+    first = np.cumsum(count) - count
+    block = np.full((n, max(int(count.max(initial=0)), 1)), fill, dtype=values.dtype)
+    block[owner, np.arange(owner.size) - first[owner]] = values
+    return count, block
+
+
+# Statistics along axis 1 of a group of customers with exactly k valid
+# values each; the module docstring says why they match the 1-D calls.
+_ROW_STATS = {
+    "mean": lambda group: group.mean(axis=1),
+    "std": lambda group: group.std(axis=1, ddof=1) if group.shape[1] > 1 else np.nan,
+    "min": lambda group: group.min(axis=1),
+    "max": lambda group: group.max(axis=1),
+    "last": lambda group: group[:, -1],
+    "median": lambda group: np.median(group, axis=1),
+}
+
+
+def _continuous_stats(column: np.ndarray, owner: np.ndarray, n: int, stats) -> dict:
+    """``stats`` of each customer's non-NaN cells, as float64 arrays.
+
+    Customers with no valid cell get NaN everywhere, and customers with
+    one get NaN for ``std`` (sample deviation needs two observations).
+    """
+    x = np.asarray(column, dtype=np.float64)
+    valid = ~np.isnan(x)
+    count, block = _left_pack(owner[valid], x[valid], n, 0.0)
+    out = {stat: np.full(n, np.nan) for stat in stats}
+    for k in np.unique(count[count > 0]):
+        rows = np.flatnonzero(count == k)
+        group = block[rows, :k]
+        for stat in stats:
+            out[stat][rows] = _ROW_STATS[stat](group)
+    return out
+
+
+def _categorical_stats(column: np.ndarray, owner: np.ndarray, n: int):
+    """count, last real code (or MISSING_CODE) and distinct count per customer."""
+    codes = np.asarray(column, dtype=np.int64)
+    real = codes != MISSING_CODE
+    count, block = _left_pack(owner[real], codes[real], n, MISSING_CODE)
+    last = block[np.arange(n), np.maximum(count - 1, 0)]
+    # slot 0 of a customer without real codes holds the pad, MISSING_CODE
+    ordered = np.sort(block, axis=1)
+    first_seen = ordered != MISSING_CODE
+    first_seen[:, 1:] &= ordered[:, 1:] != ordered[:, :-1]
+    return count, last, first_seen.sum(axis=1)
+
+
 def build_matrix(data, spec: AggregationSpec, *, vocab: dict | None = None,
                  fit_vocab: bool = True):
     """Collapse a statement table into one engineered row per customer.
 
     ``data`` may carry labels (LabeledTable) or not (StatementTable, the
-    scoring path).  Column order is fixed: per continuous raw column in
-    schema order, the selected stats in spec order then the lag column;
-    per categorical raw column, the selected stats; finally the encoded
-    columns.  Returns (matrix, labels-or-None, vocabulary-or-None); the
-    vocabulary is fitted here when one-hot encoding is requested without
-    one (and ``fit_vocab`` allows it).
+    scoring path); each customer's rows must be contiguous.  Column
+    order is fixed: per continuous raw column in schema order, the
+    selected stats in spec order then the lag column; per categorical
+    raw column, the selected stats; finally the encoded columns.
+    Returns (matrix, labels-or-None, vocabulary-or-None); the vocabulary
+    is fitted here when one-hot encoding is requested without one (and
+    ``fit_vocab`` allows it).  A spec that leaves no engineered column
+    raises EmptySpecError.
     """
     if isinstance(data, LabeledTable):
         table, labels = data.table, data.target
@@ -247,6 +276,13 @@ def build_matrix(data, spec: AggregationSpec, *, vocab: dict | None = None,
         table, labels = data, None
     if table.n_rows == 0:
         raise EmptyMatrixError("statement table has no rows")
+    customers = table.customers()
+    ids, blocks = np.unique(customers, return_counts=True)
+    if ids.size != customers.size:
+        raise DataError(
+            f"customer {ids[blocks > 1][0]!r} has statement rows in more than one "
+            "block; each customer's rows must be contiguous"
+        )
     if spec.recent_window is not None:
         table = select_recent_window(table, spec.recent_window)
 
@@ -254,58 +290,50 @@ def build_matrix(data, spec: AggregationSpec, *, vocab: dict | None = None,
     if not cont and not cat:
         raise EmptySpecError("no raw feature columns left to aggregate")
 
-    customers = table.customers()
-    starts = table.row_starts()
-    bounds = np.concatenate((starts, [table.n_rows]))
-
+    n = customers.size
+    counts = np.diff(np.concatenate((table.row_starts(), [table.n_rows])))
+    owner = np.repeat(np.arange(n), counts)
     cont_stats = list(spec.continuous_stats)
     need = set(cont_stats) | ({"last", "mean"} if spec.lag_enabled else set())
 
     names: list[str] = []
+    cols: list[np.ndarray] = []
     for raw in cont:
+        stats = _continuous_stats(table.columns[raw], owner, n, need)
         names.extend(f"{raw}_{stat}" for stat in cont_stats)
+        cols.extend(stats[stat] for stat in cont_stats)
         if spec.lag_enabled:
+            # subtract at storage precision so the emitted lag column
+            # equals the emitted last/mean columns' difference exactly
             names.append(f"{raw}_lag")
+            cols.append(stats["last"].astype(np.float32) - stats["mean"].astype(np.float32))
+    last_codes = {}
     for raw in cat:
+        count, last, nunique = _categorical_stats(table.columns[raw], owner, n)
+        stats = {
+            "count": count.astype(np.float64),
+            "last": np.where(count > 0, last, np.nan),
+            "nunique": nunique.astype(np.float64),
+        }
         names.extend(f"{raw}_{stat}" for stat in spec.categorical_stats)
+        cols.extend(stats[stat] for stat in spec.categorical_stats)
+        last_codes[raw] = last
 
-    n = customers.size
-    base = np.empty((n, len(names)), dtype=np.float64)
-    last_codes = {raw: np.empty(n, dtype=np.int64) for raw in cat}
-
-    cont_arrays = [table.columns[raw] for raw in cont]
-    cat_arrays = [table.columns[raw] for raw in cat]
-    for i in range(n):
-        lo, hi = bounds[i], bounds[i + 1]
-        row: list[float] = []
-        for raw, arr in zip(cont, cont_arrays):
-            stats = aggregate_continuous(arr[lo:hi], tuple(need))
-            row.extend(stats[s] for s in cont_stats)
-            if spec.lag_enabled:
-                # subtract at storage precision so the emitted lag column
-                # equals the emitted last/mean columns' difference exactly
-                row.append(float(np.float32(stats["last"]) - np.float32(stats["mean"])))
-        for raw, arr in zip(cat, cat_arrays):
-            stats = aggregate_categorical(arr[lo:hi])
-            row.extend(stats[s] for s in spec.categorical_stats)
-            last_codes[raw][i] = (
-                int(stats["last"]) if not math.isnan(stats["last"]) else MISSING_CODE
-            )
-        base[i] = row
-
-    blocks = [base]
     if spec.encode is not None and cat:
         used = vocab
         if spec.encode == "one-hot" and used is None and fit_vocab:
             used = fit_vocabulary(last_codes)
         enc_names, enc_cols, used = encode_categorical(last_codes, spec.encode, used)
         names.extend(enc_names)
-        if enc_cols:
-            blocks.append(np.column_stack(enc_cols))
+        cols.extend(enc_cols)
         vocab = used
 
-    values = np.concatenate(blocks, axis=1) if len(blocks) > 1 else base
-    matrix = FeatureMatrix(customers, names, values.astype(np.float32))
+    if not names:
+        raise EmptySpecError(
+            f"aggregation spec yields no engineered columns from {cont + cat}"
+        )
+    values = np.column_stack(cols).astype(np.float32)
+    matrix = FeatureMatrix(customers, names, values)
     return matrix, labels, vocab
 
 

@@ -17,7 +17,8 @@ Run directory layout::
                                fold_<i>.model.json, oof.csv, holdout_pred.csv,
                                metrics.json, importance.json, importance.svg
     ensemble/                  weights.json, prediction.csv, metrics.json
-    manifest.json              relative path -> sha256
+    manifest.json              relative path -> sha256 of every file this
+                               run wrote (not of files an earlier run left)
 """
 
 from __future__ import annotations
@@ -187,6 +188,13 @@ def run_pipeline(config: PipelineConfig) -> Path:
     """Execute every stage and return the populated run directory."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # the manifest digests these, so files an earlier run left in
+    # ``out`` stay out of it
+    written: list[Path] = []
+
+    def emit(path: Path) -> Path:
+        written.append(path)
+        return path
 
     with _stage("prep"):
         schema = ingest.load_schema(config.schema)
@@ -201,15 +209,15 @@ def run_pipeline(config: PipelineConfig) -> Path:
         labeled = ingest.join_labels(table, ingest.read_labels(config.labels))
         clean_dir = out / "clean"
         clean_dir.mkdir(exist_ok=True)
-        ingest.write_csv(table, clean_dir / "clean.csv")
-        write_json(clean_dir / "clean.schema.json", ingest.schema_to_json(table.schema))
+        ingest.write_csv(table, emit(clean_dir / "clean.csv"))
+        write_json(emit(clean_dir / "clean.schema.json"), ingest.schema_to_json(table.schema))
 
     with _stage("split"):
         customers = table.customers()
         holdout_mask = _holdout_split(
             labeled.target, config.holdout_fraction, config.seed
         )
-        _write_split(out / "split.csv", customers, holdout_mask)
+        _write_split(emit(out / "split.csv"), customers, holdout_mask)
         train_table = _subset_rows(table, ~holdout_mask)
         hold_table = _subset_rows(table, holdout_mask)
         y_train = labeled.target[~holdout_mask]
@@ -219,7 +227,7 @@ def run_pipeline(config: PipelineConfig) -> Path:
 
     with _stage("folds"):
         plan = cv_stack.make_folds(y_train, config.folds, config.seed + 1)
-        cv_stack.save_plan(plan, out / "folds.csv")
+        cv_stack.save_plan(plan, emit(out / "folds.csv"))
 
     member_holdout_preds: dict = {}
     member_oof: dict = {}
@@ -235,7 +243,7 @@ def run_pipeline(config: PipelineConfig) -> Path:
                 fit_vocab=member.features.encode != "one-hot",
             )
             if vocab is not None:
-                write_json(mdir / "vocab.json", vocab)
+                write_json(emit(mdir / "vocab.json"), vocab)
 
             if member.meta_from:
                 matrix = cv_stack.append_meta(
@@ -244,27 +252,27 @@ def run_pipeline(config: PipelineConfig) -> Path:
                 hold_matrix = cv_stack.append_meta(
                     hold_matrix, [member_holdout_preds[ref] for ref in member.meta_from]
                 )
-            features_mod.save_matrix(matrix, mdir / "matrix.bin")
-            features_mod.save_matrix(hold_matrix, mdir / "matrix_holdout.bin")
+            features_mod.save_matrix(matrix, emit(mdir / "matrix.bin"))
+            features_mod.save_matrix(hold_matrix, emit(mdir / "matrix_holdout.bin"))
 
             result = cv_stack.train_oof(matrix, y_train, plan, member.train)
             for f, model in enumerate(result.models):
-                gbdt.save_model(model, mdir / f"fold_{f}.model.json")
-            _write_oof_csv(mdir / "oof.csv", matrix.customer_ids, result.oof)
+                gbdt.save_model(model, emit(mdir / f"fold_{f}.model.json"))
+            _write_oof_csv(emit(mdir / "oof.csv"), matrix.customer_ids, result.oof)
 
             hold_pred = cv_stack.predict_with_fold_models(result.models, hold_matrix)
             write_predictions(
-                hold_matrix.customer_ids, hold_pred, mdir / "holdout_pred.csv"
+                hold_matrix.customer_ids, hold_pred, emit(mdir / "holdout_pred.csv")
             )
             member_metrics[member.name] = _metric_json(
-                mdir / "metrics.json", y_hold, hold_pred
+                emit(mdir / "metrics.json"), y_hold, hold_pred
             )
 
             imp = report_mod.build_importance_report(
                 result.models, config.importance_kind, matrix.column_names
             )
-            report_mod.save_report(imp, mdir / "importance.json")
-            report_mod.save_box_plot(imp, mdir / "importance.svg", config.report_top_n)
+            report_mod.save_report(imp, emit(mdir / "importance.json"))
+            report_mod.save_box_plot(imp, emit(mdir / "importance.svg"), config.report_top_n)
 
             member_oof[member.name] = result.oof.prediction
             member_holdout_preds[member.name] = hold_pred
@@ -281,19 +289,18 @@ def run_pipeline(config: PipelineConfig) -> Path:
             )
         else:
             spec = EnsembleSpec(tuple(names), (1.0,))
-        save_ensemble(spec, edir / "weights.json")
+        save_ensemble(spec, emit(edir / "weights.json"))
         final = blend(preds, spec.weights)
         write_predictions(
-            hold_table.customers(), final, edir / "prediction.csv"
+            hold_table.customers(), final, emit(edir / "prediction.csv")
         )
-        ensemble_m = _metric_json(edir / "metrics.json", y_hold, final)
+        ensemble_m = _metric_json(emit(edir / "metrics.json"), y_hold, final)
         log.info("ensemble holdout M = %.6f (weights %s)", ensemble_m, spec.weights)
 
     with _stage("manifest"):
-        digests = {}
-        for path in sorted(out.rglob("*")):
-            if path.is_file() and path.name != "manifest.json":
-                digests[path.relative_to(out).as_posix()] = sha256_file(path)
+        digests = {
+            path.relative_to(out).as_posix(): sha256_file(path) for path in sorted(written)
+        }
         write_json(out / "manifest.json", {"files": digests})
 
     return out

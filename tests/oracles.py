@@ -3,7 +3,10 @@
 Everything here is written the slow, obvious way — explicit pairwise
 loops, direct textbook formulas, exhaustive enumeration, recursive tree
 walks — deliberately sharing no code with ``credit_stack`` so that a bug
-in the package cannot hide in its own test oracle.
+in the package cannot hide in its own test oracle.  The one exception is
+``build_matrix_by_customer``: it stands in for ``features.build_matrix``
+in whole-pipeline tests, so it reuses the package's window, column
+selection, encoding and matrix type and replaces only the aggregation.
 """
 
 from __future__ import annotations
@@ -12,6 +15,9 @@ import math
 from itertools import combinations
 
 import numpy as np
+
+from credit_stack import features
+from credit_stack.ingest import LabeledTable
 
 NEG_W = 20.0
 
@@ -111,6 +117,114 @@ def direct_categorical_stats(codes, missing_code=-1):
         "last": float(seen[-1]) if seen else nan,
         "nunique": float(len(set(seen))),
     }
+
+
+CONTINUOUS_STATS = ("mean", "std", "min", "max", "last", "median")
+
+
+def aggregate_continuous(series, stats=CONTINUOUS_STATS) -> dict:
+    """Statistics of one customer's values for one continuous column.
+
+    Missing entries are dropped first.  An empty series yields NaN for
+    every stat; a single value yields NaN for std (sample deviation
+    needs two observations).  ``last`` is the latest surviving value.
+    """
+    x = np.asarray(series, dtype=np.float64)
+    x = x[~np.isnan(x)]
+    out: dict = {}
+    n = x.size
+    for stat in stats:
+        if n == 0:
+            out[stat] = math.nan
+        elif stat == "mean":
+            out[stat] = float(x.mean())
+        elif stat == "std":
+            out[stat] = float(x.std(ddof=1)) if n > 1 else math.nan
+        elif stat == "min":
+            out[stat] = float(x.min())
+        elif stat == "max":
+            out[stat] = float(x.max())
+        elif stat == "last":
+            out[stat] = float(x[-1])
+        elif stat == "median":
+            out[stat] = float(np.median(x))
+        else:
+            raise ValueError(f"unknown continuous stat {stat!r}")
+    return out
+
+
+def aggregate_categorical(series, missing_code=-1) -> dict:
+    """count / last / nunique of one customer's categorical codes.
+
+    The missing sentinel never counts; ``last`` is the latest real code
+    (NaN when the customer has none).
+    """
+    codes = np.asarray(series, dtype=np.int64)
+    real = codes[codes != missing_code]
+    return {
+        "count": float(real.size),
+        "last": float(real[-1]) if real.size else math.nan,
+        "nunique": float(np.unique(real).size),
+    }
+
+
+def build_matrix_by_customer(data, spec, *, vocab=None, fit_vocab=True):
+    """``features.build_matrix`` computed one customer and one column at a time.
+
+    Calls the two helpers above once per customer x raw column and
+    otherwise follows the package (window, column order, encoding), so
+    its matrix must equal the package's byte for byte.
+    """
+    if isinstance(data, LabeledTable):
+        table, labels = data.table, data.target
+    else:
+        table, labels = data, None
+    if spec.recent_window is not None:
+        table = features.select_recent_window(table, spec.recent_window)
+    cont, cat = features._feature_columns(table, spec)
+
+    customers = table.customers()
+    bounds = np.concatenate((table.row_starts(), [table.n_rows]))
+    cont_stats = list(spec.continuous_stats)
+    need = set(cont_stats) | ({"last", "mean"} if spec.lag_enabled else set())
+
+    names: list[str] = []
+    for raw in cont:
+        names.extend(f"{raw}_{stat}" for stat in cont_stats)
+        if spec.lag_enabled:
+            names.append(f"{raw}_lag")
+    for raw in cat:
+        names.extend(f"{raw}_{stat}" for stat in spec.categorical_stats)
+
+    n = customers.size
+    base = np.empty((n, len(names)), dtype=np.float64)
+    last_codes = {raw: np.empty(n, dtype=np.int64) for raw in cat}
+    for i in range(n):
+        lo, hi = bounds[i], bounds[i + 1]
+        row: list[float] = []
+        for raw in cont:
+            stats = aggregate_continuous(table.columns[raw][lo:hi], tuple(need))
+            row.extend(stats[s] for s in cont_stats)
+            if spec.lag_enabled:
+                row.append(float(np.float32(stats["last"]) - np.float32(stats["mean"])))
+        for raw in cat:
+            stats = aggregate_categorical(table.columns[raw][lo:hi])
+            row.extend(stats[s] for s in spec.categorical_stats)
+            last_codes[raw][i] = -1 if math.isnan(stats["last"]) else int(stats["last"])
+        base[i] = row
+
+    blocks = [base]
+    if spec.encode is not None and cat:
+        used = vocab
+        if spec.encode == "one-hot" and used is None and fit_vocab:
+            used = features.fit_vocabulary(last_codes)
+        enc_names, enc_cols, used = features.encode_categorical(last_codes, spec.encode, used)
+        names.extend(enc_names)
+        if enc_cols:
+            blocks.append(np.column_stack(enc_cols))
+        vocab = used
+    values = np.concatenate(blocks, axis=1).astype(np.float32)
+    return features.FeatureMatrix(customers, names, values), labels, vocab
 
 
 def ulp32_close(a, b):

@@ -6,10 +6,12 @@ import json
 import numpy as np
 import pytest
 
+from credit_stack import features
 from credit_stack.blend import write_predictions
 from credit_stack.cli import main
 from credit_stack.features import load_matrix
 from credit_stack.ingest import read_labels
+from oracles import build_matrix_by_customer
 
 
 def run(command, *argv):
@@ -221,12 +223,93 @@ def test_run_produces_manifest_covering_everything(work, tmp_path):
     assert "ensemble/weights.json" in manifest["files"]
 
 
+def pipeline_config(work, path, out_dir, members, folds=2):
+    path.write_text(
+        json.dumps({
+            "data": str(work / "data.csv"),
+            "labels": str(work / "labels.csv"),
+            "schema": str(work / "schema.json"),
+            "out_dir": str(out_dir),
+            "folds": folds,
+            "seed": 9,
+            "holdout_fraction": 0.25,
+            "blend_step": 0.05,
+            "members": members,
+        }),
+        encoding="utf-8",
+    )
+    return path
+
+
+THREE_MEMBERS = [
+    {"name": "wide", "features": {"encode": "one-hot"},
+     "train": {"rounds": 3, "max_leaves": 4}},
+    {"name": "recent",
+     "features": {"recent_window": 4, "encode": "ordinal",
+                  "columns": ["cont_00", "cont_02", "cat_0"]},
+     "train": {"rounds": 3, "max_leaves": 4, "seed": 1}},
+    {"name": "stacked",
+     "features": {"continuous_stats": ["median", "std"], "categorical_stats": ["nunique"],
+                  "lag_enabled": False},
+     "train": {"rounds": 3, "max_leaves": 4, "seed": 2}, "meta_from": ["wide", "recent"]},
+]
+
+
+def test_run_manifest_lists_only_files_this_run_wrote(work, tmp_path):
+    reused = tmp_path / "reused"
+    first = pipeline_config(work, tmp_path / "first.json", reused, THREE_MEMBERS, folds=3)
+    assert run("run", "--config", str(first)) == 0
+    wide_only = THREE_MEMBERS[:1]
+    again = pipeline_config(work, tmp_path / "again.json", reused, wide_only)
+    assert run("run", "--config", str(again)) == 0
+    fresh = tmp_path / "fresh"
+    alone = pipeline_config(work, tmp_path / "alone.json", fresh, wide_only)
+    assert run("run", "--config", str(alone)) == 0
+
+    # the earlier run's members and third fold model are still on disk ...
+    assert (reused / "members" / "recent" / "oof.csv").exists()
+    assert (reused / "members" / "wide" / "fold_2.model.json").exists()
+    # ... but the manifest is byte for byte the one a fresh directory gets
+    assert (reused / "manifest.json").read_bytes() == (fresh / "manifest.json").read_bytes()
+    listed = json.loads((fresh / "manifest.json").read_text(encoding="utf-8"))["files"]
+    assert not any(name.startswith("members/recent/") for name in listed)
+    assert "members/wide/fold_2.model.json" not in listed
+
+
+def test_run_with_per_customer_aggregation_writes_the_same_files(work, tmp_path, monkeypatch):
+    vectorised = tmp_path / "vectorised"
+    cfg = pipeline_config(work, tmp_path / "a.json", vectorised, THREE_MEMBERS)
+    assert run("run", "--config", str(cfg)) == 0
+    per_customer = tmp_path / "per_customer"
+    cfg = pipeline_config(work, tmp_path / "b.json", per_customer, THREE_MEMBERS)
+    monkeypatch.setattr(features, "build_matrix", build_matrix_by_customer)
+    assert run("run", "--config", str(cfg)) == 0
+
+    for member in ("wide", "recent", "stacked"):
+        for name in ("matrix.bin", "matrix_holdout.bin"):
+            rel = f"members/{member}/{name}"
+            assert (vectorised / rel).read_bytes() == (per_customer / rel).read_bytes(), rel
+    assert (vectorised / "manifest.json").read_bytes() == (
+        per_customer / "manifest.json"
+    ).read_bytes()
+
+
 def test_exit_codes(work, tmp_path):
     # 2: configuration problems (missing config file, bad thread count)
     assert run("synth", "--config", str(tmp_path / "nope.json"),
                "--out-data", "x", "--out-labels", "y") == 2
     assert main(["eval", "--quiet", "--threads", "0",
                  "--labels", "a", "--pred", "b", "--report", "c"]) == 2
+
+    # 2: a feature spec that leaves no engineered column; nothing is written
+    empty = tmp_path / "empty_spec.json"
+    empty.write_text(
+        json.dumps({"continuous_stats": [], "categorical_stats": [], "columns": ["cat_0"]}),
+        encoding="utf-8",
+    )
+    assert run("features", "--input", str(work / "clean.csv"), "--spec", str(empty),
+               "--out", str(tmp_path / "empty.bin")) == 2
+    assert not (tmp_path / "empty.bin").exists()
 
     # 3: data problems (malformed statement CSV)
     bad = tmp_path / "bad.csv"

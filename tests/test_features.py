@@ -12,10 +12,11 @@ from credit_stack.errors import (
     VocabularyMissingError,
 )
 from credit_stack.features import (
+    CATEGORICAL_STATS,
+    CONTINUOUS_STATS,
     AggregationSpec,
     FeatureMatrix,
-    aggregate_categorical,
-    aggregate_continuous,
+    _continuous_stats,
     build_matrix,
     encode_categorical,
     fit_vocabulary,
@@ -32,7 +33,14 @@ from credit_stack.ingest import (
     join_labels,
     parse_csv,
 )
-from oracles import direct_categorical_stats, direct_continuous_stats, ulp32_close
+from oracles import (
+    aggregate_categorical,
+    aggregate_continuous,
+    build_matrix_by_customer,
+    direct_categorical_stats,
+    direct_continuous_stats,
+    ulp32_close,
+)
 
 SCHEMA = [
     ColumnSchema("customer_id", "identifier"),
@@ -274,6 +282,161 @@ def test_build_matrix_statement_order_safety(tmp_path):
     order = {c: i for i, c in enumerate(mb.customer_ids.tolist())}
     realign = [order[c] for c in ma.customer_ids.tolist()]
     np.testing.assert_array_equal(ma.values, mb.values[realign])
+
+
+ORACLE_SCHEMA = [
+    ColumnSchema("customer_id", "identifier"),
+    ColumnSchema("statement_date", "date"),
+    ColumnSchema("bal", "continuous", "float32"),
+    ColumnSchema("spend", "continuous", "float32"),
+    ColumnSchema("tenure", "continuous", "int16"),
+    ColumnSchema("region", "categorical", "int8"),
+    ColumnSchema("product", "categorical", "int8"),
+]
+
+
+def random_statement_table(rng, n_customers):
+    """Statement table mixing the series shapes the aggregation must handle.
+
+    Histories run 1..13 statements and now and then up to 20 (longer
+    than any parsed file allows).  Continuous values span 1e-8..1e8 so
+    their sums round, with signed zeros, NaN cells, all-missing and
+    constant series.  ``region`` codes are int8 and ``product`` codes
+    int64, both with missing cells and all-missing series.
+    """
+    lengths = rng.integers(1, 14, size=n_customers)
+    lengths[rng.random(n_customers) < 0.05] = rng.integers(14, 21)
+    lengths[:2] = [1, 13]
+    rows = int(lengths.sum())
+
+    def continuous():
+        x = rng.normal(size=rows) * 10.0 ** rng.uniform(-8, 8, size=rows)
+        x[rng.random(rows) < 0.05] = 0.0
+        x[rng.random(rows) < 0.05] = -0.0
+        x[rng.random(rows) < 0.2] = np.nan
+        start = 0
+        for length in lengths:
+            shape = rng.random()
+            if shape < 0.1:
+                x[start:start + length] = np.nan
+            elif shape < 0.2:
+                x[start:start + length] = x[start]
+            start += length
+        return x.astype(np.float32)
+
+    def codes(high, dtype):
+        c = rng.integers(0, high, size=rows)
+        c[rng.random(rows) < 0.2] = MISSING_CODE
+        owner = np.repeat(np.arange(n_customers), lengths)
+        c[np.isin(owner, np.flatnonzero(rng.random(n_customers) < 0.1))] = MISSING_CODE
+        return c.astype(dtype)
+
+    index = np.concatenate([np.arange(1, n + 1) for n in lengths]).astype(np.int32)
+    return StatementTable(
+        ORACLE_SCHEMA,
+        np.repeat([f"C{i:03d}" for i in range(n_customers)], lengths),
+        index,
+        {
+            "statement_date": 736000 + index.astype(np.int64),
+            "bal": continuous(),
+            "spend": continuous(),
+            "tenure": rng.integers(-300, 300, size=rows).astype(np.int16),
+            "region": codes(5, np.int8),
+            "product": codes(40, np.int64),
+        },
+    )
+
+
+def random_spec(rng):
+    def subset(names):
+        picked = [name for name in names if rng.random() < 0.6]
+        return tuple(rng.permutation(picked).tolist())
+
+    columns = None
+    if rng.random() < 0.4:
+        columns = subset(("bal", "spend", "tenure", "region", "product")) or ("region",)
+    return AggregationSpec(
+        continuous_stats=subset(CONTINUOUS_STATS),
+        categorical_stats=subset(CATEGORICAL_STATS),
+        lag_enabled=bool(rng.random() < 0.7),
+        recent_window=[None, None, 1, 3, 6, 13][int(rng.integers(6))],
+        encode=[None, "ordinal", "one-hot"][int(rng.integers(3))],
+        columns=columns,
+    )
+
+
+def test_build_matrix_matches_per_customer_oracle():
+    """Grouped reductions give the per-customer loop's matrix bit for bit."""
+    rng = np.random.default_rng(12)
+    fixed_vocab = {"region": [0, 2, 4], "product": [1, 7, 39]}
+    for case in range(300):
+        table = random_statement_table(rng, int(rng.integers(2, 40)))
+        data = join_labels(table, {c: i % 2 for i, c in enumerate(table.customers())})
+        spec = random_spec(rng)
+        vocab = fixed_vocab if rng.random() < 0.3 else None
+        want, want_y, want_vocab = build_matrix_by_customer(data, spec, vocab=vocab)
+        got, got_y, got_vocab = build_matrix(data, spec, vocab=vocab)
+        assert got.column_names == want.column_names, (case, spec)
+        assert got_vocab == want_vocab, (case, spec)
+        assert got.customer_ids.tolist() == want.customer_ids.tolist()
+        assert got_y.tolist() == want_y.tolist()
+        assert got.values.dtype == np.float32
+        np.testing.assert_array_equal(
+            got.values.view(np.uint32), want.values.view(np.uint32), err_msg=f"{case} {spec}"
+        )
+
+
+def test_grouped_reductions_match_per_customer_helper_in_float64():
+    """Before the float32 cast, every statistic has the helper's float64 bits."""
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        table = random_statement_table(rng, int(rng.integers(2, 40)))
+        starts = table.row_starts()
+        counts = np.diff(np.append(starts, table.n_rows))
+        owner = np.repeat(np.arange(counts.size), counts)
+        for raw in ("bal", "spend", "tenure"):
+            column = table.columns[raw]
+            got = _continuous_stats(column, owner, counts.size, CONTINUOUS_STATS)
+            helper = [aggregate_continuous(column[lo:lo + k]) for lo, k in zip(starts, counts)]
+            for stat in CONTINUOUS_STATS:
+                want = np.asarray([row[stat] for row in helper])
+                np.testing.assert_array_equal(
+                    got[stat].view(np.uint64), want.view(np.uint64), err_msg=f"{raw}_{stat}"
+                )
+
+
+def test_build_matrix_rejects_non_contiguous_customer():
+    table = tiny_table({"A": [(1.0, 2.0, 3)], "B": [(4.0, 5.0, 6)]})
+    split = StatementTable(
+        SCHEMA,
+        np.asarray(["A", "B", "A"]),
+        np.asarray([1, 1, 2], dtype=np.int32),
+        {name: np.concatenate((arr, arr[:1])) for name, arr in table.columns.items()},
+    )
+    with pytest.raises(DataError, match="'A'"):
+        build_matrix(split, AggregationSpec())
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        AggregationSpec(continuous_stats=(), categorical_stats=(), columns=("region",)),
+        AggregationSpec(continuous_stats=(), lag_enabled=False, columns=("bal", "spend")),
+    ],
+)
+def test_build_matrix_rejects_spec_without_columns(spec):
+    table = tiny_table({"A": [(1.0, 2.0, 3)]})
+    with pytest.raises(EmptySpecError):
+        build_matrix(table, spec)
+
+
+def test_build_matrix_encoding_alone_is_enough():
+    table = tiny_table({"A": [(1.0, 2.0, 3)]})
+    spec = AggregationSpec(
+        continuous_stats=(), categorical_stats=(), columns=("region",), encode="ordinal"
+    )
+    matrix, _, _ = build_matrix(table, spec)
+    assert matrix.column_names == ["region_code"]
 
 
 def test_matrix_container_round_trip(tmp_path):
