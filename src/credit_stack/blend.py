@@ -17,6 +17,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,20 @@ def _lattice(total: int, parts: int):
             yield (head,) + tail
 
 
+def lattice_ticks(step, name: str = "step") -> int:
+    """Number of lattice ticks per unit weight for a search ``step``.
+
+    The step must lie in (0, 1] and divide 1 into a whole number of
+    ticks; otherwise a ``ConfigError`` names the offending ``name``.
+    """
+    if isinstance(step, bool) or not isinstance(step, Real) or not 0 < step <= 1:
+        raise ConfigError(f"{name} must be in (0, 1], got {step}")
+    ticks = round(1.0 / step)
+    if abs(ticks * step - 1.0) > 1e-9:
+        raise ConfigError(f"1/{name} must be a whole number of lattice ticks, got {step}")
+    return ticks
+
+
 def optimize_weights(predictions, labels, step: float = 0.01, member_names=None):
     """Search the weight simplex for the best composite metric M.
 
@@ -117,11 +132,7 @@ def optimize_weights(predictions, labels, step: float = 0.01, member_names=None)
     m = stacked.shape[0]
     if m < 2:
         raise SingleMemberError("weight search needs at least two members")
-    if not 0 < step <= 1:
-        raise ConfigError(f"step must be in (0, 1], got {step}")
-    ticks = round(1.0 / step)
-    if ticks < 1 or abs(ticks * step - 1.0) > 1e-9:
-        raise ConfigError(f"1/step must be a whole number of lattice ticks, got {step}")
+    ticks = lattice_ticks(step)
     y = np.asarray(labels, dtype=np.float64).ravel()
 
     def score(int_weights) -> float:
@@ -207,7 +218,8 @@ def write_predictions(customer_ids, probabilities, path) -> None:
 def read_predictions(path):
     """Read a (customer_id, probability) CSV; returns (ids, float vector).
 
-    A cell that is not a finite number is a ``DataError`` naming its row.
+    A cell that is not a finite number, and a customer id that appears
+    on two rows, is a ``DataError`` naming the row(s).
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -216,9 +228,16 @@ def read_predictions(path):
             if header is None or len(header) < 2:
                 raise DataError(f"{path}: expected a customer_id,probability header")
             ids, probs = [], []
+            first_row: dict[str, int] = {}
             for i, rec in enumerate(reader):
                 if len(rec) < 2:
                     raise DataError(f"{path}: row {i + 2} is incomplete")
+                if rec[0] in first_row:
+                    raise DataError(
+                        f"{path}: rows {first_row[rec[0]]} and {i + 2} both score "
+                        f"customer {rec[0]!r}"
+                    )
+                first_row[rec[0]] = i + 2
                 ids.append(rec[0])
                 try:
                     prob = float(rec[1])
@@ -229,7 +248,7 @@ def read_predictions(path):
                 if not math.isfinite(prob):
                     raise DataError(f"{path}: row {i + 2}: {rec[1]!r} is not finite")
                 probs.append(prob)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not ids:
         raise DataError(f"{path}: no prediction rows")

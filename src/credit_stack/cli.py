@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import sys
 from pathlib import Path
@@ -181,7 +180,7 @@ def _cmd_features(args) -> int:
     vocab = None
     fit = True
     if args.vocab and Path(args.vocab).exists():
-        vocab = json.loads(Path(args.vocab).read_text(encoding="utf-8"))
+        vocab = features_mod.load_vocabulary(args.vocab)
         fit = False
     matrix, _, vocab = features_mod.build_matrix(table, spec, vocab=vocab, fit_vocab=fit)
     if args.vocab and fit and vocab is not None:

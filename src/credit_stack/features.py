@@ -25,6 +25,7 @@ repeated pipeline stages never re-parse CSVs.
 
 from __future__ import annotations
 
+import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -193,6 +194,29 @@ def fit_vocabulary(last_codes: dict) -> dict:
         raw: [int(v) for v in np.unique(codes[codes != MISSING_CODE])]
         for raw, codes in last_codes.items()
     }
+
+
+def load_vocabulary(path) -> dict:
+    """Read a saved one-hot vocabulary: raw column name -> code list.
+
+    A file that cannot be read or parsed, or that does not map names to
+    lists of non-negative integer codes, is a ``DataError`` naming it.
+    """
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"cannot read vocabulary {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"vocabulary {path} must be a JSON object of code lists")
+    for raw, codes in doc.items():
+        if not isinstance(codes, list) or not all(
+            isinstance(c, int) and not isinstance(c, bool) and c >= 0 for c in codes
+        ):
+            raise DataError(
+                f"vocabulary {path}: {raw!r} must list non-negative integer codes, "
+                f"got {codes!r}"
+            )
+    return doc
 
 
 # ---------------------------------------------------------------------------

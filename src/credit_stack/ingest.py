@@ -208,7 +208,7 @@ def parse_csv(path, schema: list[ColumnSchema]) -> StatementTable:
             except StopIteration:
                 raise EmptyFileError(f"{path}: no header row") from None
             records = list(reader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not records:
         raise EmptyFileError(f"{path}: no data rows")
@@ -466,7 +466,7 @@ def read_labels(path) -> dict[str, int]:
                     )
                 first_row[rec[0]] = i + 2
                 labels[rec[0]] = value
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not labels:
         raise EmptyFileError(f"{path}: no label rows")

@@ -9,6 +9,23 @@ The score M is the mean of two components computed on weighted rows
 
 Both components depend only on the ordering of the predictions, never
 on their calibration.
+
+``composite_metric`` validates its inputs once per call and builds the
+positive mask and the row weights once, then hands them to the two
+private kernels (``_pair_auc``, ``_capture_rate``); the public
+``weighted_auc`` and ``default_rate_at_4pct`` validate once and call
+their kernel.  The blend search calls ``composite_metric`` once per
+candidate, so this per-call work is what the search pays.
+
+Exactness: every sum either component takes is a whole number (row
+weights 1 and 20, pair and row counts) or a half of one (tied pairs),
+and all stay far below 2**53, so each is exact in float64 whatever the
+grouping or order.  Each result is then one correctly rounded division
+of two exact values (for the AUC, the class weights cancel out of the
+pairwise definition and leave pair counts), so the bits cannot depend on
+how the sums are formed: the three-pass form that weighted every tie
+group (kept as the test oracle ``tests/oracles.py``) gives the same
+report bit for bit.
 """
 
 from __future__ import annotations
@@ -59,7 +76,7 @@ def _validated(labels, preds) -> tuple[np.ndarray, np.ndarray]:
         )
     if y.size == 0:
         raise DataError("metric needs at least one row")
-    bad = ~np.isin(y, (0.0, 1.0))
+    bad = (y != 0.0) & (y != 1.0)  # NaN fails both comparisons, so it is bad too
     if bad.any():
         raise DataError(f"labels must be 0 or 1, found {y[bad][0]!r}")
     if not np.isfinite(p).all():
@@ -79,39 +96,45 @@ def weight_of(label, negative_weight: float = NEGATIVE_WEIGHT):
     return w
 
 
+def _pair_auc(p: np.ndarray, pos: np.ndarray, n_pos: int) -> float:
+    """Weighted AUC of validated predictions from pair counts.
+
+    Each positive is placed in the sorted negatives by two binary
+    searches: the negatives strictly below it and those tied with it.
+    """
+    n_neg = p.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise SingleClassError("weighted AUC needs both classes present")
+    negatives = np.sort(p[~pos])
+    positives = p[pos]
+    below = np.searchsorted(negatives, positives, side="left")
+    at_or_below = np.searchsorted(negatives, positives, side="right")
+    # sum of below + ties / 2, where ties = at_or_below - below
+    return 0.5 * float(below.sum() + at_or_below.sum()) / (n_pos * n_neg)
+
+
+def _capture_rate(p: np.ndarray, pos: np.ndarray, w: np.ndarray, n_pos: int) -> float:
+    """Share of the ``n_pos`` positives ranked within the capture weight."""
+    order = np.argsort(-p, kind="stable")
+    running = np.cumsum(w[order])
+    cutoff = CAPTURE_FRACTION * running[-1]
+    taken = int(np.searchsorted(running, cutoff, side="right"))
+    return int(np.count_nonzero(pos[order[:taken]])) / n_pos
+
+
 def weighted_auc(labels, preds) -> float:
     """Weighted pairwise AUC with ties scored half.
 
     Equals sum(w_i * w_j * s_ij) / (W_pos * W_neg) over all
     positive/negative pairs, where s is 1 when the positive outranks the
-    negative, 0.5 on equal predictions, otherwise 0.  Computed in
-    O(n log n) by a single sorted sweep over prediction tie groups.
+    negative, 0.5 on equal predictions, otherwise 0.  The weights are
+    constant within each class, so they cancel: the value is the pair
+    count sum(s_ij) over n_pos * n_neg, found in O(n log n) by sorting
+    the negatives once.
     """
     y, p = _validated(labels, preds)
-    w = weight_of(y)
-
-    order = np.argsort(p, kind="stable")
-    p_sorted = p[order]
-    pos_w = np.where(y[order] == 1.0, w[order], 0.0)
-    neg_w = np.where(y[order] == 0.0, w[order], 0.0)
-
-    # collapse equal predictions into tie groups
-    new_group = np.empty(p_sorted.size, dtype=bool)
-    new_group[0] = True
-    np.not_equal(p_sorted[1:], p_sorted[:-1], out=new_group[1:])
-    group = np.cumsum(new_group) - 1
-
-    wp = np.bincount(group, weights=pos_w)
-    wn = np.bincount(group, weights=neg_w)
-    w_pos = wp.sum()
-    w_neg = wn.sum()
-    if w_pos == 0.0 or w_neg == 0.0:
-        raise SingleClassError("weighted AUC needs both classes present")
-
-    # positives in a group beat every negative ranked strictly below it
-    # and split the in-group negatives evenly
-    below = np.concatenate(([0.0], np.cumsum(wn)[:-1]))
-    return float(np.sum(wp * (below + 0.5 * wn)) / (w_pos * w_neg))
+    pos = y == 1.0
+    return _pair_auc(p, pos, int(np.count_nonzero(pos)))
 
 
 def normalized_weighted_gini(labels, preds) -> float:
@@ -128,31 +151,32 @@ def default_rate_at_4pct(labels, preds) -> float:
     positives.
     """
     y, p = _validated(labels, preds)
-    n_pos = int(np.count_nonzero(y == 1.0))
+    pos = y == 1.0
+    n_pos = int(np.count_nonzero(pos))
     if n_pos == 0:
         raise NoPositivesError("capture rate needs at least one positive row")
-
-    w = weight_of(y)
-    order = np.argsort(-p, kind="stable")
-    running = np.cumsum(w[order])
-    cutoff = CAPTURE_FRACTION * running[-1]
-    taken = int(np.searchsorted(running, cutoff, side="right"))
-    captured = int(np.count_nonzero(y[order][:taken] == 1.0))
-    return captured / n_pos
+    return _capture_rate(p, pos, weight_of(y), n_pos)
 
 
 def composite_metric(labels, preds) -> MetricReport:
-    """Assemble G, D and M = 0.5 * (G + D) into one report."""
+    """Assemble G, D and M = 0.5 * (G + D) into one report.
+
+    The inputs are validated once, and the positive mask and the row
+    weights are built once for both components.
+    """
     y, p = _validated(labels, preds)
-    auc_w = weighted_auc(y, p)
+    pos = y == 1.0
+    n_pos = int(np.count_nonzero(pos))
+    auc_w = _pair_auc(p, pos, n_pos)
     G = 2.0 * auc_w - 1.0
-    D = default_rate_at_4pct(y, p)
+    w = weight_of(y)
+    D = _capture_rate(p, pos, w, n_pos)
     return MetricReport(
         G=G,
         D=D,
         M=0.5 * (G + D),
         auc_w=auc_w,
         n_rows=int(y.size),
-        n_pos=int(np.count_nonzero(y == 1.0)),
-        total_weight=float(weight_of(y).sum()),
+        n_pos=n_pos,
+        total_weight=float(w.sum()),
     )

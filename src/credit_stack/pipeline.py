@@ -32,7 +32,14 @@ from pathlib import Path
 import numpy as np
 
 from . import cv_stack, features as features_mod, gbdt, ingest, report as report_mod
-from .blend import EnsembleSpec, blend, optimize_weights, save_ensemble, write_predictions
+from .blend import (
+    EnsembleSpec,
+    blend,
+    lattice_ticks,
+    optimize_weights,
+    save_ensemble,
+    write_predictions,
+)
 from .errors import ConfigError, CreditStackError
 from .metric import composite_metric
 from .serialize import format_float, load_config_doc, sha256_file, write_json
@@ -94,6 +101,9 @@ class PipelineConfig:
             )
         if self.importance_kind not in ("average_gain", "total_gain"):
             raise ConfigError(f"unknown importance_kind {self.importance_kind!r}")
+        # checked here, not at the blend stage: every member would be
+        # trained first, and a one-member run never searches at all
+        lattice_ticks(self.blend_step, "blend_step")
 
 
 def config_from_json(source) -> PipelineConfig:

@@ -3,10 +3,12 @@
 Everything here is written the slow, obvious way — explicit pairwise
 loops, direct textbook formulas, exhaustive enumeration, recursive tree
 walks — deliberately sharing no code with ``credit_stack`` so that a bug
-in the package cannot hide in its own test oracle.  The one exception is
-``build_matrix_by_customer``: it stands in for ``features.build_matrix``
-in whole-pipeline tests, so it reuses the package's window, column
-selection, encoding and matrix type and replaces only the aggregation.
+in the package cannot hide in its own test oracle.  Two exceptions stand
+in for a package function in whole-run tests and so speak its types:
+``build_matrix_by_customer`` replaces ``features.build_matrix`` and
+reuses the package's window, column selection, encoding and matrix type;
+``three_pass_composite_metric`` replaces ``metric.composite_metric`` and
+returns its ``MetricReport`` and raises its error types.
 """
 
 from __future__ import annotations
@@ -17,7 +19,14 @@ from itertools import combinations
 import numpy as np
 
 from credit_stack import features
+from credit_stack.errors import (
+    DataError,
+    LengthMismatchError,
+    NoPositivesError,
+    SingleClassError,
+)
 from credit_stack.ingest import LabeledTable
+from credit_stack.metric import MetricReport
 
 NEG_W = 20.0
 
@@ -72,6 +81,86 @@ def composite_m(labels, preds):
     g = 2.0 * pairwise_weighted_auc(labels, preds) - 1.0
     d = capture_at_fraction(labels, preds)
     return 0.5 * (g + d)
+
+
+def _three_pass_validated(labels, preds):
+    y = np.asarray(labels, dtype=np.float64).ravel()
+    p = np.asarray(preds, dtype=np.float64).ravel()
+    if y.shape != p.shape:
+        raise LengthMismatchError(
+            f"labels ({y.size}) and predictions ({p.size}) differ in length"
+        )
+    if y.size == 0:
+        raise DataError("metric needs at least one row")
+    bad = ~np.isin(y, (0.0, 1.0))
+    if bad.any():
+        raise DataError(f"labels must be 0 or 1, found {y[bad][0]!r}")
+    if not np.isfinite(p).all():
+        raise DataError(f"predictions must be finite, found {p[~np.isfinite(p)][0]!r}")
+    return y, p
+
+
+def _three_pass_weights(y):
+    return np.where(y == 0.0, NEG_W, 1.0)
+
+
+def three_pass_weighted_auc(labels, preds):
+    """Weighted AUC by a weighted sweep over prediction tie groups."""
+    y, p = _three_pass_validated(labels, preds)
+    w = _three_pass_weights(y)
+    order = np.argsort(p, kind="stable")
+    p_sorted = p[order]
+    pos_w = np.where(y[order] == 1.0, w[order], 0.0)
+    neg_w = np.where(y[order] == 0.0, w[order], 0.0)
+    new_group = np.empty(p_sorted.size, dtype=bool)
+    new_group[0] = True
+    np.not_equal(p_sorted[1:], p_sorted[:-1], out=new_group[1:])
+    group = np.cumsum(new_group) - 1
+    wp = np.bincount(group, weights=pos_w)
+    wn = np.bincount(group, weights=neg_w)
+    w_pos = wp.sum()
+    w_neg = wn.sum()
+    if w_pos == 0.0 or w_neg == 0.0:
+        raise SingleClassError("weighted AUC needs both classes present")
+    below = np.concatenate(([0.0], np.cumsum(wn)[:-1]))
+    return float(np.sum(wp * (below + 0.5 * wn)) / (w_pos * w_neg))
+
+
+def three_pass_default_rate(labels, preds):
+    """Capture rate by a weighted cumulative walk down the ranking."""
+    y, p = _three_pass_validated(labels, preds)
+    n_pos = int(np.count_nonzero(y == 1.0))
+    if n_pos == 0:
+        raise NoPositivesError("capture rate needs at least one positive row")
+    w = _three_pass_weights(y)
+    order = np.argsort(-p, kind="stable")
+    running = np.cumsum(w[order])
+    cutoff = 0.04 * running[-1]
+    taken = int(np.searchsorted(running, cutoff, side="right"))
+    return int(np.count_nonzero(y[order][:taken] == 1.0)) / n_pos
+
+
+def three_pass_composite_metric(labels, preds):
+    """``metric.composite_metric`` as it was first written.
+
+    Validates the inputs three times (here, then inside each component)
+    and rebuilds the weights in each pass; the weighted sweep sums the
+    1/20 weights per tie group.  Every report field and every error must
+    match the package's bit for bit.
+    """
+    y, p = _three_pass_validated(labels, preds)
+    auc_w = three_pass_weighted_auc(y, p)
+    G = 2.0 * auc_w - 1.0
+    D = three_pass_default_rate(y, p)
+    return MetricReport(
+        G=G,
+        D=D,
+        M=0.5 * (G + D),
+        auc_w=auc_w,
+        n_rows=int(y.size),
+        n_pos=int(np.count_nonzero(y == 1.0)),
+        total_weight=float(_three_pass_weights(y).sum()),
+    )
 
 
 def direct_continuous_stats(series):

@@ -1,8 +1,11 @@
 """Convex blending and weight-search tests."""
 
+from math import comb
+
 import numpy as np
 import pytest
 
+from credit_stack import blend as blend_mod
 from credit_stack.blend import (
     EnsembleSpec,
     blend,
@@ -20,7 +23,8 @@ from credit_stack.errors import (
     SingleMemberError,
 )
 from credit_stack.metric import composite_metric
-from oracles import exhaustive_blend_best_m
+from credit_stack.pipeline import config_from_json
+from oracles import exhaustive_blend_best_m, three_pass_composite_metric
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +175,36 @@ def test_search_rejects_bad_steps_and_member_counts():
         optimize_weights(two, y, step=1.5)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_search_with_three_pass_metric_gives_the_same_blend(m, monkeypatch):
+    y, members = labeled_members(n=90, seed=m)
+    members = (members + [np.round(members[0] * 0.5 + 0.25, 2)])[:m]
+    spec, best = optimize_weights(members, y, step=0.05)
+
+    calls = []
+
+    def oracle(labels, preds):
+        calls.append(1)
+        return three_pass_composite_metric(labels, preds)
+
+    monkeypatch.setattr(blend_mod, "composite_metric", oracle)
+    oracle_spec, oracle_best = optimize_weights(members, y, step=0.05)
+    assert oracle_spec == spec
+    assert oracle_best.hex() == best.hex()
+    if m <= 3:  # one metric call per lattice point, no batching
+        assert len(calls) == comb(20 + m - 1, m - 1)
+
+
+@pytest.mark.parametrize("step", [0.03, 0, 2.0, -0.5, float("nan"), "0.05", True])
+def test_pipeline_config_rejects_a_bad_blend_step(step):
+    doc = {"data": "d.csv", "labels": "l.csv", "schema": "s.json", "out_dir": "out",
+           "blend_step": step, "members": [{"name": "only"}]}
+    with pytest.raises(ConfigError, match="blend_step"):
+        config_from_json(doc)
+    doc["blend_step"] = 0.25
+    assert config_from_json(doc).blend_step == 0.25
+
+
 # ---------------------------------------------------------------------------
 # persistence
 
@@ -221,6 +255,11 @@ def test_predictions_reader_rejects_garbage(tmp_path):
         odd.write_text(f"customer_id,probability\nC1,0.5\nC2,{cell}\n", encoding="utf-8")
         with pytest.raises(DataError, match=r"row 3: .* is not finite"):
             read_predictions(odd)
+
+    twice = tmp_path / "twice.csv"
+    twice.write_text("customer_id,probability\nC1,0.5\nC2,0.1\nC1,0.5\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"rows 2 and 4 both score customer 'C1'"):
+        read_predictions(twice)
 
     empty = tmp_path / "empty.csv"
     empty.write_text("customer_id,probability\n", encoding="utf-8")

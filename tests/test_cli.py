@@ -1,6 +1,8 @@
 """End-to-end command-line interface tests (in-process)."""
 
+import csv
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -364,6 +366,39 @@ def test_exit_codes(work, tmp_path):
                "--config", str(zero),
                "--model-out", str(tmp_path / "m.json")) == 2
 
+    # 3: a vocabulary that is not JSON, not an object, or not integer codes
+    onehot = tmp_path / "onehot_spec.json"
+    onehot.write_text(json.dumps({"encode": "one-hot"}), encoding="utf-8")
+    for i, body in enumerate(("{not json", '["x"]', '{"cat_0": ["a"]}')):
+        vocab = tmp_path / f"vocab_{i}.json"
+        vocab.write_text(body, encoding="utf-8")
+        assert run("features", "--input", str(work / "clean.csv"), "--spec", str(onehot),
+                   "--vocab", str(vocab), "--out", str(tmp_path / "v.bin")) == 3
+        assert not (tmp_path / "v.bin").exists()
+
+    # 2: a blend step off the lattice, found before any stage writes
+    step = tmp_path / "step_pipe.json"
+    step.write_text(
+        json.dumps({
+            "data": str(work / "data.csv"),
+            "labels": str(work / "labels.csv"),
+            "schema": str(work / "schema.json"),
+            "out_dir": str(tmp_path / "step_run"),
+            "blend_step": 0.03,
+            "members": [{"name": "a", "train": {"rounds": 1, "max_leaves": 2}},
+                        {"name": "b", "train": {"rounds": 1, "max_leaves": 2}}],
+        }),
+        encoding="utf-8",
+    )
+    assert run("run", "--config", str(step)) == 2
+    assert not (tmp_path / "step_run" / "clean").exists()
+
+    # 3: a statement CSV that is not UTF-8
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes((work / "data.csv").read_bytes().replace(b"C", b"\xe9", 1))
+    assert run("prep", "--input", str(latin), "--schema", str(work / "schema.json"),
+               "--out", str(tmp_path / "latin_out.csv")) == 3
+
     # 3: a prediction CSV holding nan, scored or blended
     ids = sorted(labels)
     probs = np.linspace(0.1, 0.9, len(ids))
@@ -382,6 +417,17 @@ def test_exit_codes(work, tmp_path):
                "--out", str(tmp_path / "w.json")) == 3
 
 
+def test_features_vocab_is_written_then_read(work, tmp_path):
+    spec = tmp_path / "onehot.json"
+    spec.write_text(json.dumps({"encode": "one-hot"}), encoding="utf-8")
+    vocab = tmp_path / "vocab.json"
+    for out in ("fit.bin", "reuse.bin"):
+        assert run("features", "--input", str(work / "clean.csv"), "--spec", str(spec),
+                   "--vocab", str(vocab), "--out", str(tmp_path / out)) == 0
+    assert features.load_vocabulary(vocab) == json.loads(vocab.read_text(encoding="utf-8"))
+    assert (tmp_path / "fit.bin").read_bytes() == (tmp_path / "reuse.bin").read_bytes()
+
+
 def test_seed_override_changes_output(work, tmp_path):
     for seed, name in ((5, "a.csv"), (7, "b.csv")):
         assert (
@@ -395,3 +441,64 @@ def test_seed_override_changes_output(work, tmp_path):
         )
     assert (tmp_path / "a.csv").read_bytes() == (work / "data.csv").read_bytes()
     assert (tmp_path / "b.csv").read_bytes() != (work / "data.csv").read_bytes()
+
+
+def _fuzzed_csv(rng, header, rows):
+    """One label or prediction CSV with seeded damage, as bytes."""
+    rows = [list(r) for r in rows]
+    for _ in range(int(rng.choice(3, p=[0.6, 0.3, 0.1]))):
+        i = int(rng.integers(len(rows)))
+        damage = int(rng.integers(7))
+        if damage == 0:  # blank cell
+            rows[i][int(rng.integers(len(rows[i])))] = ""
+        elif damage == 1:  # non-finite or unparsable value
+            bad = ["nan", "NaN", "inf", "-inf", "1e400", "0x1", " 1", "1.5"]
+            rows[i][-1] = str(rng.choice(bad))
+        elif damage == 2:  # the same id twice
+            rows.insert(int(rng.integers(len(rows) + 1)), list(rows[i]))
+        elif damage == 3:  # an id holding a quoted comma
+            rows[i][0] = rows[i][0] + ",x"
+        elif damage == 4:  # a short or a long row
+            rows[i] = rows[i][:1] if rng.random() < 0.5 else rows[i] + ["extra"]
+        elif damage == 5:
+            if len(rows) > 1:
+                del rows[i]
+        else:  # a cell past the csv module's field size limit
+            rows[i][0] = "C" * 200_000
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\r\n" if rng.random() < 0.3 else "\n").writerows(
+        [header] + rows
+    )
+    data = out.getvalue().encode("utf-8")
+    if rng.random() < 0.2:
+        data = b"\xef\xbb\xbf" + data  # BOM
+    if rng.random() < 0.05:
+        data = data.replace(b"C", b"\xe9", 1)  # not UTF-8
+    return data
+
+
+def test_eval_and_blend_fuzz_exit_with_a_documented_code(tmp_path):
+    rng = np.random.default_rng(99)
+    codes = []
+    for case in range(150):
+        n = int(rng.integers(2, 9))
+        ids = [f"C,{i}" if rng.random() < 0.3 else f"C{i}" for i in range(n)]
+        target = rng.integers(0, 2, size=n)
+        target[:2] = [0, 1]
+        labels = tmp_path / f"labels_{case}.csv"
+        label_rows = [[c, str(t)] for c, t in zip(ids, target)]
+        labels.write_bytes(_fuzzed_csv(rng, ["customer_id", "target"], label_rows))
+        preds = []
+        for member in range(2):
+            path = tmp_path / f"pred_{case}_{member}.csv"
+            rows = [[c, repr(float(p))] for c, p in zip(ids, rng.random(n))]
+            path.write_bytes(_fuzzed_csv(rng, ["customer_id", "probability"], rows))
+            preds.append(str(path))
+        codes.append(run("eval", "--labels", str(labels), "--pred", preds[0],
+                         "--report", str(tmp_path / f"report_{case}.json")))
+        codes.append(run("blend", "--labels", str(labels), "--pred", preds[0],
+                         "--pred", preds[1], "--step", "0.5",
+                         "--out", str(tmp_path / f"weights_{case}.json")))
+    # anything but a CreditStackError would have escaped main above
+    assert set(codes) <= {0, 2, 3}
+    assert codes.count(0) > 50 and codes.count(3) > 50

@@ -18,7 +18,13 @@ from credit_stack.metric import (
     weight_of,
     weighted_auc,
 )
-from oracles import capture_at_fraction, pairwise_weighted_auc
+from oracles import (
+    capture_at_fraction,
+    pairwise_weighted_auc,
+    three_pass_composite_metric,
+    three_pass_default_rate,
+    three_pass_weighted_auc,
+)
 
 
 def test_weight_constants():
@@ -206,3 +212,75 @@ def test_non_binary_labels_raise():
 def test_non_finite_predictions_raise(bad):
     with pytest.raises(DataError, match="finite"):
         composite_metric([0, 1, 0, 1], [0.1, bad, 0.2, 0.9])
+
+
+# ---------------------------------------------------------------------------
+# one validation per call: the same bits as the three-pass oracle
+
+
+def _bits(value):
+    return value.hex() if isinstance(value, float) else value
+
+
+def _outcome(fn, labels, preds):
+    """Every field's exact bits, or the error type and message."""
+    try:
+        result = fn(labels, preds)
+    except Exception as exc:  # the type itself is compared
+        return type(exc), str(exc)
+    if isinstance(result, float):
+        return _bits(result)
+    return {key: _bits(value) for key, value in result.as_dict().items()}
+
+
+def _metric_case(rng):
+    """Labels and predictions of one seeded case; a few are invalid."""
+    n = int(rng.integers(1, 6)) if rng.random() < 0.3 else int(rng.integers(6, 300))
+    share = rng.choice([0.0, 0.05, 0.3, 0.5, 0.95, 1.0], p=[0.05, 0.2, 0.25, 0.25, 0.2, 0.05])
+    labels = (rng.random(n) < share).astype(np.int64)
+    kind = rng.integers(6)
+    if kind == 0:
+        preds = rng.random(n)
+    elif kind == 1:  # tie clusters
+        preds = np.round(rng.random(n), int(rng.integers(0, 3)))
+    elif kind == 2:  # every row tied
+        preds = np.full(n, rng.choice([0.0, 0.5, -3.0]))
+    elif kind == 3:  # large magnitudes, whole numbers tie often
+        preds = rng.integers(-1_000_000, 1_000_001, size=n).astype(np.float64)
+    elif kind == 4:  # large magnitudes, signed zeros mixed in
+        preds = rng.uniform(-1e6, 1e6, size=n)
+        preds[rng.random(n) < 0.3] = rng.choice([0.0, -0.0])
+    else:  # few levels
+        preds = rng.choice([0.1, 0.2, 0.3], size=n)
+    labels = rng.choice([
+        labels, labels.astype(np.int8), labels.astype(np.float64),
+        labels.astype(bool), labels.tolist(),
+    ])
+    fault = rng.integers(20)
+    if fault == 0:
+        labels = np.asarray(labels, dtype=np.float64)
+        labels[rng.integers(n)] = rng.choice([np.nan, 2.0, -1.0, 0.5, np.inf])
+    elif fault == 1:
+        preds = preds.copy()
+        preds[rng.integers(n)] = rng.choice([np.nan, np.inf, -np.inf])
+    elif fault == 2:
+        preds = preds[: int(rng.integers(0, n))]
+    elif fault == 3:
+        labels, preds = [], []
+    return labels, preds
+
+
+def test_metric_matches_three_pass_oracle_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    scored = 0
+    for _ in range(2500):
+        labels, preds = _metric_case(rng)
+        for fn, oracle in (
+            (composite_metric, three_pass_composite_metric),
+            (weighted_auc, three_pass_weighted_auc),
+            (default_rate_at_4pct, three_pass_default_rate),
+        ):
+            want = _outcome(oracle, labels, preds)
+            assert _outcome(fn, labels, preds) == want, (fn.__name__, labels, preds)
+        scored += not isinstance(want, tuple)
+    assert 1200 < scored < 2300  # reports and errors are both well exercised
