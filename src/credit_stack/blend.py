@@ -222,7 +222,7 @@ def read_predictions(path):
     on two rows, is a ``DataError`` naming the row(s).
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or len(header) < 2:

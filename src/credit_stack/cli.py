@@ -2,9 +2,9 @@
 
 Subcommands: synth, prep, features, train, stack, blend, eval,
 importance, run.  Every subcommand accepts --seed (override the
-relevant configured seed), --threads (worker cap; the current
-implementation is single-threaded, and outputs never depend on the
-value), and --quiet (errors only).
+relevant configured seed), --threads (checked to be >= 1, and
+without effect: the pipeline runs in one thread), and --quiet (errors
+only).
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
 4 training error.
@@ -36,7 +36,7 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help="override the configured random seed")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker thread cap (results never depend on it)")
+                        help="must be >= 1; has no effect (the pipeline runs in one thread)")
     common.add_argument("--quiet", action="store_true",
                         help="log errors only")
     return common

@@ -194,7 +194,7 @@ def save_plan(plan: FoldPlan, path) -> None:
 
 def load_plan(path) -> FoldPlan:
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header != ["row_index", "fold"]:

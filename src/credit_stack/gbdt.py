@@ -27,6 +27,15 @@ candidate whose bin holds no g and no h in the leaf has the sums of the
 one before it in its column, so it is never the first maximum and is
 not scored.
 
+Binning sorts a copy of the training matrix once, column by column, and
+groups the columns by their count n of non-missing values.  Each group's
+quantiles come from NumPy's ``linear`` formula applied to the first n
+sorted rows, which gives exactly the bits ``np.quantile`` gives per
+column.  The exception is a column that holds -0.0: the sort and
+``np.quantile``'s partition may order tied -0.0 and +0.0 differently, so
+an edge between them could change sign, and such a column calls
+``np.quantile`` itself.
+
 Everything is deterministic: one seeded generator drives sampling, bin
 edges come from fixed quantiles, histogram sums accumulate in ascending
 row order, and ties in split search resolve to the first candidate.
@@ -157,16 +166,46 @@ def build_bins(matrix: FeatureMatrix, max_bins: int = 255) -> BinMapper:
     if not 2 <= max_bins <= 255:
         raise ConfigError(f"max_bins must be in 2..255, got {max_bins}")
     qs = np.arange(1, max_bins) / max_bins
+    values = matrix.values.astype(np.float64)
+    ordered = np.sort(values, axis=0)  # NaN sorts last
+    counts = np.count_nonzero(~np.isnan(values), axis=0)
+    # np.sort and np.quantile's partition may order tied -0.0 and +0.0
+    # differently, which flips the sign of an edge between them.
+    signed_zero = np.any((values == 0.0) & np.signbit(values), axis=0)
+    cuts = np.empty((qs.size, matrix.n_cols))
+    for n in np.unique(counts[~signed_zero & (counts > 1)]):
+        cols = np.flatnonzero((counts == n) & ~signed_zero)
+        cuts[:, cols] = _linear_quantiles(ordered[:n, cols], qs)
+    for c in np.flatnonzero(signed_zero):
+        x = values[:, c]
+        cuts[:, c] = np.quantile(x[~np.isnan(x)], qs)
     edges = []
-    for c in range(matrix.n_cols):
-        x = matrix.values[:, c].astype(np.float64)
-        x = x[~np.isnan(x)]
-        if x.size == 0 or x.min() == x.max():
+    for c, n in enumerate(counts):
+        if n == 0 or ordered[0, c] == ordered[n - 1, c]:
             edges.append(np.empty(0, dtype=np.float64))
             continue
-        e = np.unique(np.quantile(x, qs))
-        edges.append(e[e < x.max()])
+        e = np.unique(cuts[:, c])
+        edges.append(e[e < ordered[n - 1, c]])
     return BinMapper(list(matrix.column_names), edges)
+
+
+def _linear_quantiles(ordered: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """``np.quantile(column, qs)`` of every column of a sorted, NaN-free block.
+
+    Repeats NumPy's default ``linear`` method step for step, so each
+    result has the same bits: virtual index (n-1)*q, weight t its
+    fractional part, and interpolation from the upper neighbour once
+    t >= 0.5.  With n >= 2 rows and every q below 1 the virtual index
+    stays below n - 1, so NumPy's clamp to the last row never applies.
+    """
+    n = ordered.shape[0]
+    virtual = (n - 1) * qs
+    lower = np.floor(virtual)
+    t = (virtual - lower)[:, None]
+    i = lower.astype(np.intp)
+    a, b = ordered[i], ordered[i + 1]
+    d = b - a
+    return np.where(t >= 0.5, b - d * (1 - t), a + d * t)
 
 
 # ---------------------------------------------------------------------------

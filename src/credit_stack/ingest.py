@@ -201,7 +201,7 @@ def parse_csv(path, schema: list[ColumnSchema]) -> StatementTable:
     customer's statements are numbered from 1.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -297,14 +297,25 @@ def compact_types(table: StatementTable, schema: list[ColumnSchema]) -> Statemen
 
     Categorical columns get the narrowest signed integer width that
     holds their largest observed code (the -1 missing sentinel always
-    fits), promoting past the schema hint when necessary.  The returned
-    table carries the updated schema.
+    fits), promoting past the schema hint when necessary.  A continuous
+    value too large for float32 is an error, not an infinity.  The
+    returned table carries the updated schema.
     """
     new_schema: list[ColumnSchema] = []
     columns = dict(table.columns)
     for col in schema:
         if col.kind == "continuous":
-            columns[col.name] = columns[col.name].astype(np.float32)
+            values = columns[col.name]
+            with np.errstate(over="ignore"):  # reported below
+                narrow = values.astype(np.float32)
+            overflow = np.isinf(narrow) & np.isfinite(values)
+            if overflow.any():
+                i = int(np.flatnonzero(overflow)[0])
+                raise DataError(
+                    f"column {col.name!r}: value {float(values[i])!r} of customer "
+                    f"{table.customer_ids[i]!r} exceeds float32 storage"
+                )
+            columns[col.name] = narrow
             new_schema.append(replace(col, storage="float32"))
         elif col.kind == "categorical":
             codes = columns[col.name]
@@ -436,7 +447,7 @@ def read_labels(path) -> dict[str, int]:
     A customer id that appears on two rows is a ``DataError`` naming both.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)

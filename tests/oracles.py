@@ -3,12 +3,14 @@
 Everything here is written the slow, obvious way — explicit pairwise
 loops, direct textbook formulas, exhaustive enumeration, recursive tree
 walks — deliberately sharing no code with ``credit_stack`` so that a bug
-in the package cannot hide in its own test oracle.  Two exceptions stand
-in for a package function in whole-run tests and so speak its types:
-``build_matrix_by_customer`` replaces ``features.build_matrix`` and
-reuses the package's window, column selection, encoding and matrix type;
-``three_pass_composite_metric`` replaces ``metric.composite_metric`` and
-returns its ``MetricReport`` and raises its error types.
+in the package cannot hide in its own test oracle.  Three exceptions
+stand in for a package function in whole-run tests and so speak its
+types: ``build_matrix_by_customer`` replaces ``features.build_matrix``
+and reuses the package's window, column selection, encoding and matrix
+type; ``three_pass_composite_metric`` replaces ``metric.composite_metric``
+and returns its ``MetricReport`` and raises its error types;
+``build_bins_by_quantile`` replaces ``gbdt.build_bins`` and returns its
+``BinMapper`` and raises its error types.
 """
 
 from __future__ import annotations
@@ -20,11 +22,14 @@ import numpy as np
 
 from credit_stack import features
 from credit_stack.errors import (
+    ConfigError,
     DataError,
+    EmptyMatrixError,
     LengthMismatchError,
     NoPositivesError,
     SingleClassError,
 )
+from credit_stack.gbdt import BinMapper
 from credit_stack.ingest import LabeledTable
 from credit_stack.metric import MetricReport
 
@@ -405,6 +410,30 @@ def quantile_bin_expectation(values, max_bins):
     edges = sorted(set(float(np.quantile(x, q)) for q in qs))
     top = float(x.max())
     return [e for e in edges if e < top]
+
+
+def build_bins_by_quantile(matrix, max_bins=255):
+    """``gbdt.build_bins`` by one ``np.quantile`` call per column.
+
+    The column's non-missing values give the i/max_bins quantiles, which
+    are deduplicated; edges at or above the column maximum are dropped,
+    and a constant or all-missing column gets no edges.
+    """
+    if matrix.n_rows == 0 or matrix.n_cols == 0:
+        raise EmptyMatrixError("cannot bin an empty matrix")
+    if not 2 <= max_bins <= 255:
+        raise ConfigError(f"max_bins must be in 2..255, got {max_bins}")
+    qs = np.arange(1, max_bins) / max_bins
+    edges = []
+    for c in range(matrix.n_cols):
+        x = matrix.values[:, c].astype(np.float64)
+        x = x[~np.isnan(x)]
+        if x.size == 0 or x.min() == x.max():
+            edges.append(np.empty(0, dtype=np.float64))
+            continue
+        e = np.unique(np.quantile(x, qs))
+        edges.append(e[e < x.max()])
+    return BinMapper(list(matrix.column_names), edges)
 
 
 def scan_best_split(binned, real_bins, g, h, rows, g_total, h_total, l2_lambda, min_child_weight):

@@ -296,6 +296,14 @@ def test_run_with_per_customer_aggregation_writes_the_same_files(work, tmp_path,
     ).read_bytes()
 
 
+def test_prep_reads_a_utf8_bom_statement_file_like_the_plain_file(work, tmp_path):
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + (work / "data.csv").read_bytes())
+    assert run("prep", "--input", str(bom), "--schema", str(work / "schema.json"),
+               "--out", str(tmp_path / "clean.csv")) == 0
+    assert (tmp_path / "clean.csv").read_bytes() == (work / "clean.csv").read_bytes()
+
+
 def test_exit_codes(work, tmp_path):
     # 2: configuration problems (missing config file, bad thread count)
     assert run("synth", "--config", str(tmp_path / "nope.json"),
@@ -318,6 +326,17 @@ def test_exit_codes(work, tmp_path):
     bad.write_text("not,a,real,header\n1,2,3,4\n", encoding="utf-8")
     assert run("prep", "--input", str(bad), "--schema", str(work / "schema.json"),
                "--out", str(tmp_path / "out.csv")) == 3
+
+    # 3: a continuous cell too large for float32 storage
+    rows = list(csv.reader(io.StringIO((work / "data.csv").read_text(encoding="utf-8"))))
+    schema = json.loads((work / "schema.json").read_text(encoding="utf-8"))
+    name = next(c["name"] for c in schema if c["kind"] == "continuous")
+    rows[1][rows[0].index(name)] = "1e39"
+    huge = tmp_path / "huge.csv"
+    huge.write_text("".join(",".join(r) + "\n" for r in rows), encoding="utf-8")
+    assert run("prep", "--input", str(huge), "--schema", str(work / "schema.json"),
+               "--out", str(tmp_path / "huge_clean.csv")) == 3
+    assert not (tmp_path / "huge_clean.csv").exists()
 
     # 3: single-class labels are a data problem too
     labels = read_labels(work / "labels.csv")

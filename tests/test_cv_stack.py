@@ -249,9 +249,12 @@ def test_plan_round_trip(tmp_path):
     plan = make_folds(y, 4, seed=7)
     path = tmp_path / "folds.csv"
     save_plan(plan, path)
-    back = load_plan(path)
-    assert back.k == 4
-    np.testing.assert_array_equal(back.assignment, plan.assignment)
+    bom = tmp_path / "bom_folds.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    for source in (path, bom):
+        back = load_plan(source)
+        assert back.k == 4
+        np.testing.assert_array_equal(back.assignment, plan.assignment)
 
 
 def test_plan_loader_rejects_garbage(tmp_path):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from credit_stack import gbdt
 from credit_stack.errors import (
     ConfigError,
     DegenerateSamplingError,
@@ -35,7 +36,13 @@ from credit_stack.gbdt import (
     train,
 )
 from credit_stack.metric import weighted_auc
-from oracles import quantile_bin_expectation, scan_best_split, tree_walk_probability
+from credit_stack.serialize import dumps
+from oracles import (
+    build_bins_by_quantile,
+    quantile_bin_expectation,
+    scan_best_split,
+    tree_walk_probability,
+)
 
 
 def matrix_of(values, names=None, ids=None):
@@ -92,6 +99,62 @@ def test_bins_reject_empty_and_bad_width():
         build_bins(matrix_of(np.zeros((0, 1))), 8)
     with pytest.raises(ConfigError):
         build_bins(matrix_of([[1.0], [2.0]]), 1)
+
+
+def random_bin_column(rng, n_rows):
+    kind = rng.integers(6)
+    if kind == 0:  # continuous
+        x = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=n_rows)
+    elif kind == 1:  # heavy ties, signed zeros among them
+        x = rng.choice([-0.0, 0.0, 0.0, 1.0, -2.5, 3.0, 1e-3], size=n_rows)
+    elif kind == 2:  # small magnitudes rounded to a grid, as denoising leaves them
+        x = np.round(rng.normal(scale=0.02, size=n_rows), 2) * rng.choice([1.0, -1.0])
+    elif kind == 3:  # constant, possibly -0.0
+        x = np.full(n_rows, rng.choice([-0.0, 0.0, 7.25]))
+    elif kind == 4:  # all missing
+        x = np.full(n_rows, np.nan)
+    else:  # integer codes
+        x = rng.integers(-3, 4, size=n_rows).astype(np.float64)
+    x[rng.random(n_rows) < rng.choice([0.0, 0.3, 0.9])] = np.nan
+    return x
+
+
+def test_bins_match_per_column_quantile_oracle_bit_for_bit():
+    rng = np.random.default_rng(20261018)
+    seen = {"n1": 0, "n2": 0, "n3": 0, "all_nan": 0, "constant": 0, "neg_zero_edge": 0}
+    for case in range(2000):
+        n_rows = int(rng.choice([1, 2, 3, 4, 7, 40, 300]))
+        max_bins = int(rng.choice([2, 3, 255, rng.integers(2, 256)]))
+        x = np.column_stack([random_bin_column(rng, n_rows) for _ in range(rng.integers(1, 6))])
+        m = matrix_of(x)
+        got, want = build_bins(m, max_bins), build_bins_by_quantile(m, max_bins)
+        assert got.column_names == want.column_names
+        assert len(got.edges) == len(want.edges) == m.n_cols
+        for c, (g, w) in enumerate(zip(got.edges, want.edges)):
+            assert g.dtype == w.dtype == np.float64
+            assert g.tobytes() == w.tobytes(), (case, c, g, w)
+            real = m.values[:, c][~np.isnan(m.values[:, c])]
+            seen["n1"] += real.size == 1
+            seen["n2"] += real.size == 2
+            seen["n3"] += real.size == 3
+            seen["all_nan"] += real.size == 0
+            seen["constant"] += real.size > 1 and real.min() == real.max()
+            seen["neg_zero_edge"] += bool(np.any((w == 0.0) & np.signbit(w)))
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("max_bins, seed", [(3, 1), (255, 12)])
+def test_train_with_per_column_quantile_oracle_gives_the_same_model(monkeypatch, max_bins, seed):
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([random_bin_column(rng, 300) for _ in range(12)])
+    x[:, 0] = np.round(rng.normal(scale=0.02, size=300), 2)  # -0.0 and +0.0 cells
+    y = (np.nan_to_num(x[:, 0]) + rng.normal(scale=0.02, size=300) > 0).astype(np.int8)
+    cfg = TrainConfig(rounds=5, max_leaves=8, max_bins=max_bins, min_child_weight=0.0)
+    m = matrix_of(x)
+    fast = dumps(model_to_dict(train(m, y, cfg)))
+    assert '"threshold": -0.0' in fast  # an edge whose sign the binning must keep
+    monkeypatch.setattr(gbdt, "build_bins", build_bins_by_quantile)
+    assert dumps(model_to_dict(train(m, y, cfg))) == fast
 
 
 # ---------------------------------------------------------------------------

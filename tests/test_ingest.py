@@ -203,6 +203,17 @@ def test_compact_overflow_raises(tmp_path):
         compact_types(parse_csv(path, SCHEMA), SCHEMA)
 
 
+def test_compact_float32_overflow_names_column_and_customer(tmp_path):
+    path = make_csv(
+        tmp_path,
+        "A,2017-03-01,0.5,0.1,1\n"
+        "B,2017-03-01,0.5,1e39,1\n"
+        "B,2017-04-01,0.5,-3.4e38,1\n",
+    )
+    with pytest.raises(DataError, match=r"column 'spend': value 1e\+39 of customer 'B'"):
+        compact_types(parse_csv(path, SCHEMA), SCHEMA)
+
+
 def test_mask_outliers_rules(tmp_path):
     path = make_csv(
         tmp_path,
@@ -286,6 +297,9 @@ def test_labels_round_trip(tmp_path):
     path = tmp_path / "labels.csv"
     write_labels(labels, path)
     assert read_labels(path) == labels
+    bom = tmp_path / "bom_labels.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert read_labels(bom) == labels
 
 
 def test_read_labels_rejects_bad_rows(tmp_path):
