@@ -12,13 +12,10 @@ weight (1, 0).
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 import math
 from dataclasses import dataclass
 from numbers import Real
-from pathlib import Path
 
 import numpy as np
 
@@ -30,7 +27,7 @@ from .errors import (
     SingleMemberError,
 )
 from .metric import composite_metric
-from .serialize import dumps as _json_dumps, ensure_parent, format_float
+from .serialize import format_float, read_csv_rows, write_csv_rows, write_json
 
 log = logging.getLogger(__name__)
 
@@ -70,13 +67,11 @@ def _stacked(predictions) -> np.ndarray:
     return np.vstack(vectors)
 
 
-def blend(predictions, weights, constrained: bool = True) -> np.ndarray:
+def blend(predictions, weights) -> np.ndarray:
     """Weighted sum of member prediction vectors.
 
-    With ``constrained`` (the default) the weights must form a convex
-    combination, which keeps every output between the member minimum
-    and maximum; pass False to allow arbitrary real weights for
-    rank-only use.
+    The weights must form a convex combination, which keeps every output
+    between the member minimum and maximum.
     """
     stacked = _stacked(predictions)
     w = np.asarray(weights, dtype=np.float64).ravel()
@@ -84,11 +79,10 @@ def blend(predictions, weights, constrained: bool = True) -> np.ndarray:
         raise InvalidWeightsError(
             f"{w.size} weights for {stacked.shape[0]} members"
         )
-    if constrained:
-        if (w < 0).any():
-            raise InvalidWeightsError(f"weights must be non-negative: {w.tolist()}")
-        if abs(float(w.sum()) - 1.0) > _WEIGHT_SUM_TOL:
-            raise InvalidWeightsError(f"weights must sum to 1: {w.tolist()}")
+    if (w < 0).any():
+        raise InvalidWeightsError(f"weights must be non-negative: {w.tolist()}")
+    if abs(float(w.sum()) - 1.0) > _WEIGHT_SUM_TOL:
+        raise InvalidWeightsError(f"weights must sum to 1: {w.tolist()}")
     return w @ stacked
 
 
@@ -184,21 +178,7 @@ def optimize_weights(predictions, labels, step: float = 0.01, member_names=None)
 
 
 def save_ensemble(spec: EnsembleSpec, path) -> None:
-    ensure_parent(path).write_text(
-        _json_dumps({"members": list(spec.member_names), "weights": list(spec.weights)}),
-        encoding="utf-8",
-    )
-
-
-def load_ensemble(path) -> EnsembleSpec:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read ensemble spec {path}: {exc}") from exc
-    try:
-        return EnsembleSpec(tuple(doc["members"]), tuple(float(w) for w in doc["weights"]))
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"malformed ensemble spec {path}: {exc}") from exc
+    write_json(path, {"members": list(spec.member_names), "weights": list(spec.weights)})
 
 
 def write_predictions(customer_ids, probabilities, path) -> None:
@@ -208,11 +188,11 @@ def write_predictions(customer_ids, probabilities, path) -> None:
         raise LengthMismatchError(
             f"{len(customer_ids)} ids for {probs.size} probabilities"
         )
-    with open(ensure_parent(path), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["customer_id", "probability"])
-        for cid, p in zip(customer_ids, probs):
-            writer.writerow([cid, format_float(float(p))])
+    write_csv_rows(
+        path,
+        ["customer_id", "probability"],
+        ([cid, format_float(float(p))] for cid, p in zip(customer_ids, probs)),
+    )
 
 
 def read_predictions(path):
@@ -221,35 +201,28 @@ def read_predictions(path):
     A cell that is not a finite number, and a customer id that appears
     on two rows, is a ``DataError`` naming the row(s).
     """
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or len(header) < 2:
-                raise DataError(f"{path}: expected a customer_id,probability header")
-            ids, probs = [], []
-            first_row: dict[str, int] = {}
-            for i, rec in enumerate(reader):
-                if len(rec) < 2:
-                    raise DataError(f"{path}: row {i + 2} is incomplete")
-                if rec[0] in first_row:
-                    raise DataError(
-                        f"{path}: rows {first_row[rec[0]]} and {i + 2} both score "
-                        f"customer {rec[0]!r}"
-                    )
-                first_row[rec[0]] = i + 2
-                ids.append(rec[0])
-                try:
-                    prob = float(rec[1])
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {i + 2}: {rec[1]!r} is not a number"
-                    ) from None
-                if not math.isfinite(prob):
-                    raise DataError(f"{path}: row {i + 2}: {rec[1]!r} is not finite")
-                probs.append(prob)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    header, records = read_csv_rows(path)
+    if len(header) < 2:
+        raise DataError(f"{path}: expected a customer_id,probability header")
+    ids, probs = [], []
+    first_row: dict[str, int] = {}
+    for i, rec in enumerate(records):
+        if len(rec) < 2:
+            raise DataError(f"{path}: row {i + 2} is incomplete")
+        if rec[0] in first_row:
+            raise DataError(
+                f"{path}: rows {first_row[rec[0]]} and {i + 2} both score "
+                f"customer {rec[0]!r}"
+            )
+        first_row[rec[0]] = i + 2
+        ids.append(rec[0])
+        try:
+            prob = float(rec[1])
+        except ValueError:
+            raise DataError(f"{path}: row {i + 2}: {rec[1]!r} is not a number") from None
+        if not math.isfinite(prob):
+            raise DataError(f"{path}: row {i + 2}: {rec[1]!r} is not finite")
+        probs.append(prob)
     if not ids:
         raise DataError(f"{path}: no prediction rows")
     return ids, np.asarray(probs, dtype=np.float64)

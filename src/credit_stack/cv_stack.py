@@ -13,7 +13,6 @@ leakage.  At test time the k fold models vote by plain averaging.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 
@@ -29,7 +28,7 @@ from .errors import (
 )
 from .features import FeatureMatrix
 from .gbdt import BoostedModel, TrainConfig, predict, train
-from .serialize import ensure_parent
+from .serialize import write_csv_rows
 
 log = logging.getLogger(__name__)
 
@@ -185,29 +184,6 @@ def train_meta(matrix: FeatureMatrix, labels, plan: FoldPlan, config: TrainConfi
 
 
 def save_plan(plan: FoldPlan, path) -> None:
-    with open(ensure_parent(path), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["row_index", "fold"])
-        for i, f in enumerate(plan.assignment):
-            writer.writerow([i, int(f)])
-
-
-def load_plan(path) -> FoldPlan:
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["row_index", "fold"]:
-                raise DataError(f"{path}: not a fold plan file")
-            pairs = [(int(r[0]), int(r[1])) for r in reader if r]
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"{path}: malformed fold plan: {exc}") from exc
-    if not pairs:
-        raise DataError(f"{path}: empty fold plan")
-    pairs.sort()
-    if [i for i, _ in pairs] != list(range(len(pairs))):
-        raise DataError(f"{path}: fold plan rows are not exactly 0..{len(pairs) - 1}")
-    assignment = np.array([f for _, f in pairs], dtype=np.int32)
-    return FoldPlan(k=int(assignment.max()) + 1, assignment=assignment)
+    write_csv_rows(
+        path, ["row_index", "fold"], ([i, int(f)] for i, f in enumerate(plan.assignment))
+    )

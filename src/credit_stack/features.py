@@ -25,7 +25,6 @@ repeated pipeline stages never re-parse CSVs.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,7 +39,7 @@ from .errors import (
     VocabularyMissingError,
 )
 from .ingest import MISSING_CODE, LabeledTable, StatementTable
-from .serialize import ensure_parent, load_config_doc
+from .serialize import ensure_parent, load_config_doc, read_json_doc
 
 CONTINUOUS_STATS = ("mean", "std", "min", "max", "last", "median")
 CATEGORICAL_STATS = ("count", "last", "nunique")
@@ -55,12 +54,12 @@ class AggregationSpec:
     feature columns (identifier and date columns are never aggregated).
     """
 
-    continuous_stats: tuple = CONTINUOUS_STATS
-    categorical_stats: tuple = CATEGORICAL_STATS
+    continuous_stats: tuple[str, ...] = CONTINUOUS_STATS
+    categorical_stats: tuple[str, ...] = CATEGORICAL_STATS
     lag_enabled: bool = True
     recent_window: int | None = None
     encode: str | None = None
-    columns: tuple | None = None
+    columns: tuple[str, ...] | None = None
 
     def __post_init__(self):
         for stat in self.continuous_stats:
@@ -79,11 +78,7 @@ class AggregationSpec:
 
 def spec_from_json(source) -> AggregationSpec:
     """Load an AggregationSpec from a JSON file, string path, or dict."""
-    doc = load_config_doc(source, "aggregation spec", AggregationSpec)
-    for key in ("continuous_stats", "categorical_stats", "columns"):
-        if doc.get(key) is not None:
-            doc[key] = tuple(doc[key])
-    return AggregationSpec(**doc)
+    return AggregationSpec(**load_config_doc(source, "aggregation spec", AggregationSpec))
 
 
 @dataclass
@@ -202,10 +197,7 @@ def load_vocabulary(path) -> dict:
     A file that cannot be read or parsed, or that does not map names to
     lists of non-negative integer codes, is a ``DataError`` naming it.
     """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read vocabulary {path}: {exc}") from exc
+    doc = read_json_doc(path, "vocabulary", DataError)
     if not isinstance(doc, dict):
         raise DataError(f"vocabulary {path} must be a JSON object of code lists")
     for raw, codes in doc.items():

@@ -44,10 +44,8 @@ row order, and ties in split search resolve to the first candidate.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -61,7 +59,7 @@ from .errors import (
     TrainError,
 )
 from .features import FeatureMatrix
-from .serialize import dumps as _json_dumps, ensure_parent, load_config_doc
+from .serialize import load_config_doc, read_json_doc, write_json
 
 
 @dataclass(frozen=True)
@@ -538,12 +536,11 @@ def predict(model: BoostedModel, matrix: FeatureMatrix) -> np.ndarray:
     return _sigmoid(predict_raw(model, matrix))
 
 
-def importance(model: BoostedModel, kind: str = "average_gain", normalized: bool = False) -> dict:
+def importance(model: BoostedModel, kind: str = "average_gain") -> dict:
     """Per-column split-gain importance; unused columns are absent.
 
     ``total_gain`` sums a column's recorded gains, ``average_gain``
-    divides by its split count.  ``normalized`` rescales the mapping to
-    sum to 1 (no-op on an empty model).
+    divides by its split count.
     """
     if kind not in ("average_gain", "total_gain"):
         raise ConfigError(f"importance kind must be average_gain or total_gain, got {kind!r}")
@@ -555,14 +552,8 @@ def importance(model: BoostedModel, kind: str = "average_gain", normalized: bool
     totals = {f: math.fsum(gains) for f, gains in grouped.items()}
     counts = {f: len(gains) for f, gains in grouped.items()}
     if kind == "average_gain":
-        result = {f: totals[f] / counts[f] for f in totals}
-    else:
-        result = dict(totals)
-    if normalized:
-        grand = sum(result.values())
-        if grand > 0:
-            result = {f: v / grand for f, v in result.items()}
-    return result
+        return {f: totals[f] / counts[f] for f in totals}
+    return totals
 
 
 # ---------------------------------------------------------------------------
@@ -597,14 +588,11 @@ def model_to_dict(model: BoostedModel) -> dict:
 
 def save_model(model: BoostedModel, path) -> None:
     """Write the model as stable JSON (17-significant-digit reals)."""
-    ensure_parent(path).write_text(_json_dumps(model_to_dict(model)), encoding="utf-8")
+    write_json(path, model_to_dict(model))
 
 
 def load_model(path) -> BoostedModel:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read model {path}: {exc}") from exc
+    doc = read_json_doc(path, "model", DataError)
     try:
         trees = []
         for tree in doc["trees"]:

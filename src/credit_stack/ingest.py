@@ -12,8 +12,6 @@ categorical cells, ordinal -1 for dates.
 
 from __future__ import annotations
 
-import csv
-import json
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -33,7 +31,7 @@ from .errors import (
     MissingLabelError,
     NonPositivePrecisionError,
 )
-from .serialize import ensure_parent
+from .serialize import read_csv_rows, read_json_doc, write_csv_rows
 
 log = logging.getLogger(__name__)
 
@@ -108,10 +106,7 @@ class LabeledTable:
 def load_schema(source) -> list[ColumnSchema]:
     """Build a column schema from a JSON document, path, or parsed list."""
     if isinstance(source, (str, Path)):
-        try:
-            doc = json.loads(Path(source).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read schema {source}: {exc}") from exc
+        doc = read_json_doc(source, "schema", ConfigError)
     else:
         doc = source
     if not isinstance(doc, list) or not doc:
@@ -121,6 +116,8 @@ def load_schema(source) -> list[ColumnSchema]:
     for entry in doc:
         if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
             raise ConfigError(f"schema entry needs 'name' and 'kind': {entry!r}")
+        if not isinstance(entry["name"], str):
+            raise ConfigError(f"schema entry 'name' must be a string: {entry!r}")
         kind = entry["kind"]
         if kind not in _KINDS:
             raise ConfigError(f"unknown column kind {kind!r} for {entry['name']!r}")
@@ -129,8 +126,14 @@ def load_schema(source) -> list[ColumnSchema]:
             raise ConfigError(f"unknown storage {storage!r} for {entry['name']!r}")
         rng = entry.get("valid_range")
         if rng is not None:
-            if len(rng) != 2 or not all(isinstance(v, (int, float)) for v in rng):
-                raise ConfigError(f"valid_range must be [low, high]: {rng!r}")
+            if (
+                not isinstance(rng, (list, tuple))
+                or len(rng) != 2
+                or not all(isinstance(v, (int, float)) for v in rng)
+            ):
+                raise ConfigError(
+                    f"valid_range of {entry['name']!r} must be [low, high]: {rng!r}"
+                )
             if rng[0] > rng[1]:
                 raise ConfigError(f"valid_range low > high for {entry['name']!r}")
             rng = (float(rng[0]), float(rng[1]))
@@ -200,16 +203,7 @@ def parse_csv(path, schema: list[ColumnSchema]) -> StatementTable:
     re-ordered by (customer first appearance, date ascending) and each
     customer's statements are numbered from 1.
     """
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise EmptyFileError(f"{path}: no header row") from None
-            records = list(reader)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    header, records = read_csv_rows(path)
     if not records:
         raise EmptyFileError(f"{path}: no data rows")
 
@@ -425,20 +419,21 @@ def _format_value(col: ColumnSchema, value) -> str:
 
 def write_csv(table: StatementTable, path) -> None:
     """Write the table back out in the schema's column order."""
-    with open(ensure_parent(path), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([c.name for c in table.schema])
-        data_cols = []
-        for col in table.schema:
-            if col.kind == "identifier":
-                data_cols.append(table.customer_ids)
-            else:
-                data_cols.append(table.columns[col.name])
+    data_cols = []
+    for col in table.schema:
+        if col.kind == "identifier":
+            data_cols.append(table.customer_ids)
+        else:
+            data_cols.append(table.columns[col.name])
+
+    def rows():
         for i in range(table.n_rows):
             row = []
             for col, arr in zip(table.schema, data_cols):
                 row.append(arr[i] if col.kind == "identifier" else _format_value(col, arr[i]))
-            writer.writerow(row)
+            yield row
+
+    write_csv_rows(path, [c.name for c in table.schema], rows())
 
 
 def read_labels(path) -> dict[str, int]:
@@ -446,47 +441,38 @@ def read_labels(path) -> dict[str, int]:
 
     A customer id that appears on two rows is a ``DataError`` naming both.
     """
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise EmptyFileError(f"{path}: no header row") from None
-            if len(header) < 2:
-                raise MissingColumnError(f"{path}: expected customer_id and target columns")
-            labels: dict[str, int] = {}
-            first_row: dict[str, int] = {}
-            for i, rec in enumerate(reader):
-                if len(rec) < 2:
-                    raise DataError(f"{path}: row {i + 2} is incomplete")
-                try:
-                    value = int(rec[1])
-                except ValueError:
-                    raise DataError(
-                        f"{path}: row {i + 2}: label {rec[1]!r} is not an integer"
-                    ) from None
-                if value not in (0, 1):
-                    raise DataError(
-                        f"{path}: row {i + 2}: label must be 0 or 1, got {value}"
-                    )
-                if rec[0] in first_row:
-                    raise DataError(
-                        f"{path}: rows {first_row[rec[0]]} and {i + 2} both label "
-                        f"customer {rec[0]!r}"
-                    )
-                first_row[rec[0]] = i + 2
-                labels[rec[0]] = value
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    header, records = read_csv_rows(path)
+    if len(header) < 2:
+        raise MissingColumnError(f"{path}: expected customer_id and target columns")
+    labels: dict[str, int] = {}
+    first_row: dict[str, int] = {}
+    for i, rec in enumerate(records):
+        if len(rec) < 2:
+            raise DataError(f"{path}: row {i + 2} is incomplete")
+        try:
+            value = int(rec[1])
+        except ValueError:
+            raise DataError(
+                f"{path}: row {i + 2}: label {rec[1]!r} is not an integer"
+            ) from None
+        if value not in (0, 1):
+            raise DataError(f"{path}: row {i + 2}: label must be 0 or 1, got {value}")
+        if rec[0] in first_row:
+            raise DataError(
+                f"{path}: rows {first_row[rec[0]]} and {i + 2} both label "
+                f"customer {rec[0]!r}"
+            )
+        first_row[rec[0]] = i + 2
+        labels[rec[0]] = value
     if not labels:
         raise EmptyFileError(f"{path}: no label rows")
     return labels
 
 
-def write_labels(labels: Mapping[str, int], path, header=("customer_id", "target")) -> None:
-    with open(ensure_parent(path), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(header))
-        for cid, value in labels.items():
-            writer.writerow([cid, int(value)])
+def write_labels(labels: Mapping[str, int], path) -> None:
+    """Write a (customer_id, target) CSV in the mapping's order."""
+    write_csv_rows(
+        path,
+        ["customer_id", "target"],
+        ([cid, int(value)] for cid, value in labels.items()),
+    )

@@ -84,13 +84,13 @@ def _validated(labels, preds) -> tuple[np.ndarray, np.ndarray]:
     return y, p
 
 
-def weight_of(label, negative_weight: float = NEGATIVE_WEIGHT):
-    """Row weight(s) for binary label(s): ``negative_weight`` for 0, 1 for 1.
+def weight_of(label):
+    """Row weight(s) for binary label(s): ``NEGATIVE_WEIGHT`` for 0, 1 for 1.
 
     Accepts a scalar or an array; the return mirrors the input shape.
     """
     arr = np.asarray(label, dtype=np.float64)
-    w = np.where(arr == 0.0, negative_weight, 1.0)
+    w = np.where(arr == 0.0, NEGATIVE_WEIGHT, 1.0)
     if arr.ndim == 0:
         return float(w)
     return w
@@ -135,11 +135,6 @@ def weighted_auc(labels, preds) -> float:
     y, p = _validated(labels, preds)
     pos = y == 1.0
     return _pair_auc(p, pos, int(np.count_nonzero(pos)))
-
-
-def normalized_weighted_gini(labels, preds) -> float:
-    """2 * weighted_auc - 1, spanning [-1, 1]."""
-    return 2.0 * weighted_auc(labels, preds) - 1.0
 
 
 def default_rate_at_4pct(labels, preds) -> float:

@@ -23,7 +23,6 @@ Run directory layout::
 
 from __future__ import annotations
 
-import csv
 import logging
 import re
 from dataclasses import dataclass
@@ -42,7 +41,13 @@ from .blend import (
 )
 from .errors import ConfigError, CreditStackError
 from .metric import composite_metric
-from .serialize import format_float, load_config_doc, sha256_file, write_json
+from .serialize import (
+    format_float,
+    load_config_doc,
+    sha256_file,
+    write_csv_rows,
+    write_json,
+)
 
 log = logging.getLogger(__name__)
 
@@ -56,7 +61,7 @@ class MemberConfig:
     name: str
     features: features_mod.AggregationSpec
     train: gbdt.TrainConfig
-    meta_from: tuple = ()
+    meta_from: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -65,7 +70,7 @@ class PipelineConfig:
     labels: str
     schema: str
     out_dir: str
-    members: tuple
+    members: tuple[MemberConfig, ...]
     precision: float = 0.01
     folds: int = 5
     seed: int = 42
@@ -112,19 +117,19 @@ def config_from_json(source) -> PipelineConfig:
     for key in ("data", "labels", "schema", "out_dir", "members"):
         if key not in doc:
             raise ConfigError(f"pipeline config is missing {key!r}")
+    if not isinstance(doc["members"], list):
+        raise ConfigError("pipeline config 'members' must be a list of member objects")
     members = []
     for i, raw in enumerate(doc["members"]):
         if not isinstance(raw, dict) or "name" not in raw:
             raise ConfigError(f"member {i} must be an object with a 'name'")
-        extra = set(raw) - {"name", "features", "train", "meta_from"}
-        if extra:
-            raise ConfigError(f"member {raw['name']!r}: unknown keys {sorted(extra)}")
+        raw = load_config_doc(raw, f"member {i}", MemberConfig)
         members.append(
             MemberConfig(
                 name=raw["name"],
                 features=features_mod.spec_from_json(raw.get("features", {})),
                 train=gbdt.config_from_json(raw.get("train", {})),
-                meta_from=tuple(raw.get("meta_from", ())),
+                meta_from=raw.get("meta_from", ()),
             )
         )
     kwargs = {k: v for k, v in doc.items() if k != "members"}
@@ -177,11 +182,11 @@ def _holdout_split(labels: np.ndarray, fraction: float, seed: int) -> np.ndarray
 
 
 def _write_split(path, customers: np.ndarray, holdout: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["customer_id", "split"])
-        for cid, is_hold in zip(customers, holdout):
-            writer.writerow([cid, "holdout" if is_hold else "train"])
+    write_csv_rows(
+        path,
+        ["customer_id", "split"],
+        ([cid, "holdout" if is_hold else "train"] for cid, is_hold in zip(customers, holdout)),
+    )
 
 
 def _metric_json(path, labels, preds) -> float:
@@ -317,8 +322,11 @@ def run_pipeline(config: PipelineConfig) -> Path:
 
 
 def _write_oof_csv(path, customer_ids, oof: cv_stack.OofVector) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["customer_id", "fold", "probability"])
-        for cid, f, p in zip(customer_ids, oof.fold, oof.prediction):
-            writer.writerow([cid, int(f), format_float(float(p))])
+    write_csv_rows(
+        path,
+        ["customer_id", "fold", "probability"],
+        (
+            [cid, int(f), format_float(float(p))]
+            for cid, f, p in zip(customer_ids, oof.fold, oof.prediction)
+        ),
+    )

@@ -12,16 +12,14 @@ two-decimal coordinates, making report bytes stable across runs.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import ColumnSetMismatchError, ConfigError, DataError, EmptyReportError
+from .errors import ColumnSetMismatchError, ConfigError, EmptyReportError
 from .gbdt import BoostedModel, importance
-from .serialize import dumps as _json_dumps, ensure_parent
+from .serialize import ensure_parent, write_json
 
 log = logging.getLogger(__name__)
 
@@ -111,24 +109,7 @@ def report_to_dict(report: ImportanceReport) -> dict:
 
 
 def save_report(report: ImportanceReport, path) -> None:
-    ensure_parent(path).write_text(_json_dumps(report_to_dict(report)), encoding="utf-8")
-
-
-def load_report(path) -> ImportanceReport:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        box = {
-            col: BoxStats(s["median"], s["q1"], s["q3"], s["min"], s["max"])
-            for col, s in doc["box"].items()
-        }
-        return ImportanceReport(
-            doc["kind"],
-            [dict(fold) for fold in doc["per_fold"]],
-            box,
-            [(col, float(frac)) for col, frac in doc["cumulative"]],
-        )
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise DataError(f"cannot read importance report {path}: {exc}") from exc
+    write_json(path, report_to_dict(report))
 
 
 # ---------------------------------------------------------------------------

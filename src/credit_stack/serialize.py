@@ -1,19 +1,36 @@
-"""Deterministic serialization helpers.
+"""Deterministic serialization helpers: the one place that reads and
+writes the package's text files.
 
 All run artifacts must be byte-identical across reruns, so JSON is
 rendered by a small fixed writer: insertion-order keys, floats at 17
 significant digits (lossless float64 round-trip), no locale influence.
+
+I/O rules, shared by every CSV and JSON file the package touches:
+
+* Decode: files are read as ``utf-8-sig``, so a leading byte-order mark
+  is dropped and a file with one reads like the plain file.  CSVs are
+  opened with ``newline=""``, so LF and CRLF rows read alike.
+* Errors: a file that cannot be opened or decoded, or whose CSV or
+  JSON syntax is broken (including a cell past the ``csv`` module's
+  field size limit), raises one typed error naming the path:
+  ``DataError`` for CSVs, and the caller's chosen ``ConfigError`` or
+  ``DataError`` for JSON documents.  A CSV without a header row raises
+  ``EmptyFileError``.  Column rules (widths, value parsing, repeated
+  ids) stay with each caller.
+* Encode: files are written as UTF-8; CSV rows end in a bare ``\n``
+  and JSON documents end in one newline.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
 from dataclasses import fields
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError, EmptyFileError
 
 
 def format_float(value: float) -> str:
@@ -105,19 +122,63 @@ def write_json(path: str | Path, obj) -> None:
     ensure_parent(path).write_text(dumps(obj), encoding="utf-8")
 
 
+def read_json_doc(path: str | Path, what: str, error: type):
+    """Parse the JSON document at ``path``.
+
+    An unreadable, non-UTF-8 or malformed file raises ``error`` with a
+    message naming ``what`` and the path.
+    """
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+def read_csv_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
+    """(header, data rows) of a CSV file, every cell a string."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if header is None:
+        raise EmptyFileError(f"{path}: no header row")
+    return header, rows
+
+
+def write_csv_rows(path: str | Path, header, rows) -> None:
+    """Write ``header`` then every row of the iterable ``rows``."""
+    with open(ensure_parent(path), "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+# JSON value types accepted for a config field, by its annotation
+_FIELD_TYPES = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "str": (str, "a string"),
+    "bool": (bool, "true or false"),
+    "tuple[str, ...]": ((list, tuple), "a list of strings"),
+}
+
+
 def load_config_doc(source, what: str, config_class) -> dict:
     """Read one config object from a JSON file path or an already-parsed dict.
 
     ``what`` names the document in error messages.  The result is a
     fresh dict whose keys are all fields of the dataclass
-    ``config_class``; an unreadable file, a non-object document or an
-    unknown key raises ConfigError.
+    ``config_class``; an unreadable file, a non-object document, an
+    unknown key, or a value whose JSON type does not fit its field's
+    ``int``, ``float``, ``str``, ``bool`` or ``tuple[str, ...]``
+    annotation (``None`` only where the annotation allows it) raises
+    ConfigError.  String lists come back as tuples.
     """
     if isinstance(source, (str, Path)):
-        try:
-            doc = json.loads(Path(source).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read {what} {source}: {exc}") from exc
+        doc = read_json_doc(source, what, ConfigError)
     else:
         doc = source
     if not isinstance(doc, dict):
@@ -125,7 +186,23 @@ def load_config_doc(source, what: str, config_class) -> dict:
     unknown = set(doc) - {f.name for f in fields(config_class)}
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-    return dict(doc)
+    doc = dict(doc)
+    for f in fields(config_class):
+        kind = f.type.removesuffix(" | None")
+        if f.name not in doc or kind not in _FIELD_TYPES:
+            continue
+        value = doc[f.name]
+        if value is None and kind != f.type:
+            continue
+        allowed, described = _FIELD_TYPES[kind]
+        is_names = kind == "tuple[str, ...]"
+        if not isinstance(value, allowed) or (
+            is_names and not all(isinstance(v, str) for v in value)
+        ):
+            raise ConfigError(f"{what} key {f.name!r} must be {described}, got {value!r}")
+        if is_names:
+            doc[f.name] = tuple(value)
+    return doc
 
 
 def sha256_file(path: str | Path) -> str:

@@ -49,7 +49,7 @@ class SynthConfig:
     frac_full: float = 0.8
     n_continuous: int = 8
     n_categorical: int = 2
-    signal_features: tuple = ("cont_00",)
+    signal_features: tuple[str, ...] = ("cont_00",)
     noise_amplitude: float = 0.004
     neg_keep_rate: float = 0.05
     seed: int = 0
@@ -73,10 +73,7 @@ class SynthConfig:
 
 def config_from_json(source) -> SynthConfig:
     """Load a SynthConfig from a JSON file path or a parsed dict."""
-    doc = load_config_doc(source, "synth config", SynthConfig)
-    if "signal_features" in doc:
-        doc["signal_features"] = tuple(doc["signal_features"])
-    return SynthConfig(**doc)
+    return SynthConfig(**load_config_doc(source, "synth config", SynthConfig))
 
 
 def synth_schema(config: SynthConfig) -> list:

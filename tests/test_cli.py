@@ -1,5 +1,6 @@
 """End-to-end command-line interface tests (in-process)."""
 
+import copy
 import csv
 import hashlib
 import io
@@ -12,7 +13,8 @@ from credit_stack import features
 from credit_stack.blend import write_predictions
 from credit_stack.cli import main
 from credit_stack.features import load_matrix
-from credit_stack.ingest import read_labels
+from credit_stack.ingest import load_schema, read_labels
+from credit_stack.pipeline import config_from_json
 from oracles import build_matrix_by_customer
 
 
@@ -304,7 +306,16 @@ def test_prep_reads_a_utf8_bom_statement_file_like_the_plain_file(work, tmp_path
     assert (tmp_path / "clean.csv").read_bytes() == (work / "clean.csv").read_bytes()
 
 
-def test_exit_codes(work, tmp_path):
+def test_json_documents_with_a_utf8_bom_load_like_the_plain_file(work, tmp_path):
+    pipe = tmp_path / "pipe.json"
+    pipe.write_text(json.dumps(_fuzz_pipeline(work, tmp_path / "run")), encoding="utf-8")
+    for plain, loader in ((work / "schema.json", load_schema), (pipe, config_from_json)):
+        bom = tmp_path / f"bom_{plain.name}"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert loader(bom) == loader(plain)
+
+
+def test_exit_codes(work, tmp_path, capsys):
     # 2: configuration problems (missing config file, bad thread count)
     assert run("synth", "--config", str(tmp_path / "nope.json"),
                "--out-data", "x", "--out-labels", "y") == 2
@@ -435,6 +446,42 @@ def test_exit_codes(work, tmp_path):
                "--pred", str(good), "--pred", str(nan),
                "--out", str(tmp_path / "w.json")) == 3
 
+    # 2 for configs and schemas, 3 for models: JSON that is not UTF-8,
+    # with nothing written
+    latin_json = tmp_path / "latin.json"
+    latin_json.write_bytes(b'{"rounds": "\xff"}')
+    assert run("run", "--config", str(latin_json)) == 2
+    latin_schema = tmp_path / "latin_schema.json"
+    latin_schema.write_bytes(
+        (work / "schema.json").read_bytes().replace(b"customer_id", b"customer_\xff", 1)
+    )
+    assert run("prep", "--input", str(work / "data.csv"), "--schema", str(latin_schema),
+               "--out", str(tmp_path / "latin_prep.csv")) == 2
+    assert not (tmp_path / "latin_prep.csv").exists()
+    assert run("importance", "--model", str(latin_json), "--model", str(latin_json),
+               "--out-json", str(tmp_path / "imp.json"),
+               "--out-svg", str(tmp_path / "imp.svg")) == 3
+    assert not (tmp_path / "imp.json").exists() and not (tmp_path / "imp.svg").exists()
+
+    # 2: config values of the wrong shape, each error naming its key
+    ranged = copy.deepcopy(schema)
+    next(c for c in ranged if c["kind"] == "continuous")["valid_range"] = 5
+    ranged_path = tmp_path / "ranged_schema.json"
+    ranged_path.write_text(json.dumps(ranged), encoding="utf-8")
+    capsys.readouterr()
+    assert run("prep", "--input", str(work / "data.csv"), "--schema", str(ranged_path),
+               "--out", str(tmp_path / "ranged.csv")) == 2
+    assert "valid_range" in capsys.readouterr().err
+    assert not (tmp_path / "ranged.csv").exists()
+    five = tmp_path / "five_members.json"
+    five.write_text(
+        json.dumps({**_fuzz_pipeline(work, tmp_path / "five_run"), "members": 5}),
+        encoding="utf-8",
+    )
+    assert run("run", "--config", str(five)) == 2
+    assert "members" in capsys.readouterr().err
+    assert not (tmp_path / "five_run").exists()
+
 
 def test_features_vocab_is_written_then_read(work, tmp_path):
     spec = tmp_path / "onehot.json"
@@ -463,7 +510,7 @@ def test_seed_override_changes_output(work, tmp_path):
 
 
 def _fuzzed_csv(rng, header, rows):
-    """One label or prediction CSV with seeded damage, as bytes."""
+    """One CSV with seeded damage to its rows and bytes, as bytes."""
     rows = [list(r) for r in rows]
     for _ in range(int(rng.choice(3, p=[0.6, 0.3, 0.1]))):
         i = int(rng.integers(len(rows)))
@@ -521,3 +568,89 @@ def test_eval_and_blend_fuzz_exit_with_a_documented_code(tmp_path):
     # anything but a CreditStackError would have escaped main above
     assert set(codes) <= {0, 2, 3}
     assert codes.count(0) > 50 and codes.count(3) > 50
+
+
+def test_prep_fuzz_over_damaged_statement_files_exits_with_a_documented_code(work, tmp_path):
+    header, *rows = csv.reader(io.StringIO((work / "data.csv").read_text(encoding="utf-8")))
+    rng = np.random.default_rng(17)
+    codes = []
+    for case in range(80):
+        start = int(rng.integers(len(rows) - 40))
+        data = tmp_path / f"data_{case}.csv"
+        data.write_bytes(_fuzzed_csv(rng, header, rows[start:start + 40]))
+        codes.append(run("prep", "--input", str(data), "--schema", str(work / "schema.json"),
+                         "--out", str(tmp_path / f"clean_{case}.csv")))
+    # anything but a CreditStackError would have escaped main above
+    assert set(codes) <= {0, 2, 3}
+    assert codes.count(0) > 20 and codes.count(3) > 10
+
+
+def _fuzz_pipeline(work, out_dir):
+    """A two-member pipeline config over the module's data, quick to run."""
+    return {
+        "data": str(work / "data.csv"),
+        "labels": str(work / "labels.csv"),
+        "schema": str(work / "schema.json"),
+        "out_dir": str(out_dir),
+        "folds": 2,
+        "blend_step": 0.5,
+        "members": [
+            {"name": "a", "features": {"encode": "ordinal"},
+             "train": {"rounds": 1, "max_leaves": 2}},
+            {"name": "b", "features": {"continuous_stats": ["mean"], "categorical_stats": []},
+             "train": {"rounds": 1, "max_leaves": 2}, "meta_from": ["a"]},
+        ],
+    }
+
+
+def _fuzzed_json(rng, doc, stray):
+    """One JSON document with seeded damage, as bytes.
+
+    Values anywhere in ``doc`` may be swapped for ones of the wrong type
+    (``stray`` is the only string offered, a path that does not exist);
+    the text may be cut short, lose UTF-8 validity or gain a BOM.
+    """
+    doc = copy.deepcopy(doc)
+    slots = []  # (container, key) of every value in the document
+
+    def collect(node):
+        if isinstance(node, (dict, list)):
+            for key in node if isinstance(node, dict) else range(len(node)):
+                slots.append((node, key))
+                collect(node[key])
+
+    collect(doc)
+    wrong = [None, True, 5, 1.5, [], {}, [5], {"x": 1}, stray]
+    for _ in range(int(rng.choice(3, p=[0.3, 0.5, 0.2]))):
+        container, key = slots[int(rng.integers(len(slots)))]
+        container[key] = copy.deepcopy(wrong[int(rng.integers(len(wrong)))])
+    data = json.dumps(doc).encode("utf-8")
+    if rng.random() < 0.15:
+        data = data[: int(rng.integers(len(data)))]  # truncated
+    if rng.random() < 0.15:
+        at = int(rng.integers(len(data) + 1))
+        data = data[:at] + b"\xff" + data[at:]  # not UTF-8
+    if rng.random() < 0.2:
+        data = b"\xef\xbb\xbf" + data  # BOM
+    return data
+
+
+def test_schema_and_run_config_fuzz_exit_with_a_documented_code(work, tmp_path):
+    rng = np.random.default_rng(23)
+    stray = str(tmp_path / "stray")
+    schema = json.loads((work / "schema.json").read_text(encoding="utf-8"))
+    prep_codes, run_codes = [], []
+    for case in range(120):
+        path = tmp_path / f"schema_{case}.json"
+        path.write_bytes(_fuzzed_json(rng, schema, stray))
+        prep_codes.append(run("prep", "--input", str(work / "data.csv"), "--schema", str(path),
+                              "--out", str(tmp_path / f"clean_{case}.csv")))
+    for case in range(80):
+        path = tmp_path / f"pipe_{case}.json"
+        doc = _fuzz_pipeline(work, tmp_path / f"run_{case}")
+        path.write_bytes(_fuzzed_json(rng, doc, stray))
+        run_codes.append(run("run", "--config", str(path)))
+    # anything but a CreditStackError would have escaped main above
+    assert set(prep_codes + run_codes) <= {0, 2, 3}
+    assert prep_codes.count(0) > 20 and prep_codes.count(2) > 50
+    assert run_codes.count(0) > 10 and run_codes.count(2) > 40

@@ -7,7 +7,6 @@ from credit_stack.cv_stack import (
     FoldPlan,
     OofVector,
     append_meta,
-    load_plan,
     make_folds,
     predict_with_fold_models,
     save_plan,
@@ -24,6 +23,7 @@ from credit_stack.errors import (
 )
 from credit_stack.features import FeatureMatrix
 from credit_stack.gbdt import TrainConfig, importance, train
+from credit_stack.serialize import read_csv_rows
 
 
 def toy_data(n=120, seed=0, n_cols=4):
@@ -252,26 +252,7 @@ def test_plan_round_trip(tmp_path):
     bom = tmp_path / "bom_folds.csv"
     bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
     for source in (path, bom):
-        back = load_plan(source)
-        assert back.k == 4
-        np.testing.assert_array_equal(back.assignment, plan.assignment)
-
-
-def test_plan_loader_rejects_garbage(tmp_path):
-    bad_header = tmp_path / "a.csv"
-    bad_header.write_text("row,fold\n0,1\n", encoding="utf-8")
-    with pytest.raises(DataError):
-        load_plan(bad_header)
-
-    gap = tmp_path / "b.csv"
-    gap.write_text("row_index,fold\n0,0\n2,1\n", encoding="utf-8")
-    with pytest.raises(DataError):
-        load_plan(gap)
-
-    empty = tmp_path / "c.csv"
-    empty.write_text("row_index,fold\n", encoding="utf-8")
-    with pytest.raises(DataError):
-        load_plan(empty)
-
-    with pytest.raises(DataError):
-        load_plan(tmp_path / "missing.csv")
+        header, rows = read_csv_rows(source)
+        assert header == ["row_index", "fold"]
+        assert [int(i) for i, _ in rows] == list(range(plan.n_rows))
+        np.testing.assert_array_equal([int(f) for _, f in rows], plan.assignment)

