@@ -75,6 +75,8 @@ def make_folds(labels, k: int, seed) -> FoldPlan:
     y = np.asarray(labels, dtype=np.int64).ravel()
     if k < 2:
         raise ConfigError(f"k must be >= 2, got {k}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if not np.isin(y, (0, 1)).all():
         raise DataError("fold labels must be 0 or 1")
     pos = np.flatnonzero(y == 1)

@@ -382,7 +382,13 @@ def save_matrix(matrix: FeatureMatrix, path) -> None:
 
 
 def load_matrix(path) -> FeatureMatrix:
-    """Read a matrix written by :func:`save_matrix`."""
+    """Read a matrix written by :func:`save_matrix`.
+
+    A file that does not hold exactly such a container (wrong magic or
+    version, a length running past the end, a name or id that is not
+    UTF-8, a payload whose size disagrees with the header) raises
+    ``DataError`` naming the path.
+    """
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
@@ -394,23 +400,30 @@ def load_matrix(path) -> FeatureMatrix:
         raise DataError(f"{path}: unsupported container version {version}")
     offset = 16
 
-    def take_strings(count: int) -> list[str]:
+    def take_strings(count: int, what: str) -> list[str]:
         nonlocal offset
         out = []
-        for _ in range(count):
+        for i in range(count):
             if offset + 4 > len(blob):
                 raise DataError(f"{path}: truncated container")
             (size,) = struct.unpack_from("<I", blob, offset)
             offset += 4
-            out.append(blob[offset : offset + size].decode("utf-8"))
+            if offset + size > len(blob):
+                raise DataError(f"{path}: truncated container")
+            try:
+                out.append(blob[offset : offset + size].decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: {what} {i} is not UTF-8: {exc}") from None
             offset += size
         return out
 
-    names = take_strings(n_cols)
-    ids = np.asarray(take_strings(n_rows), dtype=object)
+    names = take_strings(n_cols, "column name")
+    ids = np.asarray(take_strings(n_rows, "customer id"), dtype=object)
     expect = n_rows * n_cols * 4
-    payload = blob[offset : offset + expect]
+    payload = blob[offset:]
     if len(payload) != expect:
-        raise DataError(f"{path}: payload truncated")
+        raise DataError(
+            f"{path}: payload holds {len(payload)} bytes, header says {expect}"
+        )
     values = np.frombuffer(payload, dtype="<f4").reshape(n_rows, n_cols).copy()
     return FeatureMatrix(ids, names, values)

@@ -102,6 +102,8 @@ class TrainConfig:
             )
         if not 2 <= self.max_bins <= 255:
             raise ConfigError(f"max_bins must be in 2..255, got {self.max_bins}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def goss_enabled(self) -> bool:

@@ -418,22 +418,26 @@ def _format_value(col: ColumnSchema, value) -> str:
 
 
 def write_csv(table: StatementTable, path) -> None:
-    """Write the table back out in the schema's column order."""
-    data_cols = []
+    """Write the table back out in the schema's column order.
+
+    Each column formats every distinct value once and then gathers the
+    texts per row.  Values are told apart by their bits (a float column
+    is viewed as unsigned integers), so ``-0.0``, ``0.0`` and each NaN
+    payload get their own text, and the bytes are the same as formatting
+    cell by cell.
+    """
+    texts = []
     for col in table.schema:
         if col.kind == "identifier":
-            data_cols.append(table.customer_ids)
-        else:
-            data_cols.append(table.columns[col.name])
+            texts.append(table.customer_ids.tolist())
+            continue
+        values = table.columns[col.name]
+        bits = values.view(f"u{values.itemsize}") if values.dtype.kind == "f" else values
+        _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+        distinct = np.array([_format_value(col, values[i]) for i in first], dtype=object)
+        texts.append(distinct[inverse].tolist())
 
-    def rows():
-        for i in range(table.n_rows):
-            row = []
-            for col, arr in zip(table.schema, data_cols):
-                row.append(arr[i] if col.kind == "identifier" else _format_value(col, arr[i]))
-            yield row
-
-    write_csv_rows(path, [c.name for c in table.schema], rows())
+    write_csv_rows(path, [c.name for c in table.schema], zip(*texts))
 
 
 def read_labels(path) -> dict[str, int]:

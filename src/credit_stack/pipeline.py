@@ -100,6 +100,8 @@ class PipelineConfig:
             seen.add(member.name)
         if self.folds < 2:
             raise ConfigError(f"folds must be >= 2, got {self.folds}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.holdout_fraction < 1.0:
             raise ConfigError(
                 f"holdout_fraction must lie in (0, 1), got {self.holdout_fraction}"

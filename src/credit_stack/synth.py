@@ -55,6 +55,8 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_customers < 10:
             raise ConfigError(f"n_customers must be >= 10, got {self.n_customers}")
         if not 0.0 <= self.frac_full <= 1.0:

@@ -3,14 +3,17 @@
 Everything here is written the slow, obvious way — explicit pairwise
 loops, direct textbook formulas, exhaustive enumeration, recursive tree
 walks — deliberately sharing no code with ``credit_stack`` so that a bug
-in the package cannot hide in its own test oracle.  Three exceptions
+in the package cannot hide in its own test oracle.  Four exceptions
 stand in for a package function in whole-run tests and so speak its
 types: ``build_matrix_by_customer`` replaces ``features.build_matrix``
 and reuses the package's window, column selection, encoding and matrix
 type; ``three_pass_composite_metric`` replaces ``metric.composite_metric``
 and returns its ``MetricReport`` and raises its error types;
 ``build_bins_by_quantile`` replaces ``gbdt.build_bins`` and returns its
-``BinMapper`` and raises its error types.
+``BinMapper`` and raises its error types; ``write_csv_by_cell`` replaces
+``ingest.write_csv`` and formats each cell with the package's
+``_format_value`` and writes through ``serialize.write_csv_rows``, so
+only the per-column deduplication is under test.
 """
 
 from __future__ import annotations
@@ -30,8 +33,9 @@ from credit_stack.errors import (
     SingleClassError,
 )
 from credit_stack.gbdt import BinMapper
-from credit_stack.ingest import LabeledTable
+from credit_stack.ingest import LabeledTable, _format_value
 from credit_stack.metric import MetricReport
+from credit_stack.serialize import write_csv_rows
 
 NEG_W = 20.0
 
@@ -479,3 +483,22 @@ def scan_best_split(binned, real_bins, g, h, rows, g_total, h_total, l2_lambda, 
             if miss_h == 0.0:
                 break  # no missing rows here: both directions identical
     return best
+
+
+def write_csv_by_cell(table, path):
+    """``ingest.write_csv`` by one ``_format_value`` call per cell."""
+    data_cols = []
+    for col in table.schema:
+        if col.kind == "identifier":
+            data_cols.append(table.customer_ids)
+        else:
+            data_cols.append(table.columns[col.name])
+
+    def rows():
+        for i in range(table.n_rows):
+            row = []
+            for col, arr in zip(table.schema, data_cols):
+                row.append(arr[i] if col.kind == "identifier" else _format_value(col, arr[i]))
+            yield row
+
+    write_csv_rows(path, [c.name for c in table.schema], rows())

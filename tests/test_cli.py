@@ -5,17 +5,18 @@ import csv
 import hashlib
 import io
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from credit_stack import features
+from credit_stack import features, ingest
 from credit_stack.blend import write_predictions
 from credit_stack.cli import main
 from credit_stack.features import load_matrix
 from credit_stack.ingest import load_schema, read_labels
 from credit_stack.pipeline import config_from_json
-from oracles import build_matrix_by_customer
+from oracles import build_matrix_by_customer, write_csv_by_cell
 
 
 def run(command, *argv):
@@ -296,6 +297,18 @@ def test_run_with_per_customer_aggregation_writes_the_same_files(work, tmp_path,
     assert (vectorised / "manifest.json").read_bytes() == (
         per_customer / "manifest.json"
     ).read_bytes()
+
+
+def test_synth_and_prep_with_the_per_cell_writer_write_the_same_bytes(work, tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "write_csv", write_csv_by_cell)
+    assert run("synth", "--config", str(work / "synth.json"),
+               "--out-data", str(tmp_path / "data.csv"),
+               "--out-labels", str(tmp_path / "labels.csv")) == 0
+    assert run("prep", "--input", str(work / "data.csv"), "--schema", str(work / "schema.json"),
+               "--out", str(tmp_path / "clean.csv")) == 0
+    # unrounded float64 statements, then rounded float32 ones
+    for name in ("data.csv", "clean.csv"):
+        assert (tmp_path / name).read_bytes() == (work / name).read_bytes(), name
 
 
 def test_prep_reads_a_utf8_bom_statement_file_like_the_plain_file(work, tmp_path):
@@ -654,3 +667,107 @@ def test_schema_and_run_config_fuzz_exit_with_a_documented_code(work, tmp_path):
     assert set(prep_codes + run_codes) <= {0, 2, 3}
     assert prep_codes.count(0) > 20 and prep_codes.count(2) > 50
     assert run_codes.count(0) > 10 and run_codes.count(2) > 40
+
+
+def test_negative_seeds_are_configuration_errors(work, tmp_path, capsys):
+    assert run("synth", "--config", str(work / "synth.json"), "--seed", "-1",
+               "--out-data", str(tmp_path / "data.csv"),
+               "--out-labels", str(tmp_path / "labels.csv")) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "data.csv").exists()
+
+    cfg = pipeline_config(work, tmp_path / "run.json", tmp_path / "run", THREE_MEMBERS[:1])
+    assert run("run", "--config", str(cfg), "--seed", "-1") == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    member = dict(THREE_MEMBERS[0], train={"rounds": 1, "max_leaves": 2, "seed": -1})
+    cfg = pipeline_config(work, tmp_path / "member.json", tmp_path / "run", [member])
+    assert run("run", "--config", str(cfg)) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+    for command, flags in (
+        ("train", ["--config", str(work / "train.json"), "--model-out", str(tmp_path / "m.json")]),
+        ("stack", ["--base-config", str(work / "train.json"), "--meta-config",
+                   str(work / "train.json"), "--out", str(tmp_path / "stack")]),
+    ):
+        assert run(command, "--features", str(work / "matrix.bin"), "--labels",
+                   str(work / "labels.csv"), "--seed", "-1", *flags) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+def _container_spans(blob):
+    """(offset, length) of every name and id string, and where the payload starts."""
+    n_rows, n_cols = struct.unpack_from("<II", blob, 8)
+    spans, offset = [], 16
+    for _ in range(n_cols + n_rows):
+        (size,) = struct.unpack_from("<I", blob, offset)
+        spans.append((offset, size))
+        offset += 4 + size
+    return spans, offset
+
+
+def test_train_on_a_matrix_with_a_non_utf8_name_or_id_exits_3(work, tmp_path, capsys):
+    blob = (work / "matrix.bin").read_bytes()
+    spans, _ = _container_spans(blob)
+    n_cols = struct.unpack_from("<I", blob, 12)[0]
+    for what, (at, _) in (("column name 0", spans[0]), ("customer id 0", spans[n_cols])):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(blob[: at + 4] + b"\xff" + blob[at + 5 :])
+        assert run("train", "--features", str(bad), "--labels", str(work / "labels.csv"),
+                   "--config", str(work / "train.json"),
+                   "--model-out", str(tmp_path / "m.json")) == 3
+        err = capsys.readouterr().err
+        assert f"{bad}: {what} is not UTF-8" in err and "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()
+
+
+# float32 cells a damaged payload may hold
+ODD_FLOATS = np.array(
+    [np.nan, np.inf, -np.inf, 3.4028235e38, -3.4028235e38, 1e-45, -0.0], dtype="<f4"
+).tobytes() + np.array([0x7FC00001, 0xFFFFFFFF], dtype="<u4").tobytes()
+
+
+def _damaged_container(rng, blob):
+    """One matrix container with seeded damage, as bytes."""
+    spans, payload_at = _container_spans(blob)
+    n_rows = struct.unpack_from("<I", blob, 8)[0]
+    data = bytearray(blob)
+    damage = int(rng.integers(6))
+    if damage == 0:  # cut short
+        del data[int(rng.integers(len(data))):]
+    elif damage == 1:  # magic, version, row count or column count replaced
+        value = int(rng.choice([0, 1, 2, n_rows - 1, n_rows + 1, 2**31, 2**32 - 1]))
+        struct.pack_into("<I", data, 4 * int(rng.integers(4)), value)
+    elif damage == 2:  # a string's length prefix replaced
+        at, size = spans[int(rng.integers(len(spans)))]
+        struct.pack_into("<I", data, at, int(rng.choice([0, size - 1, size + 1, 2**32 - 1])))
+    elif damage == 3:  # a bad byte inside a name or an id
+        at, size = spans[int(rng.integers(len(spans)))]
+        data[at + 4 + int(rng.integers(size))] = int(rng.choice([0x00, 0x2C, 0x80, 0xC3, 0xFF]))
+    elif damage == 4:  # payload cells overwritten with NaN payloads, infinities, extremes
+        for _ in range(int(rng.integers(1, 20))):
+            cell = payload_at + 4 * int(rng.integers((len(data) - payload_at) // 4))
+            odd = 4 * int(rng.integers(len(ODD_FLOATS) // 4))
+            data[cell : cell + 4] = ODD_FLOATS[odd : odd + 4]
+    else:  # stray bytes at the end
+        data += bytes(rng.integers(0, 256, size=int(rng.integers(1, 9)), dtype=np.uint8))
+    return bytes(data)
+
+
+def test_train_fuzz_over_damaged_matrix_containers_exits_0_or_3(work, tmp_path, capsys):
+    blob = (work / "matrix.bin").read_bytes()
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"rounds": 2, "max_leaves": 3}), encoding="utf-8")
+    rng = np.random.default_rng(23)
+    codes = []
+    for case in range(60):
+        bad = tmp_path / f"matrix_{case}.bin"
+        bad.write_bytes(_damaged_container(rng, blob))
+        codes.append(run("train", "--features", str(bad), "--labels", str(work / "labels.csv"),
+                         "--config", str(config),
+                         "--model-out", str(tmp_path / f"model_{case}.json")))
+    # anything but a CreditStackError would have escaped main above
+    assert "Traceback" not in capsys.readouterr().err
+    assert set(codes) <= {0, 3}
+    assert codes.count(0) >= 10 and codes.count(3) >= 30, codes

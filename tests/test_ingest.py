@@ -18,6 +18,7 @@ from credit_stack.errors import (
 from credit_stack.ingest import (
     MISSING_CODE,
     ColumnSchema,
+    StatementTable,
     align_labels,
     compact_types,
     denoise_round,
@@ -30,6 +31,7 @@ from credit_stack.ingest import (
     write_csv,
     write_labels,
 )
+from oracles import write_csv_by_cell
 
 SCHEMA = [
     ColumnSchema("customer_id", "identifier"),
@@ -290,6 +292,83 @@ def test_csv_round_trip_is_lossless(tmp_path):
     out2 = tmp_path / "round2.csv"
     write_csv(back, out2)
     assert out.read_bytes() == out2.read_bytes()
+
+
+# ids the csv module has to quote or that only survive as UTF-8
+AWKWARD_IDS = ["A", "B,1", 'say "hi"', "two\nlines", " lead", "tr\u00e9s", "\u5ba2\u6237", "x\r"]
+
+
+def _float_pool(dtype):
+    """Values whose text must stay apart: both zeros, NaN payloads, subnormals, extremes."""
+    info = np.finfo(dtype)
+    uint = np.dtype(f"u{np.dtype(dtype).itemsize}")
+    nan_bits = (
+        [0x7FC00000, 0xFFC00000, 0x7FC00001, 0x7F800001, 0xFFFFFFFF]
+        if uint.itemsize == 4
+        else [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001]
+    )
+    nans = np.array(nan_bits, dtype=uint).view(dtype)
+    plain = np.array(
+        [0.0, -0.0, 0.01, -0.01, 0.1, 1.5, -2.25, 1e-7, 123456.78,
+         info.smallest_subnormal, -info.smallest_subnormal, info.smallest_subnormal * 3,
+         info.tiny, info.max, -info.max],
+        dtype=dtype,
+    )
+    return np.concatenate([nans, plain])
+
+
+def _random_table(rng, n_rows):
+    schema = [ColumnSchema("customer_id", "identifier")]
+    columns = {}
+    if rng.random() < 0.7:
+        schema.append(ColumnSchema("statement_date", "date"))
+        columns["statement_date"] = rng.choice(
+            np.array([-1, 1, 736_389, 736_420, 3_652_059]), size=n_rows
+        ).astype(np.int64)
+    for c in range(int(rng.integers(1, 4))):
+        dtype = np.float32 if rng.random() < 0.7 else np.float64
+        pool = _float_pool(dtype)
+        if rng.random() < 0.5:  # grid-rounded values repeat a lot
+            pool = np.concatenate([pool, np.round(rng.normal(size=6), 2).astype(dtype)])
+        values = rng.choice(pool, size=2 * n_rows)
+        fresh = rng.random(2 * n_rows) < 0.3
+        values[fresh] = rng.normal(size=int(fresh.sum())).astype(dtype)
+        schema.append(ColumnSchema(f"cont_{c}", "continuous", np.dtype(dtype).name))
+        columns[f"cont_{c}"] = values[::2]  # a strided view, as a column slice would be
+    for c in range(int(rng.integers(0, 3))):
+        storage = str(rng.choice(["int8", "int16", "int64"]))
+        top = np.iinfo(storage).max
+        codes = rng.choice(np.array([-1, 0, 1, 2, 7, top]), size=n_rows).astype(storage)
+        schema.append(ColumnSchema(f"cat_{c}", "categorical", storage))
+        columns[f"cat_{c}"] = codes
+    ids = np.array(rng.choice(AWKWARD_IDS, size=n_rows).tolist(), dtype=object)
+    index = np.arange(1, n_rows + 1, dtype=np.int32)
+    return StatementTable(schema, ids, index, columns)
+
+
+def test_write_csv_matches_per_cell_oracle_byte_for_byte(tmp_path):
+    rng = np.random.default_rng(2026)
+    counts = {"empty": 0, "one": 0, "neg_zero": 0, "nan_payload": 0, "subnormal": 0}
+    for case in range(300):
+        n_rows = [0, 1, 1, 2, int(rng.integers(3, 60))][case % 5]
+        table = _random_table(rng, n_rows)
+        got, want = tmp_path / f"new_{case}.csv", tmp_path / f"old_{case}.csv"
+        write_csv(table, got)
+        write_csv_by_cell(table, want)
+        assert got.read_bytes() == want.read_bytes(), case
+
+        counts["empty"] += n_rows == 0
+        counts["one"] += n_rows == 1
+        for values in table.columns.values():
+            if values.dtype.kind != "f":
+                continue
+            bits = values.view(f"u{values.itemsize}")
+            counts["neg_zero"] += bool(((values == 0) & np.signbit(values)).any())
+            quiet = np.array(np.nan, dtype=values.dtype).view(bits.dtype)
+            counts["nan_payload"] += bool((np.isnan(values) & (bits != quiet)).any())
+            tiny = np.finfo(values.dtype).tiny
+            counts["subnormal"] += bool(((values != 0) & (np.abs(values) < tiny)).any())
+    assert min(counts.values()) >= 20, counts
 
 
 def test_labels_round_trip(tmp_path):
