@@ -14,7 +14,7 @@ from .cv_stack import FoldPlan, make_folds, train_oof
 from .errors import ConfigError, CreditStackError, DataError, TrainError
 from .features import AggregationSpec, FeatureMatrix, build_matrix
 from .gbdt import BoostedModel, TrainConfig, predict, train
-from .ingest import ColumnSchema, LabeledTable, StatementTable, parse_csv
+from .ingest import ColumnSchema, StatementTable, parse_csv
 from .metric import MetricReport, composite_metric
 from .pipeline import PipelineConfig, run_pipeline
 from .synth import SynthConfig, generate
@@ -30,7 +30,6 @@ __all__ = [
     "EnsembleSpec",
     "FeatureMatrix",
     "FoldPlan",
-    "LabeledTable",
     "MetricReport",
     "PipelineConfig",
     "StatementTable",

@@ -148,11 +148,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_prep(args) -> int:
     schema = ingest.load_schema(args.schema)
-    table = ingest.parse_csv(args.input, schema)
-    # rounding first: ties need the parsed precision, not float32 storage
-    table = ingest.denoise_round(table, args.precision)
-    table = ingest.compact_types(table, schema)
-    table, masked = ingest.mask_outliers(table, table.schema)
+    table, masked = ingest.clean(ingest.parse_csv(args.input, schema), args.precision)
     for column, count in masked.items():
         if count:
             log.info("masked %d outlier cells in %s", count, column)
@@ -178,13 +174,11 @@ def _cmd_features(args) -> int:
         spec = dataclasses.replace(spec, **overrides)
 
     vocab = None
-    fit = True
     if args.vocab and Path(args.vocab).exists():
         vocab = features_mod.load_vocabulary(args.vocab)
-        fit = False
-    matrix, _, vocab = features_mod.build_matrix(table, spec, vocab=vocab, fit_vocab=fit)
-    if args.vocab and fit and vocab is not None:
-        write_json(args.vocab, vocab)
+    matrix, used = features_mod.build_matrix(table, spec, vocab=vocab)
+    if args.vocab and vocab is None and used is not None:
+        write_json(args.vocab, used)
     features_mod.save_matrix(matrix, args.out)
     log.info("built %dx%d matrix into %s", matrix.n_rows, matrix.n_cols, args.out)
     return 0
@@ -220,7 +214,7 @@ def _cmd_stack(args) -> int:
     write_predictions(matrix.customer_ids, result.oof.prediction,
                                 out / "oof.csv")
 
-    augmented = cv_stack.append_meta(matrix, [result.oof])
+    augmented = cv_stack.append_meta(matrix, [result.oof.prediction])
     meta_model = cv_stack.train_meta(augmented, y, plan, meta_cfg)
     gbdt.save_model(meta_model, out / "meta.model.json")
     log.info("stacked into %s (base OOF M on train rows is in oof.csv)", out)

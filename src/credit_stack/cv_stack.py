@@ -39,7 +39,6 @@ class FoldPlan:
 
     k: int
     assignment: np.ndarray
-    seed: int | None = None
 
     @property
     def n_rows(self) -> int:
@@ -94,7 +93,7 @@ def make_folds(labels, k: int, seed) -> FoldPlan:
         shuffled = rng.permutation(idx)
         assignment[shuffled] = (pointer + np.arange(shuffled.size)) % k
         pointer = (pointer + shuffled.size) % k
-    return FoldPlan(k=k, assignment=assignment, seed=seed if isinstance(seed, int) else None)
+    return FoldPlan(k=k, assignment=assignment)
 
 
 def _check_plan(plan: FoldPlan, n_rows: int) -> None:
@@ -151,14 +150,13 @@ def predict_with_fold_models(models, matrix: FeatureMatrix) -> np.ndarray:
     return total / len(models)
 
 
-def append_meta(matrix: FeatureMatrix, oof_columns) -> FeatureMatrix:
-    """Append OOF vectors as `meta_<k>` columns (numbered past any present)."""
+def append_meta(matrix: FeatureMatrix, predictions) -> FeatureMatrix:
+    """Append prediction arrays as `meta_<k>` columns (numbered past any present)."""
     start = sum(1 for name in matrix.column_names if name.startswith("meta_"))
     names = list(matrix.column_names)
     blocks = [matrix.values]
-    for j, column in enumerate(oof_columns):
-        pred = column.prediction if isinstance(column, OofVector) else np.asarray(column)
-        pred = np.asarray(pred, dtype=np.float64).ravel()
+    for j, column in enumerate(predictions):
+        pred = np.asarray(column, dtype=np.float64).ravel()
         if pred.size != matrix.n_rows:
             raise LengthMismatchError(
                 f"meta column {j} has {pred.size} rows, matrix has {matrix.n_rows}"

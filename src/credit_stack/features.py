@@ -38,7 +38,7 @@ from .errors import (
     EmptySpecError,
     VocabularyMissingError,
 )
-from .ingest import MISSING_CODE, LabeledTable, StatementTable
+from .ingest import MISSING_CODE, StatementTable
 from .serialize import ensure_parent, load_config_doc, read_json_doc
 
 CONTINUOUS_STATS = ("mean", "std", "min", "max", "last", "median")
@@ -83,7 +83,12 @@ def spec_from_json(source) -> AggregationSpec:
 
 @dataclass
 class FeatureMatrix:
-    """One engineered row per customer, dense float32, NaN = missing."""
+    """One engineered row per customer, dense float32, NaN = missing.
+
+    A cell of ``+-inf`` is a ``DataError`` naming its column: no
+    statistic of finite statements is infinite unless it overflowed
+    float32, and the tree learner cannot bin it.
+    """
 
     customer_ids: np.ndarray
     column_names: list[str]
@@ -99,6 +104,13 @@ class FeatureMatrix:
             )
         if len(set(self.column_names)) != len(self.column_names):
             raise DataError("duplicate engineered column names")
+        infinite = np.isinf(self.values)
+        if infinite.any():
+            row, col = np.argwhere(infinite)[0]
+            raise DataError(
+                f"feature column {self.column_names[col]!r} is infinite for customer "
+                f"{str(self.customer_ids[row])!r}"
+            )
 
     @property
     def n_rows(self) -> int:
@@ -272,24 +284,20 @@ def _categorical_stats(column: np.ndarray, owner: np.ndarray, n: int):
     return count, last, first_seen.sum(axis=1)
 
 
-def build_matrix(data, spec: AggregationSpec, *, vocab: dict | None = None,
-                 fit_vocab: bool = True):
+def build_matrix(table: StatementTable, spec: AggregationSpec, vocab: dict | None = None):
     """Collapse a statement table into one engineered row per customer.
 
-    ``data`` may carry labels (LabeledTable) or not (StatementTable, the
-    scoring path); each customer's rows must be contiguous.  Column
-    order is fixed: per continuous raw column in schema order, the
-    selected stats in spec order then the lag column; per categorical
-    raw column, the selected stats; finally the encoded columns.
-    Returns (matrix, labels-or-None, vocabulary-or-None); the vocabulary
-    is fitted here when one-hot encoding is requested without one (and
-    ``fit_vocab`` allows it).  A spec that leaves no engineered column
-    raises EmptySpecError.
+    Each customer's rows must be contiguous; the matrix rows follow
+    ``table.customers()``, the order ``ingest.join_labels`` gives the
+    labels in.  Column order is fixed: per continuous raw column in
+    schema order, the selected stats in spec order then the lag column;
+    per categorical raw column, the selected stats; finally the encoded
+    columns.  Returns (matrix, vocabulary-or-None); one-hot encoding
+    without a ``vocab`` fits one here, so a holdout or scoring table
+    must be given the vocabulary fitted on its training table.  A spec
+    that leaves no engineered column raises EmptySpecError, and a
+    statistic past float32 range raises DataError.
     """
-    if isinstance(data, LabeledTable):
-        table, labels = data.table, data.target
-    else:
-        table, labels = data, None
     if table.n_rows == 0:
         raise EmptyMatrixError("statement table has no rows")
     customers = table.customers()
@@ -322,7 +330,9 @@ def build_matrix(data, spec: AggregationSpec, *, vocab: dict | None = None,
             # subtract at storage precision so the emitted lag column
             # equals the emitted last/mean columns' difference exactly
             names.append(f"{raw}_lag")
-            cols.append(stats["last"].astype(np.float32) - stats["mean"].astype(np.float32))
+            with np.errstate(over="ignore"):  # FeatureMatrix names an infinite column
+                lag = stats["last"].astype(np.float32) - stats["mean"].astype(np.float32)
+            cols.append(lag)
     last_codes = {}
     for raw in cat:
         count, last, nunique = _categorical_stats(table.columns[raw], owner, n)
@@ -336,21 +346,19 @@ def build_matrix(data, spec: AggregationSpec, *, vocab: dict | None = None,
         last_codes[raw] = last
 
     if spec.encode is not None and cat:
-        used = vocab
-        if spec.encode == "one-hot" and used is None and fit_vocab:
-            used = fit_vocabulary(last_codes)
-        enc_names, enc_cols, used = encode_categorical(last_codes, spec.encode, used)
+        if spec.encode == "one-hot" and vocab is None:
+            vocab = fit_vocabulary(last_codes)
+        enc_names, enc_cols, vocab = encode_categorical(last_codes, spec.encode, vocab)
         names.extend(enc_names)
         cols.extend(enc_cols)
-        vocab = used
 
     if not names:
         raise EmptySpecError(
             f"aggregation spec yields no engineered columns from {cont + cat}"
         )
-    values = np.column_stack(cols).astype(np.float32)
-    matrix = FeatureMatrix(customers, names, values)
-    return matrix, labels, vocab
+    with np.errstate(over="ignore"):  # FeatureMatrix names an infinite column
+        values = np.column_stack(cols).astype(np.float32)
+    return FeatureMatrix(customers, names, values), vocab
 
 
 # ---------------------------------------------------------------------------

@@ -105,10 +105,6 @@ class TrainConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
-    @property
-    def goss_enabled(self) -> bool:
-        return self.goss_a < 1.0
-
 
 def config_from_json(source) -> TrainConfig:
     """Load a TrainConfig from a JSON file path or a parsed dict."""
@@ -497,14 +493,11 @@ def train(matrix: FeatureMatrix, labels, config: TrainConfig) -> BoostedModel:
     records: list = []
     for _ in range(config.rounds):
         g, h = logistic_grad_hess(y, scores)
-        if config.goss_enabled:
-            rows, mult = goss_sample(g, config.goss_a, config.goss_b, rng)
-            gw, hw = g * 0.0, h * 0.0  # weighted copies, zero off-sample
-            gw[rows] = g[rows] * mult
-            hw[rows] = h[rows] * mult
-        else:
-            rows = np.arange(y.size, dtype=np.int64)
-            gw, hw = g, h
+        # goss_a = 1 keeps every row with multiplier 1
+        rows, mult = goss_sample(g, config.goss_a, config.goss_b, rng)
+        gw, hw = g * 0.0, h * 0.0  # weighted copies, zero off-sample
+        gw[rows] = g[rows] * mult
+        hw[rows] = h[rows] * mult
 
         grower = _TreeGrower(binned, mapper, layout, gw, hw, config)
         nodes = grower.grow(rows)

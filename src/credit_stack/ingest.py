@@ -1,10 +1,11 @@
 """Statement-level CSV ingestion and cleaning.
 
 Raw input is one CSV row per (customer, monthly statement).  The module
-parses it against an explicit column schema, compacts storage widths,
-strips injected noise by rounding, masks configured outlier ranges to
-missing, and joins per-customer labels.  All steps are deterministic:
-the same file and schema always produce a bit-identical table.
+parses it against an explicit column schema, cleans it (``clean``:
+strip injected noise by rounding, compact storage widths, mask
+configured outlier ranges to missing), and aligns per-customer labels
+with the table's customers.  All steps are deterministic: the same
+file and schema always produce a bit-identical table.
 
 Missing markers: quiet NaN for continuous cells, code -1 for
 categorical cells, ordinal -1 for dates.
@@ -89,14 +90,6 @@ class StatementTable:
         keep[0] = True
         keep[1:] = ids[1:] != ids[:-1]
         return np.flatnonzero(keep)
-
-
-@dataclass
-class LabeledTable:
-    """A statement table paired with one binary label per customer."""
-
-    table: StatementTable
-    target: np.ndarray  # aligned with table.customers()
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +279,7 @@ def parse_csv(path, schema: list[ColumnSchema]) -> StatementTable:
 # cleaning
 
 
-def compact_types(table: StatementTable, schema: list[ColumnSchema]) -> StatementTable:
+def compact_types(table: StatementTable) -> StatementTable:
     """Narrow column storage: float32 values, int8/int16 codes.
 
     Categorical columns get the narrowest signed integer width that
@@ -297,7 +290,7 @@ def compact_types(table: StatementTable, schema: list[ColumnSchema]) -> Statemen
     """
     new_schema: list[ColumnSchema] = []
     columns = dict(table.columns)
-    for col in schema:
+    for col in table.schema:
         if col.kind == "continuous":
             values = columns[col.name]
             with np.errstate(over="ignore"):  # reported below
@@ -349,9 +342,7 @@ def denoise_round(table: StatementTable, precision: float = 0.01) -> StatementTa
     return StatementTable(table.schema, table.customer_ids, table.statement_index, columns)
 
 
-def mask_outliers(
-    table: StatementTable, schema: list[ColumnSchema]
-) -> tuple[StatementTable, dict[str, int]]:
+def mask_outliers(table: StatementTable) -> tuple[StatementTable, dict[str, int]]:
     """Blank continuous cells outside their column's inclusive valid range.
 
     Returns the masked table and a per-column count of cells blanked.
@@ -359,7 +350,7 @@ def mask_outliers(
     """
     columns = dict(table.columns)
     masked: dict[str, int] = {}
-    for col in schema:
+    for col in table.schema:
         if col.kind != "continuous" or col.valid_range is None:
             continue
         low, high = col.valid_range
@@ -369,6 +360,20 @@ def mask_outliers(
         values[bad] = np.nan
         columns[col.name] = values
     return StatementTable(table.schema, table.customer_ids, table.statement_index, columns), masked
+
+
+def clean(table: StatementTable, precision: float) -> tuple[StatementTable, dict[str, int]]:
+    """Denoise, then compact, then mask: the one cleaning sequence.
+
+    Rounding comes first because a tie needs the full parsed precision;
+    a float32 value can sit a hair below the tie point.  Masking comes
+    last, so each valid range is checked against the float32 value that
+    is stored and written.  Returns the cleaned table and the per-column
+    count of cells masked.
+    """
+    table = denoise_round(table, precision)
+    table = compact_types(table)
+    return mask_outliers(table)
 
 
 def align_labels(customer_ids, labels: Mapping[str, int]) -> np.ndarray:
@@ -388,18 +393,19 @@ def align_labels(customer_ids, labels: Mapping[str, int]) -> np.ndarray:
     return target
 
 
-def join_labels(table: StatementTable, labels: Mapping[str, int]) -> LabeledTable:
-    """Pair every customer in the table with its binary label.
+def join_labels(table: StatementTable, labels: Mapping[str, int]) -> np.ndarray:
+    """int8 label of every customer, in ``table.customers()`` order.
 
-    A customer without a label is an error; labels for unknown customers
-    are ignored (their count is logged).
+    This is the order of the rows ``features.build_matrix`` makes from
+    the table.  A customer without a label is an error; labels for
+    unknown customers are ignored (their count is logged).
     """
     customers = table.customers()
     target = align_labels(customers, labels)
     extras = len(labels) - customers.size
     if extras > 0:
         log.warning("ignoring %d labels for customers absent from the table", extras)
-    return LabeledTable(table, target)
+    return target
 
 
 # ---------------------------------------------------------------------------

@@ -215,15 +215,10 @@ def run_pipeline(config: PipelineConfig) -> Path:
 
     with _stage("prep"):
         schema = ingest.load_schema(config.schema)
-        table = ingest.parse_csv(config.data, schema)
-        # denoise before narrowing storage: rounding ties need the full
-        # parsed precision (float32 can sit a hair below the tie point)
-        table = ingest.denoise_round(table, config.precision)
-        table = ingest.compact_types(table, schema)
-        table, masked = ingest.mask_outliers(table, table.schema)
+        table, masked = ingest.clean(ingest.parse_csv(config.data, schema), config.precision)
         if masked:
             log.info("masked outlier cells: %s", masked)
-        labeled = ingest.join_labels(table, ingest.read_labels(config.labels))
+        y = ingest.join_labels(table, ingest.read_labels(config.labels))
         clean_dir = out / "clean"
         clean_dir.mkdir(exist_ok=True)
         ingest.write_csv(table, emit(clean_dir / "clean.csv"))
@@ -231,16 +226,12 @@ def run_pipeline(config: PipelineConfig) -> Path:
 
     with _stage("split"):
         customers = table.customers()
-        holdout_mask = _holdout_split(
-            labeled.target, config.holdout_fraction, config.seed
-        )
+        holdout_mask = _holdout_split(y, config.holdout_fraction, config.seed)
         _write_split(emit(out / "split.csv"), customers, holdout_mask)
         train_table = _subset_rows(table, ~holdout_mask)
         hold_table = _subset_rows(table, holdout_mask)
-        y_train = labeled.target[~holdout_mask]
-        y_hold = labeled.target[holdout_mask]
-        train_labeled = ingest.LabeledTable(train_table, y_train)
-        hold_labeled = ingest.LabeledTable(hold_table, y_hold)
+        y_train = y[~holdout_mask]
+        y_hold = y[holdout_mask]
 
     with _stage("folds"):
         plan = cv_stack.make_folds(y_train, config.folds, config.seed + 1)
@@ -254,10 +245,9 @@ def run_pipeline(config: PipelineConfig) -> Path:
             mdir = out / "members" / member.name
             mdir.mkdir(parents=True, exist_ok=True)
 
-            matrix, _, vocab = features_mod.build_matrix(train_labeled, member.features)
-            hold_matrix, _, _ = features_mod.build_matrix(
-                hold_labeled, member.features, vocab=vocab,
-                fit_vocab=member.features.encode != "one-hot",
+            matrix, vocab = features_mod.build_matrix(train_table, member.features)
+            hold_matrix, _ = features_mod.build_matrix(
+                hold_table, member.features, vocab=vocab
             )
             if vocab is not None:
                 write_json(emit(mdir / "vocab.json"), vocab)

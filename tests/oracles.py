@@ -33,7 +33,7 @@ from credit_stack.errors import (
     SingleClassError,
 )
 from credit_stack.gbdt import BinMapper
-from credit_stack.ingest import LabeledTable, _format_value
+from credit_stack.ingest import _format_value
 from credit_stack.metric import MetricReport
 from credit_stack.serialize import write_csv_rows
 
@@ -266,17 +266,13 @@ def aggregate_categorical(series, missing_code=-1) -> dict:
     }
 
 
-def build_matrix_by_customer(data, spec, *, vocab=None, fit_vocab=True):
+def build_matrix_by_customer(table, spec, vocab=None):
     """``features.build_matrix`` computed one customer and one column at a time.
 
     Calls the two helpers above once per customer x raw column and
     otherwise follows the package (window, column order, encoding), so
     its matrix must equal the package's byte for byte.
     """
-    if isinstance(data, LabeledTable):
-        table, labels = data.table, data.target
-    else:
-        table, labels = data, None
     if spec.recent_window is not None:
         table = features.select_recent_window(table, spec.recent_window)
     cont, cat = features._feature_columns(table, spec)
@@ -313,16 +309,14 @@ def build_matrix_by_customer(data, spec, *, vocab=None, fit_vocab=True):
 
     blocks = [base]
     if spec.encode is not None and cat:
-        used = vocab
-        if spec.encode == "one-hot" and used is None and fit_vocab:
-            used = features.fit_vocabulary(last_codes)
-        enc_names, enc_cols, used = features.encode_categorical(last_codes, spec.encode, used)
+        if spec.encode == "one-hot" and vocab is None:
+            vocab = features.fit_vocabulary(last_codes)
+        enc_names, enc_cols, vocab = features.encode_categorical(last_codes, spec.encode, vocab)
         names.extend(enc_names)
         if enc_cols:
             blocks.append(np.column_stack(enc_cols))
-        vocab = used
     values = np.concatenate(blocks, axis=1).astype(np.float32)
-    return features.FeatureMatrix(customers, names, values), labels, vocab
+    return features.FeatureMatrix(customers, names, values), vocab
 
 
 def ulp32_close(a, b):

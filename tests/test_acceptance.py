@@ -26,16 +26,10 @@ from credit_stack.cv_stack import (
 from credit_stack.blend import blend, optimize_weights
 from credit_stack.features import AggregationSpec, FeatureMatrix, build_matrix
 from credit_stack.gbdt import TrainConfig, goss_sample, importance, predict, train
-from credit_stack.ingest import (
-    ColumnSchema,
-    StatementTable,
-    compact_types,
-    denoise_round,
-    mask_outliers,
-)
+from credit_stack.ingest import ColumnSchema, StatementTable, clean
 from credit_stack.metric import composite_metric, weighted_auc
 from credit_stack.report import build_importance_report
-from credit_stack.synth import GRID, SynthConfig, generate, synth_schema
+from credit_stack.synth import GRID, SynthConfig, generate
 from oracles import (
     capture_at_fraction,
     direct_categorical_stats,
@@ -59,12 +53,9 @@ def note(num, ok, detail):
 
 def synth_features(cfg, spec=None):
     table, labels = generate(cfg)
-    schema = synth_schema(cfg)
-    table = denoise_round(table, GRID)
-    table = compact_types(table, schema)
-    table, _ = mask_outliers(table, schema)
+    table, _ = clean(table, GRID)
     spec = spec or AggregationSpec(encode="ordinal")
-    matrix, _, _ = build_matrix(table, spec, fit_vocab=True)
+    matrix, _ = build_matrix(table, spec)
     y = np.array([labels[c] for c in matrix.customer_ids], dtype=np.int8)
     return matrix, y
 
@@ -190,7 +181,7 @@ def test_criterion_04_aggregation_matches_direct_formulas():
             "c": np.concatenate(codes).astype(np.int64),
         },
     )
-    matrix, _, _ = build_matrix(table, AggregationSpec(), fit_vocab=True)
+    matrix, _ = build_matrix(table, AggregationSpec())
     assert matrix.n_rows == n_series
 
     cols = {name: matrix.column(name) for name in matrix.column_names}
@@ -314,13 +305,10 @@ def test_criterion_08_stacking_does_not_degrade():
     for seed in range(5):
         cfg = SynthConfig(n_customers=20000, neg_keep_rate=0.3, seed=100 + seed)
         table, labels = generate(cfg)
-        schema = synth_schema(cfg)
-        table = denoise_round(table, GRID)
-        table = compact_types(table, schema)
-        table, _ = mask_outliers(table, schema)
+        table, _ = clean(table, GRID)
         mats = {}
         for name, spec in (("wide", wide_spec), ("recent", recent_spec), ("thin", thin_spec)):
-            m, _, _ = build_matrix(table, spec, fit_vocab=True)
+            m, _ = build_matrix(table, spec)
             mats[name] = m
         y = np.array([labels[c] for c in mats["wide"].customer_ids], dtype=np.int8)
         hold = holdout_mask(y, 0.2, seed=seed)
@@ -332,7 +320,7 @@ def test_criterion_08_stacking_does_not_degrade():
             res = train_oof(sub(mats[name], tr), y[tr], plan, base_cfg)
             hp = predict_with_fold_models(res.models, sub(mats[name], ho))
             base_m[name] = composite_metric(y[ho], hp).M
-            oofs.append(res.oof)
+            oofs.append(res.oof.prediction)
             hold_preds.append(hp)
         aug_tr = append_meta(sub(mats["thin"], tr), oofs)
         meta_model = train_meta(

@@ -598,6 +598,45 @@ def test_prep_fuzz_over_damaged_statement_files_exits_with_a_documented_code(wor
     assert codes.count(0) > 20 and codes.count(3) > 10
 
 
+def test_features_fuzz_over_damaged_cleaned_files_exits_with_a_documented_code(
+    work, tmp_path, capsys
+):
+    header, *rows = csv.reader(io.StringIO((work / "clean.csv").read_text(encoding="utf-8")))
+    sidecar = (work / "clean.csv.schema.json").read_bytes()
+    rng = np.random.default_rng(31)
+    codes = []
+    for case in range(80):
+        start = int(rng.integers(len(rows) - 40))
+        data = tmp_path / f"clean_{case}.csv"
+        data.write_bytes(_fuzzed_csv(rng, header, rows[start:start + 40]))
+        (tmp_path / f"clean_{case}.csv.schema.json").write_bytes(sidecar)
+        codes.append(run("features", "--input", str(data), "--spec", str(work / "spec.json"),
+                         "--out", str(tmp_path / f"matrix_{case}.bin")))
+    # anything but a CreditStackError would have escaped main above
+    assert "Traceback" not in capsys.readouterr().err
+    assert set(codes) <= {0, 2, 3}
+    assert codes.count(0) > 20 and codes.count(3) > 10
+
+
+def test_run_fuzz_over_damaged_statement_files_exits_with_a_documented_code(
+    work, tmp_path, capsys
+):
+    header, *rows = csv.reader(io.StringIO((work / "data.csv").read_text(encoding="utf-8")))
+    rng = np.random.default_rng(37)
+    codes = []
+    for case in range(30):
+        data = tmp_path / f"data_{case}.csv"
+        data.write_bytes(_fuzzed_csv(rng, header, rows))
+        doc = dict(_fuzz_pipeline(work, tmp_path / f"run_{case}"), data=str(data))
+        config = tmp_path / f"pipe_{case}.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        codes.append(run("run", "--config", str(config)))
+    # anything but a CreditStackError would have escaped main above
+    assert "Traceback" not in capsys.readouterr().err
+    assert set(codes) <= {0, 2, 3}
+    assert codes.count(0) > 10 and codes.count(3) > 5
+
+
 def _fuzz_pipeline(work, out_dir):
     """A two-member pipeline config over the module's data, quick to run."""
     return {
@@ -755,19 +794,66 @@ def _damaged_container(rng, blob):
     return bytes(data)
 
 
+def test_train_on_a_matrix_with_an_infinite_cell_exits_3(work, tmp_path, capsys):
+    blob = (work / "matrix.bin").read_bytes()
+    _, payload_at = _container_spans(blob)
+    matrix = load_matrix(work / "matrix.bin")
+    for cell in (np.inf, -np.inf):
+        bad = tmp_path / "inf.bin"
+        at = payload_at + 4 * (2 * matrix.n_cols + 1)  # row 2, column 1
+        bad.write_bytes(blob[:at] + np.float32(cell).tobytes() + blob[at + 4 :])
+        assert run("train", "--features", str(bad), "--labels", str(work / "labels.csv"),
+                   "--config", str(work / "train.json"),
+                   "--model-out", str(tmp_path / "m.json")) == 3
+        err = capsys.readouterr().err
+        assert f"feature column {matrix.column_names[1]!r} is infinite" in err
+        assert f"customer {matrix.customer_ids[2]!r}" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_features_on_statements_whose_spread_overflows_float32_exits_3(work, tmp_path, capsys):
+    header, *rows = csv.reader(io.StringIO((work / "clean.csv").read_text(encoding="utf-8")))
+    first = rows[0][0]
+    block = [r for r in rows if r[0] == first][:3]
+    col = header.index("cont_00")
+    # every cell fits float32; the customer's deviation does not
+    for r, value in zip(block, ("-3.4e38", "-3.4e38", "3.4e38")):
+        r[col] = value
+    rows = block + [r for r in rows if r[0] != first]
+    data = tmp_path / "huge.csv"
+    data.write_text("\n".join(",".join(r) for r in [header] + rows) + "\n", encoding="utf-8")
+    (tmp_path / "huge.csv.schema.json").write_bytes(
+        (work / "clean.csv.schema.json").read_bytes()
+    )
+    assert run("features", "--input", str(data), "--spec", str(work / "spec.json"),
+               "--out", str(tmp_path / "m.bin")) == 3
+    err = capsys.readouterr().err
+    assert f"feature column 'cont_00_std' is infinite for customer {first!r}" in err
+    assert "Traceback" not in err and not (tmp_path / "m.bin").exists()
+
+
 def test_train_fuzz_over_damaged_matrix_containers_exits_0_or_3(work, tmp_path, capsys):
     blob = (work / "matrix.bin").read_bytes()
     config = tmp_path / "train.json"
     config.write_text(json.dumps({"rounds": 2, "max_leaves": 3}), encoding="utf-8")
+    _, payload_at = _container_spans(blob)
     rng = np.random.default_rng(23)
-    codes = []
+    codes, payload_cases = [], []
     for case in range(60):
         bad = tmp_path / f"matrix_{case}.bin"
-        bad.write_bytes(_damaged_container(rng, blob))
+        data = _damaged_container(rng, blob)
+        bad.write_bytes(data)
         codes.append(run("train", "--features", str(bad), "--labels", str(work / "labels.csv"),
                          "--config", str(config),
                          "--model-out", str(tmp_path / f"model_{case}.json")))
+        if len(data) == len(blob) and data[:payload_at] == blob[:payload_at]:
+            # only cells changed: an infinite one is a DataError, NaN and extremes train
+            infinite = np.isinf(np.frombuffer(data[payload_at:], dtype="<f4")).any()
+            payload_cases.append((codes[-1], 3 if infinite else 0))
     # anything but a CreditStackError would have escaped main above
     assert "Traceback" not in capsys.readouterr().err
     assert set(codes) <= {0, 3}
-    assert codes.count(0) >= 10 and codes.count(3) >= 30, codes
+    assert codes.count(3) >= 30, codes
+    wants = [want for _, want in payload_cases]
+    assert wants.count(0) >= 5 and wants.count(3) >= 5, payload_cases
+    assert all(code == want for code, want in payload_cases), payload_cases

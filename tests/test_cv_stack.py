@@ -5,7 +5,6 @@ import pytest
 
 from credit_stack.cv_stack import (
     FoldPlan,
-    OofVector,
     append_meta,
     make_folds,
     predict_with_fold_models,
@@ -159,7 +158,7 @@ def test_oof_length_mismatch():
 def test_append_meta_names_and_values():
     m, y = toy_data(n=20, seed=4)
     v = np.linspace(0, 1, 20)
-    out = append_meta(m, [v, OofVector(v * 0.5, np.zeros(20, dtype=np.int32))])
+    out = append_meta(m, [v, v * 0.5])
     assert out.column_names == m.column_names + ["meta_0", "meta_1"]
     np.testing.assert_allclose(out.column("meta_0"), v, atol=1e-7)
     np.testing.assert_allclose(out.column("meta_1"), v * 0.5, atol=1e-7)

@@ -1,6 +1,7 @@
 """Feature engineering tests: aggregation, lag, window, encoding, container."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from credit_stack.features import (
 from credit_stack.ingest import (
     MISSING_CODE,
     ColumnSchema,
-    LabeledTable,
     StatementTable,
     join_labels,
     parse_csv,
@@ -169,16 +169,15 @@ def test_encode_one_hot_needs_vocabulary():
 
 def test_build_matrix_column_arithmetic():
     table = tiny_table({"A": [(1.0, 4.0, 2), (3.0, 8.0, 2)]})
-    labeled = join_labels(table, {"A": 1})
     spec = AggregationSpec(
         continuous_stats=("mean", "last"), categorical_stats=(), lag_enabled=True
     )
-    matrix, labels, _ = build_matrix(labeled, spec)
+    matrix, _ = build_matrix(table, spec)
     # 2 continuous columns x (2 stats + lag) = 6 engineered columns
     assert matrix.column_names == [
         "bal_mean", "bal_last", "bal_lag", "spend_mean", "spend_last", "spend_lag",
     ]
-    assert labels.tolist() == [1]
+    assert join_labels(table, {"A": 1}).tolist() == [1]
     row = dict(zip(matrix.column_names, matrix.values[0]))
     assert row["bal_mean"] == 2.0 and row["bal_last"] == 3.0 and row["bal_lag"] == 1.0
     assert row["spend_lag"] == 2.0
@@ -186,15 +185,15 @@ def test_build_matrix_column_arithmetic():
 
 def test_build_matrix_row_order_is_first_appearance():
     table = tiny_table({"B": [(1.0, 1.0, 0)], "A": [(2.0, 2.0, 1)]})
-    labeled = join_labels(table, {"A": 0, "B": 1})
-    matrix, labels, _ = build_matrix(labeled, AggregationSpec())
+    matrix, _ = build_matrix(table, AggregationSpec())
     assert matrix.customer_ids.tolist() == ["B", "A"]
-    assert labels.tolist() == [1, 0]
+    labels = {"A": 0, "B": 1}
+    assert join_labels(table, labels).tolist() == [labels[c] for c in matrix.customer_ids]
 
 
 def test_build_matrix_full_spec_names():
     table = tiny_table({"A": [(1.0, 2.0, 3)]})
-    matrix, labels, _ = build_matrix(table, AggregationSpec(encode="ordinal"))
+    matrix, vocab = build_matrix(table, AggregationSpec(encode="ordinal"))
     expected = [
         "bal_mean", "bal_std", "bal_min", "bal_max", "bal_last", "bal_median", "bal_lag",
         "spend_mean", "spend_std", "spend_min", "spend_max", "spend_last",
@@ -203,13 +202,13 @@ def test_build_matrix_full_spec_names():
         "region_code",
     ]
     assert matrix.column_names == expected
-    assert labels is None
+    assert vocab is None  # ordinal codes need no vocabulary
 
 
 def test_build_matrix_respects_column_subset():
     table = tiny_table({"A": [(1.0, 2.0, 3)]})
     spec = AggregationSpec(columns=("bal",), categorical_stats=())
-    matrix, _, _ = build_matrix(table, spec)
+    matrix, _ = build_matrix(table, spec)
     assert all(name.startswith("bal_") for name in matrix.column_names)
 
 
@@ -223,7 +222,7 @@ def test_build_matrix_order_statistics_invariants():
             s = math.nan if rng.random() < 0.15 else float(rng.normal())
             rows.append((b, s, int(rng.integers(0, 5))))
         per_customer[f"C{i:03d}"] = rows
-    matrix, _, _ = build_matrix(tiny_table(per_customer), AggregationSpec())
+    matrix, _ = build_matrix(tiny_table(per_customer), AggregationSpec())
     for raw in ("bal", "spend"):
         lo = matrix.column(f"{raw}_min")
         hi = matrix.column(f"{raw}_max")
@@ -276,8 +275,8 @@ def test_build_matrix_statement_order_safety(tmp_path):
     b.write_text(header + "\n" + "\n".join(shuffled) + "\n", encoding="utf-8")
 
     spec = AggregationSpec()
-    ma, _, _ = build_matrix(parse_csv(a, SCHEMA), spec)
-    mb, _, _ = build_matrix(parse_csv(b, SCHEMA), spec)
+    ma, _ = build_matrix(parse_csv(a, SCHEMA), spec)
+    mb, _ = build_matrix(parse_csv(b, SCHEMA), spec)
     # same customers; align row order before comparing
     order = {c: i for i, c in enumerate(mb.customer_ids.tolist())}
     realign = [order[c] for c in ma.customer_ids.tolist()]
@@ -371,15 +370,15 @@ def test_build_matrix_matches_per_customer_oracle():
     fixed_vocab = {"region": [0, 2, 4], "product": [1, 7, 39]}
     for case in range(300):
         table = random_statement_table(rng, int(rng.integers(2, 40)))
-        data = join_labels(table, {c: i % 2 for i, c in enumerate(table.customers())})
+        labels = {c: i % 2 for i, c in enumerate(table.customers())}
         spec = random_spec(rng)
         vocab = fixed_vocab if rng.random() < 0.3 else None
-        want, want_y, want_vocab = build_matrix_by_customer(data, spec, vocab=vocab)
-        got, got_y, got_vocab = build_matrix(data, spec, vocab=vocab)
+        want, want_vocab = build_matrix_by_customer(table, spec, vocab=vocab)
+        got, got_vocab = build_matrix(table, spec, vocab=vocab)
         assert got.column_names == want.column_names, (case, spec)
         assert got_vocab == want_vocab, (case, spec)
         assert got.customer_ids.tolist() == want.customer_ids.tolist()
-        assert got_y.tolist() == want_y.tolist()
+        assert join_labels(table, labels).tolist() == [labels[c] for c in got.customer_ids]
         assert got.values.dtype == np.float32
         np.testing.assert_array_equal(
             got.values.view(np.uint32), want.values.view(np.uint32), err_msg=f"{case} {spec}"
@@ -435,7 +434,7 @@ def test_build_matrix_encoding_alone_is_enough():
     spec = AggregationSpec(
         continuous_stats=(), categorical_stats=(), columns=("region",), encode="ordinal"
     )
-    matrix, _, _ = build_matrix(table, spec)
+    matrix, _ = build_matrix(table, spec)
     assert matrix.column_names == ["region_code"]
 
 
@@ -484,6 +483,30 @@ def test_feature_matrix_validation():
         FeatureMatrix(np.asarray(["A"]), ["x", "x"], np.zeros((1, 2), dtype=np.float32))
     with pytest.raises(DataError):
         FeatureMatrix(np.asarray(["A", "B"]), ["x"], np.zeros((1, 1), dtype=np.float32))
+
+
+@pytest.mark.parametrize("cell", [np.inf, -np.inf])
+def test_feature_matrix_rejects_an_infinite_cell(cell):
+    values = np.array([[0.0, np.nan], [1.0, 2.0]], dtype=np.float32)
+    FeatureMatrix(np.asarray(["A", "B"]), ["x", "y"], values)  # NaN is missing, not bad
+    values[1, 1] = cell
+    with pytest.raises(DataError, match="feature column 'y' is infinite for customer 'B'"):
+        FeatureMatrix(np.asarray(["A", "B"]), ["x", "y"], values)
+
+
+@pytest.mark.parametrize(
+    "stats, lag, column",
+    [(("mean", "std"), False, "bal_std"), (("mean", "last"), True, "bal_lag")],
+)
+def test_build_matrix_rejects_a_statistic_past_float32_range(stats, lag, column):
+    # every value fits float32, but their spread does not
+    rows = [(-3.4e38, 1.0, 1), (-3.4e38, 2.0, 1), (3.4e38, 3.0, 1)]
+    table = tiny_table({"A": [(1.0, 1.0, 1)], "B": rows})
+    spec = AggregationSpec(continuous_stats=stats, categorical_stats=(), lag_enabled=lag)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        with pytest.raises(DataError, match=f"'{column}' is infinite for customer 'B'"):
+            build_matrix(table, spec)
 
 
 def test_spec_validation():

@@ -617,7 +617,7 @@ def test_config_from_json(tmp_path):
         encoding="utf-8",
     )
     cfg = config_from_json(path)
-    assert cfg.rounds == 30 and cfg.goss_enabled and cfg.seed == 7
+    assert cfg.rounds == 30 and cfg.goss_a == 0.2 and cfg.seed == 7
     with pytest.raises(ConfigError):
         config_from_json({"rounds": 5, "who": 1})
 

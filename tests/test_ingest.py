@@ -1,6 +1,8 @@
 """CSV ingestion and cleaning tests: parsing, rounding, masking, labels."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from credit_stack.ingest import (
     ColumnSchema,
     StatementTable,
     align_labels,
+    clean,
     compact_types,
     denoise_round,
     join_labels,
@@ -32,6 +35,8 @@ from credit_stack.ingest import (
     write_labels,
 )
 from oracles import write_csv_by_cell
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "credit_stack"
 
 SCHEMA = [
     ColumnSchema("customer_id", "identifier"),
@@ -149,7 +154,7 @@ def test_parse_groups_interleaved_customers(tmp_path):
 def test_denoise_rounds_to_nearest_multiple(tmp_path):
     path = make_csv(tmp_path, "A,2017-03-01,0.123456,-0.005,2\n")
     # rounding runs on freshly parsed values, before storage narrowing
-    out = compact_types(denoise_round(parse_csv(path, SCHEMA), 0.01), SCHEMA)
+    out = compact_types(denoise_round(parse_csv(path, SCHEMA), 0.01))
     assert out.columns["balance"][0] == np.float32(0.12)
     # tie rounds away from zero
     assert out.columns["spend"][0] == np.float32(-0.01)
@@ -157,7 +162,7 @@ def test_denoise_rounds_to_nearest_multiple(tmp_path):
 
 def test_denoise_keeps_missing_and_categoricals(tmp_path):
     path = make_csv(tmp_path, "A,2017-03-01,,0.126,5\n")
-    table = compact_types(parse_csv(path, SCHEMA), SCHEMA)
+    table = compact_types(parse_csv(path, SCHEMA))
     out = denoise_round(table, 0.01)
     assert math.isnan(out.columns["balance"][0])
     assert out.columns["region"][0] == 5
@@ -170,7 +175,7 @@ def test_denoise_idempotent_random(tmp_path):
         for i in range(90)
     ]
     path = make_csv(tmp_path, "\n".join(rows) + "\n")
-    table = compact_types(parse_csv(path, SCHEMA), SCHEMA)
+    table = compact_types(parse_csv(path, SCHEMA))
     once = denoise_round(table, 0.01)
     twice = denoise_round(once, 0.01)
     for name in ("balance", "spend"):
@@ -186,7 +191,7 @@ def test_denoise_rejects_bad_precision(tmp_path):
 
 def test_compact_narrows_storage(tmp_path):
     path = make_csv(tmp_path, "A,2017-03-01,0.5,0.333333,7\n")
-    table = compact_types(parse_csv(path, SCHEMA), SCHEMA)
+    table = compact_types(parse_csv(path, SCHEMA))
     assert table.columns["balance"].dtype == np.float32
     assert table.columns["region"].dtype == np.int8
     assert table.columns["spend"][0] == np.float32(0.333333)
@@ -194,7 +199,7 @@ def test_compact_narrows_storage(tmp_path):
 
 def test_compact_promotes_wide_codes(tmp_path):
     path = make_csv(tmp_path, "A,2017-03-01,0.5,0.1,300\n")
-    table = compact_types(parse_csv(path, SCHEMA), SCHEMA)
+    table = compact_types(parse_csv(path, SCHEMA))
     assert table.columns["region"].dtype == np.int16
     assert table.columns["region"][0] == 300
 
@@ -202,7 +207,7 @@ def test_compact_promotes_wide_codes(tmp_path):
 def test_compact_overflow_raises(tmp_path):
     path = make_csv(tmp_path, "A,2017-03-01,0.5,0.1,70000\n")
     with pytest.raises(CodeOverflowError):
-        compact_types(parse_csv(path, SCHEMA), SCHEMA)
+        compact_types(parse_csv(path, SCHEMA))
 
 
 def test_compact_float32_overflow_names_column_and_customer(tmp_path):
@@ -213,7 +218,7 @@ def test_compact_float32_overflow_names_column_and_customer(tmp_path):
         "B,2017-04-01,0.5,-3.4e38,1\n",
     )
     with pytest.raises(DataError, match=r"column 'spend': value 1e\+39 of customer 'B'"):
-        compact_types(parse_csv(path, SCHEMA), SCHEMA)
+        compact_types(parse_csv(path, SCHEMA))
 
 
 def test_mask_outliers_rules(tmp_path):
@@ -223,8 +228,8 @@ def test_mask_outliers_rules(tmp_path):
         "A,2017-04-01,5.0,1.0,3\n"
         "A,2017-05-01,-6.0,2.0,1\n",
     )
-    table = compact_types(parse_csv(path, SCHEMA), SCHEMA)
-    masked, counts = mask_outliers(table, SCHEMA)
+    table = compact_types(parse_csv(path, SCHEMA))
+    masked, counts = mask_outliers(table)
     # balance has range [-5, 5]: 7.3 and -6.0 die, boundary 5.0 survives
     col = masked.columns["balance"]
     assert math.isnan(col[0]) and col[1] == 5.0 and math.isnan(col[2])
@@ -235,17 +240,50 @@ def test_mask_outliers_rules(tmp_path):
     assert set(masked.columns) == set(table.columns)
 
 
+def test_clean_rounds_before_narrowing_then_masks(tmp_path):
+    path = make_csv(
+        tmp_path,
+        "A,2017-03-01,7.3,-0.005,2\n"
+        "A,2017-04-01,4.996,0.126,3\n",
+    )
+    raw = parse_csv(path, SCHEMA)
+    table, masked = clean(raw, 0.01)
+    # float32(-0.005) sits above the tie, so rounding after narrowing
+    # gives -0.0; clean rounds the parsed float64 value first
+    assert table.columns["spend"].tolist() == [np.float32(-0.01), np.float32(0.13)]
+    assert denoise_round(compact_types(raw), 0.01).columns["spend"][0] == 0.0
+    # 4.996 rounds to 5.0, the inclusive bound, and survives the mask
+    assert math.isnan(table.columns["balance"][0]) and table.columns["balance"][1] == 5.0
+    assert masked == {"balance": 1}
+    assert table.schema[-1].storage == "int8"
+    with pytest.raises(NonPositivePrecisionError):
+        clean(raw, 0.0)
+
+
+def test_only_ingest_runs_the_cleaning_steps():
+    # the order denoise -> compact -> mask lives in ingest.clean alone
+    pattern = re.compile(r"\b(denoise_round|compact_types|mask_outliers)\(")
+    offenders = [
+        f"{path.name}:{i}: {line.strip()}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "ingest.py"
+        for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert len(list(SRC.glob("*.py"))) > 10
+    assert offenders == []
+
+
 def test_join_labels_exact_and_superset(tmp_path):
     path = make_csv(
         tmp_path,
         "A,2017-03-01,0.5,0.1,2\nB,2017-03-01,0.6,0.2,1\n",
     )
     table = parse_csv(path, SCHEMA)
-    labeled = join_labels(table, {"A": 1, "B": 0})
-    assert labeled.target.tolist() == [1, 0]
+    target = join_labels(table, {"A": 1, "B": 0})
+    assert target.tolist() == [1, 0] and target.dtype == np.int8
     # extra labels are tolerated
-    labeled2 = join_labels(table, {"A": 1, "B": 0, "Z": 1})
-    assert labeled2.target.tolist() == [1, 0]
+    assert join_labels(table, {"A": 1, "B": 0, "Z": 1}).tolist() == [1, 0]
 
 
 def test_join_labels_missing_names_customer(tmp_path):
@@ -278,11 +316,11 @@ def test_csv_round_trip_is_lossless(tmp_path):
         code = "" if rng.random() < 0.2 else str(rng.integers(0, 9))
         rows.append(f"{cust},2017-{month:02d}-01,{bal},{rng.normal():.6f},{code}")
     path = make_csv(tmp_path, "\n".join(rows) + "\n")
-    table = compact_types(parse_csv(path, SCHEMA), SCHEMA)
+    table = compact_types(parse_csv(path, SCHEMA))
 
     out = tmp_path / "round.csv"
     write_csv(table, out)
-    back = compact_types(parse_csv(out, table.schema), table.schema)
+    back = compact_types(parse_csv(out, table.schema))
     assert back.customer_ids.tolist() == table.customer_ids.tolist()
     np.testing.assert_array_equal(back.statement_index, table.statement_index)
     for name in table.columns:
