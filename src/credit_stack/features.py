@@ -258,16 +258,19 @@ def _continuous_stats(column: np.ndarray, owner: np.ndarray, n: int, stats) -> d
 
     Customers with no valid cell get NaN everywhere, and customers with
     one get NaN for ``std`` (sample deviation needs two observations).
+    A sum past float64 range gives ``inf``, which ``FeatureMatrix``
+    reports as a DataError naming the column.
     """
     x = np.asarray(column, dtype=np.float64)
     valid = ~np.isnan(x)
     count, block = _left_pack(owner[valid], x[valid], n, 0.0)
     out = {stat: np.full(n, np.nan) for stat in stats}
-    for k in np.unique(count[count > 0]):
-        rows = np.flatnonzero(count == k)
-        group = block[rows, :k]
-        for stat in stats:
-            out[stat][rows] = _ROW_STATS[stat](group)
+    with np.errstate(over="ignore"):
+        for k in np.unique(count[count > 0]):
+            rows = np.flatnonzero(count == k)
+            group = block[rows, :k]
+            for stat in stats:
+                out[stat][rows] = _ROW_STATS[stat](group)
     return out
 
 
@@ -330,8 +333,12 @@ def build_matrix(table: StatementTable, spec: AggregationSpec, vocab: dict | Non
             # subtract at storage precision so the emitted lag column
             # equals the emitted last/mean columns' difference exactly
             names.append(f"{raw}_lag")
-            with np.errstate(over="ignore"):  # FeatureMatrix names an infinite column
-                lag = stats["last"].astype(np.float32) - stats["mean"].astype(np.float32)
+            with np.errstate(over="ignore", invalid="ignore"):
+                last, mean = stats["last"].astype(np.float32), stats["mean"].astype(np.float32)
+                lag = last - mean
+            # inf - inf would read as missing: keep the overflow infinite, so
+            # FeatureMatrix names the column
+            lag[np.isnan(lag) & np.isinf(last)] = np.inf
             cols.append(lag)
     last_codes = {}
     for raw in cat:

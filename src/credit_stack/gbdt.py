@@ -22,19 +22,29 @@ operations.  The winner is the first maximum in the order column, then
 missing-left before missing-right, then bin, and only a gain above 0
 splits.  A column with fewer than 2 real bins offers no candidate, and
 one whose leaf rows carry no missing hessian mass offers no
-missing-right candidate, since that split is the missing-left one.  A
-candidate whose bin holds no g and no h in the leaf has the sums of the
-one before it in its column, so it is never the first maximum and is
-not scored.
+missing-right candidate, since that split is the missing-left one; the
+missing-right gains are computed only for the columns whose missing bin
+holds hessian mass in the leaf.  A candidate whose bin holds no g and
+no h in the leaf has the sums of the one before it in its column, so it
+is never the first maximum and is not scored.
+
+Only a leaf that can still split is searched.  The two children of the
+split that brings the tree to ``max_leaves`` are never popped, and a
+leaf with fewer than 2 rows has one side of every candidate empty: its
+gain is exactly 1/2 * (parent + 0 - parent) = 0, or -inf where the
+empty side fails ``min_child_weight``, and never splits.  Skipping both
+leaves every tree as it was.
 
 Binning sorts a copy of the training matrix once, column by column, and
 groups the columns by their count n of non-missing values.  Each group's
 quantiles come from NumPy's ``linear`` formula applied to the first n
 sorted rows, which gives exactly the bits ``np.quantile`` gives per
-column.  The exception is a column that holds -0.0: the sort and
-``np.quantile``'s partition may order tied -0.0 and +0.0 differently, so
-an edge between them could change sign, and such a column calls
-``np.quantile`` itself.
+column.  The sort and ``np.quantile``'s partition may order tied -0.0
+and +0.0 differently.  A cut that comes out nonzero has the same bits
+whichever zero sits at a tied index (a signed zero added to a nonzero
+term drops its sign), so only a zero cut can take its sign from that
+order, and a column that holds -0.0 calls ``np.quantile`` itself only
+when one of its sorted-path cuts is a zero.
 
 Everything is deterministic: one seeded generator drives sampling, bin
 edges come from fixed quantiles, histogram sums accumulate in ascending
@@ -165,14 +175,16 @@ def build_bins(matrix: FeatureMatrix, max_bins: int = 255) -> BinMapper:
     values = matrix.values.astype(np.float64)
     ordered = np.sort(values, axis=0)  # NaN sorts last
     counts = np.count_nonzero(~np.isnan(values), axis=0)
-    # np.sort and np.quantile's partition may order tied -0.0 and +0.0
-    # differently, which flips the sign of an edge between them.
-    signed_zero = np.any((values == 0.0) & np.signbit(values), axis=0)
     cuts = np.empty((qs.size, matrix.n_cols))
-    for n in np.unique(counts[~signed_zero & (counts > 1)]):
-        cols = np.flatnonzero((counts == n) & ~signed_zero)
+    for n in np.unique(counts[counts > 1]):
+        cols = np.flatnonzero(counts == n)
         cuts[:, cols] = _linear_quantiles(ordered[:n, cols], qs)
-    for c in np.flatnonzero(signed_zero):
+    # np.sort and np.quantile's partition may order tied -0.0 and +0.0
+    # differently.  A nonzero cut has the same bits either way; only a
+    # zero cut of a column holding -0.0 can take its sign from the order.
+    signed_zero = np.any((values == 0.0) & np.signbit(values), axis=0)
+    doubt = signed_zero & (counts > 1) & np.any(cuts == 0.0, axis=0)
+    for c in np.flatnonzero(doubt):
         x = values[:, c]
         cuts[:, c] = np.quantile(x[~np.isnan(x)], qs)
     edges = []
@@ -345,7 +357,7 @@ class _TreeGrower:
 
     def grow(self, rows: np.ndarray) -> list[Node]:
         heap: list = []
-        self._push(heap, self._new_leaf(rows))
+        self._push(heap, self._new_leaf(rows, True))
         n_leaves = 1
         while heap and n_leaves < self.cfg.max_leaves:
             _, _, cand = heapq.heappop(heap)
@@ -356,9 +368,11 @@ class _TreeGrower:
             node.threshold = float(self.mapper.edges[cand.feature_idx][cand.split_bin])
             node.missing_left = cand.missing_left
             self.records.append((node.feature, cand.gain))
-            node.left = self._push(heap, self._new_leaf(left_rows))
-            node.right = self._push(heap, self._new_leaf(right_rows))
             n_leaves += 1
+            # the children of the split that fills the tree are never popped
+            more = n_leaves < self.cfg.max_leaves
+            node.left = self._push(heap, self._new_leaf(left_rows, more))
+            node.right = self._push(heap, self._new_leaf(right_rows, more))
         return self.nodes
 
     # -- internals --------------------------------------------------------
@@ -370,12 +384,16 @@ class _TreeGrower:
             heapq.heappush(heap, (-cand.gain, self._tick, cand))
         return node_id
 
-    def _new_leaf(self, rows: np.ndarray):
+    def _new_leaf(self, rows: np.ndarray, search: bool):
         g_sum = float(self.g[rows].sum())
         h_sum = float(self.h[rows].sum())
         value = -g_sum / (h_sum + self.cfg.l2_lambda) * self.cfg.learning_rate
         node_id = len(self.nodes)
         self.nodes.append(Node(is_leaf=True, value=value))
+        # With fewer than 2 rows every candidate leaves one side empty, so
+        # its gain is exactly 0 (or -inf below min_child_weight).
+        if not search or rows.size < 2:
+            return node_id, None
         return node_id, self._best_split(node_id, rows, g_sum, h_sum)
 
     def _best_split(self, node_id, rows, g_total, h_total):
@@ -400,8 +418,11 @@ class _TreeGrower:
         miss_g, miss_h = hg[miss], hh[miss]
         parent = g_total * g_total / (h_total + self.cfg.l2_lambda)
         left = self._gains(gl + miss_g, hl + miss_h, g_total, h_total, parent)
-        right = self._gains(gl, hl, g_total, h_total, parent)
-        right[miss_h == 0.0] = -np.inf  # no missing rows: same split as missing-left
+        # Without missing rows a missing-right split is the missing-left one:
+        # score missing-right only where the column's missing bin holds h.
+        right = np.full(pos.size, -np.inf)
+        has_miss = np.flatnonzero(miss_h != 0.0)
+        right[has_miss] = self._gains(gl[has_miss], hl[has_miss], g_total, h_total, parent)
         # Each argmax is the first of its direction in column-then-bin order;
         # between the two, the lower column wins a tie, then missing-left.
         i, j = int(np.argmax(left)), int(np.argmax(right))

@@ -13,11 +13,14 @@ and returns its ``MetricReport`` and raises its error types;
 ``BinMapper`` and raises its error types; ``write_csv_by_cell`` replaces
 ``ingest.write_csv`` and formats each cell with the package's
 ``_format_value`` and writes through ``serialize.write_csv_rows``, so
-only the per-column deduplication is under test.
+only the per-column deduplication is under test; ``SearchEveryLeafGrower``
+replaces ``gbdt._TreeGrower`` and inherits its partition, gain and heap
+code, so only the skipped split work is under test.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from itertools import combinations
 
@@ -32,7 +35,7 @@ from credit_stack.errors import (
     NoPositivesError,
     SingleClassError,
 )
-from credit_stack.gbdt import BinMapper
+from credit_stack.gbdt import BinMapper, Node, _LeafCandidate, _TreeGrower
 from credit_stack.ingest import _format_value
 from credit_stack.metric import MetricReport
 from credit_stack.serialize import write_csv_rows
@@ -496,3 +499,75 @@ def write_csv_by_cell(table, path):
             yield row
 
     write_csv_rows(path, [c.name for c in table.schema], rows())
+
+
+class SearchEveryLeafGrower(_TreeGrower):
+    """``gbdt._TreeGrower`` as it searched every leaf it made.
+
+    Each new leaf gets a split search, also the children of the split
+    that fills the tree and leaves of fewer than 2 rows, and the
+    missing-right gains are scored for every candidate before those of
+    columns without missing rows are set to -inf.
+    """
+
+    def grow(self, rows: np.ndarray) -> list[Node]:
+        heap: list = []
+        self._push(heap, self._new_leaf(rows))
+        n_leaves = 1
+        while heap and n_leaves < self.cfg.max_leaves:
+            _, _, cand = heapq.heappop(heap)
+            left_rows, right_rows = self._partition(cand)
+            node = self.nodes[cand.node_id]
+            node.is_leaf = False
+            node.feature = self.mapper.column_names[cand.feature_idx]
+            node.threshold = float(self.mapper.edges[cand.feature_idx][cand.split_bin])
+            node.missing_left = cand.missing_left
+            self.records.append((node.feature, cand.gain))
+            node.left = self._push(heap, self._new_leaf(left_rows))
+            node.right = self._push(heap, self._new_leaf(right_rows))
+            n_leaves += 1
+        return self.nodes
+
+    def _new_leaf(self, rows: np.ndarray):
+        g_sum = float(self.g[rows].sum())
+        h_sum = float(self.h[rows].sum())
+        value = -g_sum / (h_sum + self.cfg.l2_lambda) * self.cfg.learning_rate
+        node_id = len(self.nodes)
+        self.nodes.append(Node(is_leaf=True, value=value))
+        return node_id, self._best_split(node_id, rows, g_sum, h_sum)
+
+    def _best_split(self, node_id, rows, g_total, h_total):
+        lay = self.layout
+        if lay.first.size == 0:
+            return None
+        n_cols = lay.offsets.size
+        slots = (self.binned[rows] + lay.offsets).ravel()
+        size = n_cols * lay.stride
+        hg = np.bincount(slots, weights=np.repeat(self.g[rows], n_cols), minlength=size)
+        hh = np.bincount(slots, weights=np.repeat(self.h[rows], n_cols), minlength=size)
+        # A candidate whose bin holds no g and no h scores exactly as the one
+        # before it in its column, which the scan meets first: score only
+        # bin 0 and the bins the leaf's rows fill.
+        live = lay.is_cand & ((hg != 0.0) | (hh != 0.0))
+        live[lay.first] = True
+        pos = np.flatnonzero(live)  # column-then-bin order
+        col = pos // lay.stride
+        gl = np.cumsum(hg.reshape(n_cols, lay.stride), axis=1).ravel()[pos]
+        hl = np.cumsum(hh.reshape(n_cols, lay.stride), axis=1).ravel()[pos]
+        miss = lay.miss_pos[col]
+        miss_g, miss_h = hg[miss], hh[miss]
+        parent = g_total * g_total / (h_total + self.cfg.l2_lambda)
+        left = self._gains(gl + miss_g, hl + miss_h, g_total, h_total, parent)
+        right = self._gains(gl, hl, g_total, h_total, parent)
+        right[miss_h == 0.0] = -np.inf  # no missing rows: same split as missing-left
+        # Each argmax is the first of its direction in column-then-bin order;
+        # between the two, the lower column wins a tie, then missing-left.
+        i, j = int(np.argmax(left)), int(np.argmax(right))
+        if right[j] > left[i] or (right[j] == left[i] and col[j] < col[i]):
+            k, missing_left, gain = j, False, right[j]
+        else:
+            k, missing_left, gain = i, True, left[i]
+        if not gain > 0.0:
+            return None
+        c, b = divmod(int(pos[k]), lay.stride)
+        return _LeafCandidate(node_id, rows, float(gain), c, b, missing_left)

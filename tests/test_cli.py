@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -830,6 +831,36 @@ def test_features_on_statements_whose_spread_overflows_float32_exits_3(work, tmp
     err = capsys.readouterr().err
     assert f"feature column 'cont_00_std' is infinite for customer {first!r}" in err
     assert "Traceback" not in err and not (tmp_path / "m.bin").exists()
+
+
+def test_features_on_statements_whose_sum_overflows_float64_warns_nothing(
+    work, tmp_path, capsys
+):
+    header, *rows = csv.reader(io.StringIO((work / "clean.csv").read_text(encoding="utf-8")))
+    first = rows[0][0]
+    col = header.index("cont_00")
+    block = [r for r in rows if r[0] == first][:2]
+    for r in block:  # each cell is finite in float64; their sum is not
+        r[col] = "1e308"
+    rows = block + [r for r in rows if r[0] != first]
+    data = tmp_path / "huge.csv"
+    data.write_text("\n".join(",".join(r) for r in [header] + rows) + "\n", encoding="utf-8")
+    (tmp_path / "huge.csv.schema.json").write_bytes(
+        (work / "clean.csv.schema.json").read_bytes()
+    )
+    lag_only = tmp_path / "lag_only.json"
+    lag_only.write_text(json.dumps({"continuous_stats": []}), encoding="utf-8")
+    for spec, column in ((work / "spec.json", "cont_00_mean"), (lag_only, "cont_00_lag")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run("features", "--input", str(data), "--spec", str(spec),
+                       "--out", str(tmp_path / "m.bin"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"feature column {column!r} is infinite for customer {first!r}" in err
+        assert [str(w.message) for w in caught] == []
+        assert "RuntimeWarning" not in err and "Traceback" not in err
+        assert not (tmp_path / "m.bin").exists()
 
 
 def test_train_fuzz_over_damaged_matrix_containers_exits_0_or_3(work, tmp_path, capsys):

@@ -38,6 +38,7 @@ from credit_stack.gbdt import (
 from credit_stack.metric import weighted_auc
 from credit_stack.serialize import dumps
 from oracles import (
+    SearchEveryLeafGrower,
     build_bins_by_quantile,
     quantile_bin_expectation,
     scan_best_split,
@@ -155,6 +156,29 @@ def test_train_with_per_column_quantile_oracle_gives_the_same_model(monkeypatch,
     assert '"threshold": -0.0' in fast  # an edge whose sign the binning must keep
     monkeypatch.setattr(gbdt, "build_bins", build_bins_by_quantile)
     assert dumps(model_to_dict(train(m, y, cfg))) == fast
+
+
+def test_signed_zero_column_calls_np_quantile_only_for_a_zero_cut(monkeypatch):
+    calls = []
+    quantile = np.quantile
+
+    def counting_quantile(*args, **kwargs):
+        calls.append(args[0].size)
+        return quantile(*args, **kwargs)
+
+    monkeypatch.setattr(np, "quantile", counting_quantile)
+    # n = 11, max_bins 4: the cuts lerp rows 2-3, 5 and 7-8, none a zero
+    no_zero_cut = matrix_of([-0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, np.nan])
+    # n = 6: every cut lerps two of the four tied zeros
+    zero_cut = matrix_of([-3.0, -0.0, 0.0, np.nan, -0.0, 0.0, 2.0])
+    for m, want_calls in ((no_zero_cut, 0), (zero_cut, 1)):
+        calls.clear()
+        got = build_bins(m, 4)
+        assert len(calls) == want_calls
+        assert got.edges[0].tobytes() == build_bins_by_quantile(m, 4).edges[0].tobytes()
+    calls.clear()
+    build_bins(matrix_of([[-0.0, 1.0], [np.nan, np.nan], [np.nan, -0.0]]), 4)
+    assert calls == []  # one value per column: constant, nothing to cut
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +468,89 @@ def test_train_with_column_scan_oracle_gives_the_same_model(monkeypatch, cfg):
 
     monkeypatch.setattr(_TreeGrower, "_best_split", scan)
     assert model_to_dict(train(m, y.astype(np.int8), cfg)) == fast
+
+
+def random_train_case(rng):
+    """A seeded (matrix, labels, config) that reaches every skip rule.
+
+    Few rows and ``min_child_weight`` 0 grow leaves down to one row;
+    NaN-heavy columns give missing-right winners; rounded small values
+    give -0.0 cells and zero cuts.
+    """
+    n = int(rng.integers(4, 80))
+    cols = [random_bin_column(rng, n) for _ in range(int(rng.integers(1, 5)))]
+    signal = np.round(rng.normal(scale=0.02, size=n), 2)  # -0.0 and +0.0 cells
+    signal[rng.random(n) < rng.choice([0.0, 0.2, 0.6])] = np.nan
+    cols.insert(int(rng.integers(0, len(cols) + 1)), signal)
+    x = np.column_stack(cols)
+    y = (np.nan_to_num(signal, nan=rng.normal()) + rng.normal(scale=0.02, size=n) > 0)
+    y[:2] = (True, False)
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        l2_lambda, mcw = float(rng.choice([0.5, 1.0])), 0.0
+    elif kind == 1:
+        l2_lambda, mcw = 0.0, float(rng.choice([0.01, 0.3]))
+    else:
+        l2_lambda, mcw = 1.0, float(rng.choice([0.0, 0.05, 1.0]))
+    goss = rng.random() < 0.3
+    cfg = TrainConfig(
+        rounds=int(rng.integers(1, 5)),
+        max_leaves=int(rng.choice([2, 3, 4, 15])),
+        min_child_weight=mcw,
+        l2_lambda=l2_lambda,
+        goss_a=0.3 if goss else 1.0,
+        goss_b=0.4 if goss else 0.0,
+        max_bins=int(rng.choice([3, 8, 255])),
+        seed=int(rng.integers(0, 1000)),
+    )
+    return matrix_of(x), y.astype(np.int8), cfg
+
+
+def test_train_with_every_leaf_searched_gives_the_same_model(monkeypatch):
+    rng = np.random.default_rng(20261019)
+    seen = {"one_row_leaf": 0, "missing_right": 0, "neg_zero_threshold": 0}
+    new_leaf = _TreeGrower._new_leaf
+
+    def counting_new_leaf(self, rows, search):
+        seen["one_row_leaf"] += bool(search and rows.size == 1)
+        return new_leaf(self, rows, search)
+
+    for case in range(220):
+        m, y, cfg = random_train_case(rng)
+        with monkeypatch.context() as patch:
+            patch.setattr(_TreeGrower, "_new_leaf", counting_new_leaf)
+            fast = dumps(model_to_dict(train(m, y, cfg)))
+        with monkeypatch.context() as patch:
+            patch.setattr(gbdt, "_TreeGrower", SearchEveryLeafGrower)
+            assert dumps(model_to_dict(train(m, y, cfg))) == fast, (case, cfg)
+        seen["missing_right"] += fast.count('"missing_left": false')
+        seen["neg_zero_threshold"] += fast.count('"threshold": -0.0,')
+    assert min(seen.values()) >= 20, seen
+
+
+def test_train_searches_only_leaves_that_can_split(monkeypatch):
+    rng = np.random.default_rng(20261020)
+    searches = []
+    best_split = _TreeGrower._best_split
+
+    def counting_best_split(self, node_id, rows, g_total, h_total):
+        searches.append((self, rows.size))  # holds the grower: no id is reused
+        return best_split(self, node_id, rows, g_total, h_total)
+
+    monkeypatch.setattr(_TreeGrower, "_best_split", counting_best_split)
+    full_trees = 0
+    for _ in range(60):
+        m, y, cfg = random_train_case(rng)
+        searches.clear()
+        model = train(m, y, cfg)
+        per_tree = {}
+        for grower, n_rows in searches:
+            assert n_rows >= 2
+            per_tree[grower] = per_tree.get(grower, 0) + 1
+        assert len(per_tree) == model.n_trees  # every root holds >= 2 rows
+        assert max(per_tree.values(), default=0) <= 2 * cfg.max_leaves - 3
+        full_trees += sum(len(t) == 2 * cfg.max_leaves - 1 for t in model.trees)
+    assert full_trees >= 20
 
 
 # ---------------------------------------------------------------------------
