@@ -83,7 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", parents=[common],
                        help="train one boosted model on a feature matrix")
-    p.add_argument("--features", required=True, help="feature matrix container")
+    p.add_argument("--features", required=True,
+                   help="feature matrix container (a -0.0 cell bins as 0.0)")
     p.add_argument("--labels", required=True, help="label CSV (customer_id, target)")
     p.add_argument("--config", required=True, help="train config JSON")
     p.add_argument("--model-out", required=True, help="model JSON to write")

@@ -132,8 +132,7 @@ def select_recent_window(table: StatementTable, k: int) -> StatementTable:
     """Keep only each customer's last ``k`` statements, re-indexed from 1."""
     if k < 1:
         raise ConfigError(f"recent window must be >= 1, got {k}")
-    starts = table.row_starts()
-    counts = np.diff(np.concatenate((starts, [table.n_rows])))
+    counts = table.row_counts()
     dropped = np.maximum(counts - k, 0)
     keep = table.statement_index > np.repeat(dropped, counts)
     new_index = (table.statement_index - np.repeat(dropped, counts).astype(np.int32))[keep]
@@ -259,18 +258,24 @@ def _continuous_stats(column: np.ndarray, owner: np.ndarray, n: int, stats) -> d
     Customers with no valid cell get NaN everywhere, and customers with
     one get NaN for ``std`` (sample deviation needs two observations).
     A sum past float64 range gives ``inf``, which ``FeatureMatrix``
-    reports as a DataError naming the column.
+    reports as a DataError naming the column; so does a sum that
+    overflows both ways, which NumPy leaves NaN.
     """
     x = np.asarray(column, dtype=np.float64)
     valid = ~np.isnan(x)
     count, block = _left_pack(owner[valid], x[valid], n, 0.0)
     out = {stat: np.full(n, np.nan) for stat in stats}
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for k in np.unique(count[count > 0]):
             rows = np.flatnonzero(count == k)
             group = block[rows, :k]
             for stat in stats:
                 out[stat][rows] = _ROW_STATS[stat](group)
+    # over two or more non-NaN cells, a NaN mean or std can only come
+    # from inf - inf: an overflow, not a missing value
+    for stat in ("mean", "std"):
+        if stat in out:
+            out[stat][np.isnan(out[stat]) & (count > 1)] = np.inf
     return out
 
 
@@ -318,8 +323,7 @@ def build_matrix(table: StatementTable, spec: AggregationSpec, vocab: dict | Non
         raise EmptySpecError("no raw feature columns left to aggregate")
 
     n = customers.size
-    counts = np.diff(np.concatenate((table.row_starts(), [table.n_rows])))
-    owner = np.repeat(np.arange(n), counts)
+    owner = np.repeat(np.arange(n), table.row_counts())
     cont_stats = list(spec.continuous_stats)
     need = set(cont_stats) | ({"last", "mean"} if spec.lag_enabled else set())
 

@@ -39,12 +39,7 @@ Binning sorts a copy of the training matrix once, column by column, and
 groups the columns by their count n of non-missing values.  Each group's
 quantiles come from NumPy's ``linear`` formula applied to the first n
 sorted rows, which gives exactly the bits ``np.quantile`` gives per
-column.  The sort and ``np.quantile``'s partition may order tied -0.0
-and +0.0 differently.  A cut that comes out nonzero has the same bits
-whichever zero sits at a tied index (a signed zero added to a nonzero
-term drops its sign), so only a zero cut can take its sign from that
-order, and a column that holds -0.0 calls ``np.quantile`` itself only
-when one of its sorted-path cuts is a zero.
+column.  A -0.0 cell bins as +0.0.
 
 Everything is deterministic: one seeded generator drives sampling, bin
 edges come from fixed quantiles, histogram sums accumulate in ascending
@@ -165,7 +160,9 @@ def build_bins(matrix: FeatureMatrix, max_bins: int = 255) -> BinMapper:
     Edges are the deduplicated i/max_bins quantiles of the non-missing
     values; edges at or above the column maximum are dropped so the
     overflow bin is never dead weight.  A constant (or all-missing)
-    column collapses to a single bin.
+    column collapses to a single bin.  A -0.0 cell counts as +0.0, so
+    no edge is -0.0; ``x <= t`` and the bin search route both zeros
+    alike.
     """
     if matrix.n_rows == 0 or matrix.n_cols == 0:
         raise EmptyMatrixError("cannot bin an empty matrix")
@@ -173,20 +170,13 @@ def build_bins(matrix: FeatureMatrix, max_bins: int = 255) -> BinMapper:
         raise ConfigError(f"max_bins must be in 2..255, got {max_bins}")
     qs = np.arange(1, max_bins) / max_bins
     values = matrix.values.astype(np.float64)
+    values += 0.0  # -0.0 becomes +0.0
     ordered = np.sort(values, axis=0)  # NaN sorts last
     counts = np.count_nonzero(~np.isnan(values), axis=0)
     cuts = np.empty((qs.size, matrix.n_cols))
     for n in np.unique(counts[counts > 1]):
         cols = np.flatnonzero(counts == n)
         cuts[:, cols] = _linear_quantiles(ordered[:n, cols], qs)
-    # np.sort and np.quantile's partition may order tied -0.0 and +0.0
-    # differently.  A nonzero cut has the same bits either way; only a
-    # zero cut of a column holding -0.0 can take its sign from the order.
-    signed_zero = np.any((values == 0.0) & np.signbit(values), axis=0)
-    doubt = signed_zero & (counts > 1) & np.any(cuts == 0.0, axis=0)
-    for c in np.flatnonzero(doubt):
-        x = values[:, c]
-        cuts[:, c] = np.quantile(x[~np.isnan(x)], qs)
     edges = []
     for c, n in enumerate(counts):
         if n == 0 or ordered[0, c] == ordered[n - 1, c]:

@@ -75,21 +75,18 @@ class StatementTable:
 
     def customers(self) -> np.ndarray:
         """Unique customer ids in first-appearance order."""
-        ids = self.customer_ids
-        if ids.size == 0:
-            return ids
-        keep = np.empty(ids.size, dtype=bool)
-        keep[0] = True
-        keep[1:] = ids[1:] != ids[:-1]
-        return ids[keep]
+        return self.customer_ids[self.row_starts()]
 
     def row_starts(self) -> np.ndarray:
         """Start offsets of each customer's contiguous row block."""
         ids = self.customer_ids
-        keep = np.empty(ids.size, dtype=bool)
-        keep[0] = True
-        keep[1:] = ids[1:] != ids[:-1]
-        return np.flatnonzero(keep)
+        if ids.size == 0:
+            return np.empty(0, dtype=np.intp)
+        return np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+
+    def row_counts(self) -> np.ndarray:
+        """Number of rows in each customer's contiguous row block."""
+        return np.diff(np.append(self.row_starts(), self.n_rows))
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +319,22 @@ def compact_types(table: StatementTable) -> StatementTable:
     return StatementTable(new_schema, table.customer_ids, table.statement_index, columns)
 
 
+def snap_to_grid(x: np.ndarray, precision: float) -> np.ndarray:
+    """Nearest multiple of ``precision``, exact halves away from zero.
+
+    A value that rounds to zero comes out as +0.0, whatever its sign;
+    NaN stays NaN.
+    """
+    return np.sign(x) * np.floor(np.abs(x) / precision + 0.5) * precision + 0.0
+
+
 def denoise_round(table: StatementTable, precision: float = 0.01) -> StatementTable:
     """Snap continuous values to the nearest multiple of ``precision``.
 
-    Exact halves round away from zero.  Missing cells and non-continuous
-    columns pass through untouched; applying the same precision twice is
-    an identity.
+    Exact halves round away from zero, and a value that rounds to zero
+    is stored (and written) as +0.0, never -0.0.  Missing cells and
+    non-continuous columns pass through untouched; applying the same
+    precision twice is an identity.
     """
     if not precision > 0:
         raise NonPositivePrecisionError(f"precision must be > 0, got {precision}")
@@ -336,8 +343,7 @@ def denoise_round(table: StatementTable, precision: float = 0.01) -> StatementTa
         if col.kind != "continuous":
             continue
         values = columns[col.name]
-        x = values.astype(np.float64)
-        snapped = np.sign(x) * np.floor(np.abs(x) / precision + 0.5) * precision
+        snapped = snap_to_grid(values.astype(np.float64), precision)
         columns[col.name] = snapped.astype(values.dtype)
     return StatementTable(table.schema, table.customer_ids, table.statement_index, columns)
 

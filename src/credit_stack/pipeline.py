@@ -160,9 +160,7 @@ def _stage(name: str):
 
 
 def _subset_rows(table: ingest.StatementTable, keep_customers: np.ndarray):
-    starts = table.row_starts()
-    counts = np.diff(np.concatenate((starts, [table.n_rows])))
-    mask = np.repeat(keep_customers, counts)
+    mask = np.repeat(keep_customers, table.row_counts())
     return ingest.StatementTable(
         table.schema,
         table.customer_ids[mask],

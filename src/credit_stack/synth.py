@@ -24,7 +24,7 @@ from datetime import date as _date
 import numpy as np
 
 from .errors import ConfigError, NoSignalError
-from .ingest import MISSING_CODE, ColumnSchema, StatementTable
+from .ingest import MISSING_CODE, ColumnSchema, StatementTable, snap_to_grid
 from .serialize import load_config_doc
 
 #: value grid for continuous columns; matches the default cleanup precision
@@ -93,11 +93,6 @@ def synth_schema(config: SynthConfig) -> list:
     return schema
 
 
-def _snap(x: np.ndarray, precision: float = GRID) -> np.ndarray:
-    """Nearest grid multiple, halves away from zero — the cleanup rule."""
-    return np.sign(x) * np.floor(np.abs(x) / precision + 0.5) * precision
-
-
 def _month_ordinals() -> np.ndarray:
     year, month = _FIRST_MONTH
     out = []
@@ -134,9 +129,9 @@ def generate(config: SynthConfig):
     row_customer = np.repeat(np.arange(n), counts)
 
     # 3) latent bases, 4) per-statement wobble -> grid-snapped values
-    bases = _snap(rng.standard_normal((n, config.n_continuous)))
+    bases = snap_to_grid(rng.standard_normal((n, config.n_continuous)), GRID)
     wiggle = rng.standard_normal((total, config.n_continuous)) * _WIGGLE_SD
-    values = _snap(bases[row_customer] + wiggle)
+    values = snap_to_grid(bases[row_customer] + wiggle, GRID)
 
     # 5) categorical codes (cardinality grows with the column index)
     codes = np.empty((total, config.n_categorical), dtype=np.int64)

@@ -416,9 +416,10 @@ def quantile_bin_expectation(values, max_bins):
 def build_bins_by_quantile(matrix, max_bins=255):
     """``gbdt.build_bins`` by one ``np.quantile`` call per column.
 
-    The column's non-missing values give the i/max_bins quantiles, which
-    are deduplicated; edges at or above the column maximum are dropped,
-    and a constant or all-missing column gets no edges.
+    The column's non-missing values, with -0.0 read as +0.0, give the
+    i/max_bins quantiles, which are deduplicated; edges at or above the
+    column maximum are dropped, and a constant or all-missing column
+    gets no edges.
     """
     if matrix.n_rows == 0 or matrix.n_cols == 0:
         raise EmptyMatrixError("cannot bin an empty matrix")
@@ -427,7 +428,7 @@ def build_bins_by_quantile(matrix, max_bins=255):
     qs = np.arange(1, max_bins) / max_bins
     edges = []
     for c in range(matrix.n_cols):
-        x = matrix.values[:, c].astype(np.float64)
+        x = matrix.values[:, c].astype(np.float64) + 0.0
         x = x[~np.isnan(x)]
         if x.size == 0 or x.min() == x.max():
             edges.append(np.empty(0, dtype=np.float64))

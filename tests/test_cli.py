@@ -863,6 +863,36 @@ def test_features_on_statements_whose_sum_overflows_float64_warns_nothing(
         assert not (tmp_path / "m.bin").exists()
 
 
+def test_features_on_statements_whose_sum_overflows_both_ways_exits_3(work, tmp_path, capsys):
+    header, *rows = csv.reader(io.StringIO((work / "clean.csv").read_text(encoding="utf-8")))
+    ids = [r[0] for r in rows]
+    who = next(i for i in ids if ids.count(i) >= 8)
+    col = header.index("cont_00")
+    block = [r for r in rows if r[0] == who][:8]
+    # NumPy's pairwise sum of the eight cells adds 4e308 to -4e308
+    for r, value in zip(block, ["1e308"] * 4 + ["-1e308"] * 4):
+        r[col] = value
+    rows = block + [r for r in rows if r[0] != who]
+    data = tmp_path / "huge.csv"
+    data.write_text("\n".join(",".join(r) for r in [header] + rows) + "\n", encoding="utf-8")
+    (tmp_path / "huge.csv.schema.json").write_bytes(
+        (work / "clean.csv.schema.json").read_bytes()
+    )
+    spec = tmp_path / "mean_std.json"
+    spec.write_text(json.dumps({"continuous_stats": ["mean", "std"], "lag_enabled": False}),
+                    encoding="utf-8")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("features", "--input", str(data), "--spec", str(spec),
+                   "--out", str(tmp_path / "m.bin"))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"feature column 'cont_00_mean' is infinite for customer {who!r}" in err
+    assert [str(w.message) for w in caught] == []
+    assert "RuntimeWarning" not in err and "Traceback" not in err
+    assert not (tmp_path / "m.bin").exists()
+
+
 def test_train_fuzz_over_damaged_matrix_containers_exits_0_or_3(work, tmp_path, capsys):
     blob = (work / "matrix.bin").read_bytes()
     config = tmp_path / "train.json"

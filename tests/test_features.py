@@ -509,6 +509,25 @@ def test_build_matrix_rejects_a_statistic_past_float32_range(stats, lag, column)
             build_matrix(table, spec)
 
 
+def test_a_sum_that_overflows_both_ways_is_an_error_not_missing():
+    # NumPy's pairwise sum of eight cells adds 4e308 to -4e308: inf - inf
+    column = np.array([1e308] * 4 + [-1e308] * 4 + [1.0, 2.0])
+    owner = np.repeat([0, 1], [8, 2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        got = _continuous_stats(column, owner, 2, CONTINUOUS_STATS)
+    assert got["mean"][0] == got["std"][0] == np.inf
+    assert got["mean"][1] == 1.5 and got["median"][0] == 0.0
+    table = tiny_table({"A": [(1.0, 1.0, 1)], "B": [(0.0, 1.0, 1)] * 8})
+    table.columns["bal"] = np.concatenate(([1.0], column[:8]))
+    spec = AggregationSpec(continuous_stats=("mean", "std"), categorical_stats=(),
+                           lag_enabled=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="'bal_mean' is infinite for customer 'B'"):
+            build_matrix(table, spec)
+
+
 def test_spec_validation():
     with pytest.raises(EmptySpecError):
         AggregationSpec(continuous_stats=(), categorical_stats=(), lag_enabled=False)

@@ -122,7 +122,7 @@ def random_bin_column(rng, n_rows):
 
 def test_bins_match_per_column_quantile_oracle_bit_for_bit():
     rng = np.random.default_rng(20261018)
-    seen = {"n1": 0, "n2": 0, "n3": 0, "all_nan": 0, "constant": 0, "neg_zero_edge": 0}
+    seen = {"n1": 0, "n2": 0, "n3": 0, "all_nan": 0, "constant": 0, "neg_zero_cell": 0}
     for case in range(2000):
         n_rows = int(rng.choice([1, 2, 3, 4, 7, 40, 300]))
         max_bins = int(rng.choice([2, 3, 255, rng.integers(2, 256)]))
@@ -134,13 +134,14 @@ def test_bins_match_per_column_quantile_oracle_bit_for_bit():
         for c, (g, w) in enumerate(zip(got.edges, want.edges)):
             assert g.dtype == w.dtype == np.float64
             assert g.tobytes() == w.tobytes(), (case, c, g, w)
+            assert not np.any((g == 0.0) & np.signbit(g)), (case, c, g)
             real = m.values[:, c][~np.isnan(m.values[:, c])]
             seen["n1"] += real.size == 1
             seen["n2"] += real.size == 2
             seen["n3"] += real.size == 3
             seen["all_nan"] += real.size == 0
             seen["constant"] += real.size > 1 and real.min() == real.max()
-            seen["neg_zero_edge"] += bool(np.any((w == 0.0) & np.signbit(w)))
+            seen["neg_zero_cell"] += int(np.count_nonzero((real == 0.0) & np.signbit(real)))
     assert min(seen.values()) >= 20, seen
 
 
@@ -153,12 +154,13 @@ def test_train_with_per_column_quantile_oracle_gives_the_same_model(monkeypatch,
     cfg = TrainConfig(rounds=5, max_leaves=8, max_bins=max_bins, min_child_weight=0.0)
     m = matrix_of(x)
     fast = dumps(model_to_dict(train(m, y, cfg)))
-    assert '"threshold": -0.0' in fast  # an edge whose sign the binning must keep
+    # a zero edge, binned from -0.0 and +0.0 cells alike
+    assert '"threshold": 0.0,' in fast and '"threshold": -0.0,' not in fast
     monkeypatch.setattr(gbdt, "build_bins", build_bins_by_quantile)
     assert dumps(model_to_dict(train(m, y, cfg))) == fast
 
 
-def test_signed_zero_column_calls_np_quantile_only_for_a_zero_cut(monkeypatch):
+def test_build_bins_never_calls_np_quantile(monkeypatch):
     calls = []
     quantile = np.quantile
 
@@ -166,19 +168,18 @@ def test_signed_zero_column_calls_np_quantile_only_for_a_zero_cut(monkeypatch):
         calls.append(args[0].size)
         return quantile(*args, **kwargs)
 
-    monkeypatch.setattr(np, "quantile", counting_quantile)
     # n = 11, max_bins 4: the cuts lerp rows 2-3, 5 and 7-8, none a zero
     no_zero_cut = matrix_of([-0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, np.nan])
-    # n = 6: every cut lerps two of the four tied zeros
+    # n = 6: every cut lerps two of the four tied zeros, -0.0 among them
     zero_cut = matrix_of([-3.0, -0.0, 0.0, np.nan, -0.0, 0.0, 2.0])
-    for m, want_calls in ((no_zero_cut, 0), (zero_cut, 1)):
-        calls.clear()
-        got = build_bins(m, 4)
-        assert len(calls) == want_calls
-        assert got.edges[0].tobytes() == build_bins_by_quantile(m, 4).edges[0].tobytes()
-    calls.clear()
-    build_bins(matrix_of([[-0.0, 1.0], [np.nan, np.nan], [np.nan, -0.0]]), 4)
-    assert calls == []  # one value per column: constant, nothing to cut
+    one_value = matrix_of([[-0.0, 1.0], [np.nan, np.nan], [np.nan, -0.0]])
+    matrices = (no_zero_cut, zero_cut, one_value)
+    want = [build_bins_by_quantile(m, 4).edges for m in matrices]
+    monkeypatch.setattr(np, "quantile", counting_quantile)
+    got = [build_bins(m, 4).edges for m in matrices]
+    assert calls == []
+    assert [[e.tobytes() for e in g] for g in got] == [[e.tobytes() for e in w] for w in want]
+    assert got[1][0].tolist() == [0.0] and not np.signbit(got[1][0]).any()
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +509,7 @@ def random_train_case(rng):
 
 def test_train_with_every_leaf_searched_gives_the_same_model(monkeypatch):
     rng = np.random.default_rng(20261019)
-    seen = {"one_row_leaf": 0, "missing_right": 0, "neg_zero_threshold": 0}
+    seen = {"one_row_leaf": 0, "missing_right": 0, "zero_threshold": 0}
     new_leaf = _TreeGrower._new_leaf
 
     def counting_new_leaf(self, rows, search):
@@ -524,7 +525,8 @@ def test_train_with_every_leaf_searched_gives_the_same_model(monkeypatch):
             patch.setattr(gbdt, "_TreeGrower", SearchEveryLeafGrower)
             assert dumps(model_to_dict(train(m, y, cfg))) == fast, (case, cfg)
         seen["missing_right"] += fast.count('"missing_left": false')
-        seen["neg_zero_threshold"] += fast.count('"threshold": -0.0,')
+        seen["zero_threshold"] += fast.count('"threshold": 0.0,')
+        assert '"threshold": -0.0,' not in fast, case
     assert min(seen.values()) >= 20, seen
 
 

@@ -149,15 +149,21 @@ def test_parse_groups_interleaved_customers(tmp_path):
     assert table.statement_index.tolist() == [1, 2, 1, 2]
     assert table.columns["balance"].tolist() == [3.0, 1.0, 2.0, 4.0]
     assert table.customers().tolist() == ["B", "A"]
+    assert table.row_starts().tolist() == [0, 2] and table.row_counts().tolist() == [2, 2]
+    empty = StatementTable(SCHEMA, table.customer_ids[:0], table.statement_index[:0], {})
+    assert empty.row_starts().size == empty.row_counts().size == empty.customers().size == 0
 
 
 def test_denoise_rounds_to_nearest_multiple(tmp_path):
-    path = make_csv(tmp_path, "A,2017-03-01,0.123456,-0.005,2\n")
+    path = make_csv(tmp_path, "A,2017-03-01,0.123456,-0.005,2\nB,2017-03-01,-0.004,0.004,1\n")
     # rounding runs on freshly parsed values, before storage narrowing
     out = compact_types(denoise_round(parse_csv(path, SCHEMA), 0.01))
     assert out.columns["balance"][0] == np.float32(0.12)
     # tie rounds away from zero
     assert out.columns["spend"][0] == np.float32(-0.01)
+    # a value that rounds to zero is +0.0, whichever its sign
+    for name in ("balance", "spend"):
+        assert out.columns[name][1] == 0.0 and not np.signbit(out.columns[name][1])
 
 
 def test_denoise_keeps_missing_and_categoricals(tmp_path):
@@ -261,8 +267,9 @@ def test_clean_rounds_before_narrowing_then_masks(tmp_path):
 
 
 def test_only_ingest_runs_the_cleaning_steps():
-    # the order denoise -> compact -> mask lives in ingest.clean alone
-    pattern = re.compile(r"\b(denoise_round|compact_types|mask_outliers)\(")
+    # the order denoise -> compact -> mask lives in ingest.clean alone,
+    # and the grid-rounding formula in ingest.snap_to_grid alone
+    pattern = re.compile(r"\b(denoise_round|compact_types|mask_outliers)\(|np\.floor\(np\.abs\(")
     offenders = [
         f"{path.name}:{i}: {line.strip()}"
         for path in sorted(SRC.glob("*.py"))
