@@ -26,7 +26,7 @@ from .errors import (
     LengthMismatchError,
     SingleMemberError,
 )
-from .metric import composite_metric
+from .metric import Labels, composite_metric
 from .serialize import format_float, read_csv_rows, write_csv_rows, write_json
 
 log = logging.getLogger(__name__)
@@ -46,12 +46,26 @@ class EnsembleSpec:
             raise InvalidWeightsError(
                 f"{len(self.member_names)} members but {len(self.weights)} weights"
             )
-        if len(set(self.member_names)) != len(self.member_names):
-            raise InvalidWeightsError("member names must be unique")
-        if any(w < 0 for w in self.weights):
-            raise InvalidWeightsError(f"weights must be non-negative: {self.weights}")
-        if abs(sum(self.weights) - 1.0) > _WEIGHT_SUM_TOL:
-            raise InvalidWeightsError(f"weights must sum to 1: {self.weights}")
+        _check_unique(self.member_names)
+        _checked_weights(self.weights)
+
+
+def _check_unique(names) -> None:
+    if len(set(names)) != len(names):
+        raise InvalidWeightsError("member names must be unique")
+
+
+def _checked_weights(weights) -> np.ndarray:
+    """The weights as a float vector; each must be finite and
+    non-negative, and they must sum to 1, else ``InvalidWeightsError``."""
+    w = np.asarray(weights, dtype=np.float64).ravel()
+    if not np.isfinite(w).all():
+        raise InvalidWeightsError(f"weights must be finite: {w.tolist()}")
+    if (w < 0).any():
+        raise InvalidWeightsError(f"weights must be non-negative: {w.tolist()}")
+    if abs(float(w.sum()) - 1.0) > _WEIGHT_SUM_TOL:
+        raise InvalidWeightsError(f"weights must sum to 1: {w.tolist()}")
+    return w
 
 
 def _stacked(predictions) -> np.ndarray:
@@ -74,15 +88,11 @@ def blend(predictions, weights) -> np.ndarray:
     between the member minimum and maximum.
     """
     stacked = _stacked(predictions)
-    w = np.asarray(weights, dtype=np.float64).ravel()
+    w = _checked_weights(weights)
     if w.size != stacked.shape[0]:
         raise InvalidWeightsError(
             f"{w.size} weights for {stacked.shape[0]} members"
         )
-    if (w < 0).any():
-        raise InvalidWeightsError(f"weights must be non-negative: {w.tolist()}")
-    if abs(float(w.sum()) - 1.0) > _WEIGHT_SUM_TOL:
-        raise InvalidWeightsError(f"weights must sum to 1: {w.tolist()}")
     return w @ stacked
 
 
@@ -120,18 +130,24 @@ def optimize_weights(predictions, labels, step: float = 0.01, member_names=None)
     and repeatedly applies the best mass move of one step between any
     pair of members until no move improves M.  Returns (EnsembleSpec,
     best M); only strict improvements replace the incumbent, so the
-    earliest candidate wins all ties.
+    earliest candidate wins all ties.  The member names and the labels
+    are checked, and the labels prepared, once before the first
+    candidate is scored.
     """
     stacked = _stacked(predictions)
     m = stacked.shape[0]
     if m < 2:
         raise SingleMemberError("weight search needs at least two members")
     ticks = lattice_ticks(step)
-    y = np.asarray(labels, dtype=np.float64).ravel()
+    names = tuple(member_names) if member_names else tuple(f"member_{i}" for i in range(m))
+    if len(names) != m:
+        raise ConfigError(f"{len(names)} member names for {m} members")
+    _check_unique(names)
+    prepared = Labels(labels)
 
     def score(int_weights) -> float:
         w = np.asarray(int_weights, dtype=np.float64) / ticks
-        return composite_metric(y, w @ stacked).M
+        return composite_metric(prepared, w @ stacked).M
 
     if m <= 3:
         best_w, best_m = None, -np.inf
@@ -165,9 +181,6 @@ def optimize_weights(predictions, labels, step: float = 0.01, member_names=None)
             if move_best_w is not None:
                 best_w, best_m, improved = move_best_w, move_best_m, True
 
-    names = tuple(member_names) if member_names else tuple(f"member_{i}" for i in range(m))
-    if len(names) != m:
-        raise ConfigError(f"{len(names)} member names for {m} members")
     spec = EnsembleSpec(names, tuple(w / ticks for w in best_w))
     log.info("blend weights %s -> M %.6f", dict(zip(names, spec.weights)), best_m)
     return spec, float(best_m)

@@ -10,12 +10,15 @@ The score M is the mean of two components computed on weighted rows
 Both components depend only on the ordering of the predictions, never
 on their calibration.
 
-``composite_metric`` validates its inputs once per call and builds the
-positive mask and the row weights once, then hands them to the two
-private kernels (``_pair_auc``, ``_capture_rate``); the public
-``weighted_auc`` and ``default_rate_at_4pct`` validate once and call
-their kernel.  The blend search calls ``composite_metric`` once per
-candidate, so this per-call work is what the search pays.
+The label work is done once per ``Labels``: it checks the label vector
+and keeps the positive and negative row indices, the row weights, their
+total and the capture cutoff.  The prediction checks (length and
+finiteness) are done once per call.  ``composite_metric``,
+``weighted_auc`` and ``default_rate_at_4pct`` take either a label array,
+which they prepare for that one call, or a ``Labels``; the blend search
+prepares its labels once and then pays only the per-call work for each
+candidate.  Both private kernels (``_pair_auc``, ``_capture_rate``) take
+the checked predictions and a ``Labels``.
 
 Exactness: every sum either component takes is a whole number (row
 weights 1 and 20, pair and row counts) or a half of one (tied pairs),
@@ -67,23 +70,6 @@ class MetricReport:
         }
 
 
-def _validated(labels, preds) -> tuple[np.ndarray, np.ndarray]:
-    y = np.asarray(labels, dtype=np.float64).ravel()
-    p = np.asarray(preds, dtype=np.float64).ravel()
-    if y.shape != p.shape:
-        raise LengthMismatchError(
-            f"labels ({y.size}) and predictions ({p.size}) differ in length"
-        )
-    if y.size == 0:
-        raise DataError("metric needs at least one row")
-    bad = (y != 0.0) & (y != 1.0)  # NaN fails both comparisons, so it is bad too
-    if bad.any():
-        raise DataError(f"labels must be 0 or 1, found {y[bad][0]!r}")
-    if not np.isfinite(p).all():
-        raise DataError(f"predictions must be finite, found {p[~np.isfinite(p)][0]!r}")
-    return y, p
-
-
 def weight_of(label):
     """Row weight(s) for binary label(s): ``NEGATIVE_WEIGHT`` for 0, 1 for 1.
 
@@ -96,30 +82,78 @@ def weight_of(label):
     return w
 
 
-def _pair_auc(p: np.ndarray, pos: np.ndarray, n_pos: int) -> float:
-    """Weighted AUC of validated predictions from pair counts.
+class Labels:
+    """A 0/1 label vector, checked once and prepared for scoring.
+
+    Keeps the positive mask, the positive and negative row indices, the
+    row weights, their total and the capture cutoff, so that scoring
+    many prediction vectors against the same labels repeats none of
+    that work.  An empty vector, or a label that is not 0 or 1, is a
+    ``DataError``.  ``len()`` is the row count.
+    """
+
+    __slots__ = ("is_pos", "pos", "neg", "n_pos", "weights", "total_weight", "cutoff")
+
+    def __init__(self, labels):
+        y = np.asarray(labels, dtype=np.float64).ravel()
+        if y.size == 0:
+            raise DataError("metric needs at least one row")
+        bad = (y != 0.0) & (y != 1.0)  # NaN fails both comparisons, so it is bad too
+        if bad.any():
+            raise DataError(f"labels must be 0 or 1, found {y[bad][0]!r}")
+        self.is_pos = y == 1.0
+        self.pos = np.flatnonzero(self.is_pos)
+        self.neg = np.flatnonzero(~self.is_pos)
+        self.n_pos = int(self.pos.size)
+        self.weights = weight_of(y)
+        # every weight is a whole number and the total stays far below
+        # 2**53, so any running sum that reaches the last row equals it
+        self.total_weight = float(self.weights.sum())
+        self.cutoff = CAPTURE_FRACTION * self.total_weight
+
+    def __len__(self) -> int:
+        return self.is_pos.size
+
+
+def _prepared(labels, preds) -> tuple[Labels, np.ndarray]:
+    """``labels`` as a ``Labels`` and ``preds`` checked against them."""
+    if not isinstance(labels, Labels):
+        labels = Labels(labels)
+    p = np.asarray(preds, dtype=np.float64).ravel()
+    if p.size != len(labels):
+        raise LengthMismatchError(
+            f"labels ({len(labels)}) and predictions ({p.size}) differ in length"
+        )
+    if not np.isfinite(p).all():
+        raise DataError(f"predictions must be finite, found {p[~np.isfinite(p)][0]!r}")
+    return labels, p
+
+
+def _pair_auc(p: np.ndarray, labels: Labels) -> float:
+    """Weighted AUC of checked predictions from pair counts.
 
     Each positive is placed in the sorted negatives by two binary
     searches: the negatives strictly below it and those tied with it.
     """
-    n_neg = p.size - n_pos
+    n_pos, n_neg = labels.n_pos, labels.neg.size
     if n_pos == 0 or n_neg == 0:
         raise SingleClassError("weighted AUC needs both classes present")
-    negatives = np.sort(p[~pos])
-    positives = p[pos]
+    negatives = np.sort(p[labels.neg])
+    positives = p[labels.pos]
     below = np.searchsorted(negatives, positives, side="left")
     at_or_below = np.searchsorted(negatives, positives, side="right")
     # sum of below + ties / 2, where ties = at_or_below - below
     return 0.5 * float(below.sum() + at_or_below.sum()) / (n_pos * n_neg)
 
 
-def _capture_rate(p: np.ndarray, pos: np.ndarray, w: np.ndarray, n_pos: int) -> float:
-    """Share of the ``n_pos`` positives ranked within the capture weight."""
+def _capture_rate(p: np.ndarray, labels: Labels) -> float:
+    """Share of the positives ranked within the capture weight."""
     order = np.argsort(-p, kind="stable")
-    running = np.cumsum(w[order])
-    cutoff = CAPTURE_FRACTION * running[-1]
-    taken = int(np.searchsorted(running, cutoff, side="right"))
-    return int(np.count_nonzero(pos[order[:taken]])) / n_pos
+    running = np.cumsum(labels.weights[order])
+    # running is non-decreasing, so this counts the rows searchsorted
+    # (side="right") would admit
+    taken = int(np.count_nonzero(running <= labels.cutoff))
+    return int(np.count_nonzero(labels.is_pos[order[:taken]])) / labels.n_pos
 
 
 def weighted_auc(labels, preds) -> float:
@@ -132,9 +166,8 @@ def weighted_auc(labels, preds) -> float:
     count sum(s_ij) over n_pos * n_neg, found in O(n log n) by sorting
     the negatives once.
     """
-    y, p = _validated(labels, preds)
-    pos = y == 1.0
-    return _pair_auc(p, pos, int(np.count_nonzero(pos)))
+    labels, p = _prepared(labels, preds)
+    return _pair_auc(p, labels)
 
 
 def default_rate_at_4pct(labels, preds) -> float:
@@ -145,33 +178,29 @@ def default_rate_at_4pct(labels, preds) -> float:
     0.04 * sum(weights); the result is captured positives over all
     positives.
     """
-    y, p = _validated(labels, preds)
-    pos = y == 1.0
-    n_pos = int(np.count_nonzero(pos))
-    if n_pos == 0:
+    labels, p = _prepared(labels, preds)
+    if labels.n_pos == 0:
         raise NoPositivesError("capture rate needs at least one positive row")
-    return _capture_rate(p, pos, weight_of(y), n_pos)
+    return _capture_rate(p, labels)
 
 
 def composite_metric(labels, preds) -> MetricReport:
     """Assemble G, D and M = 0.5 * (G + D) into one report.
 
-    The inputs are validated once, and the positive mask and the row
-    weights are built once for both components.
+    ``labels`` is a label array, prepared for this one call, or a
+    ``Labels`` prepared once for many calls; the predictions are checked
+    on every call.
     """
-    y, p = _validated(labels, preds)
-    pos = y == 1.0
-    n_pos = int(np.count_nonzero(pos))
-    auc_w = _pair_auc(p, pos, n_pos)
+    labels, p = _prepared(labels, preds)
+    auc_w = _pair_auc(p, labels)
     G = 2.0 * auc_w - 1.0
-    w = weight_of(y)
-    D = _capture_rate(p, pos, w, n_pos)
+    D = _capture_rate(p, labels)
     return MetricReport(
         G=G,
         D=D,
         M=0.5 * (G + D),
         auc_w=auc_w,
-        n_rows=int(y.size),
-        n_pos=n_pos,
-        total_weight=float(w.sum()),
+        n_rows=len(labels),
+        n_pos=labels.n_pos,
+        total_weight=labels.total_weight,
     )

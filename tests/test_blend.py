@@ -71,6 +71,16 @@ def test_blend_rejects_bad_inputs():
         blend([], [])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_weights_are_rejected(bad):
+    with pytest.raises(InvalidWeightsError, match="finite") as raised:
+        EnsembleSpec(("a", "b"), (bad, 1.0))
+    assert raised.value.exit_code == 2
+    with pytest.raises(InvalidWeightsError, match="finite") as raised:
+        blend([[0.1, 0.2], [0.3, 0.4]], [bad, 1.0])
+    assert raised.value.exit_code == 2
+
+
 def test_ensemble_spec_validation():
     EnsembleSpec(("a", "b"), (0.25, 0.75))
     with pytest.raises(InvalidWeightsError):
@@ -143,18 +153,30 @@ def test_search_four_member_ascent_path():
     assert again.weights == spec.weights and best2 == best
 
 
-def test_search_custom_member_names():
+def test_search_custom_member_names(monkeypatch):
     y = np.array([1, 0, 1, 0])
-    spec, _ = optimize_weights(
-        [[0.9, 0.1, 0.8, 0.2], [0.5, 0.5, 0.5, 0.5]], y, step=0.5,
-        member_names=["wide", "recent"],
-    )
+    two = [[0.9, 0.1, 0.8, 0.2], [0.5, 0.5, 0.5, 0.5]]
+    spec, _ = optimize_weights(two, y, step=0.5, member_names=["wide", "recent"])
     assert spec.member_names == ("wide", "recent")
-    with pytest.raises(ConfigError):
-        optimize_weights(
-            [[0.9, 0.1, 0.8, 0.2], [0.5, 0.5, 0.5, 0.5]], y, step=0.5,
-            member_names=["only_one"],
-        )
+
+    calls = []
+
+    def counted(labels, preds):
+        calls.append(1)
+        return composite_metric(labels, preds)
+
+    monkeypatch.setattr(blend_mod, "composite_metric", counted)
+    # bad names fail before the first candidate is scored
+    for names, error in (
+        (["only_one"], ConfigError),
+        (["a", "b", "c"], ConfigError),
+        (["same", "same"], InvalidWeightsError),
+    ):
+        with pytest.raises(error):
+            optimize_weights(two, y, step=0.5, member_names=names)
+        assert calls == [], names
+    optimize_weights(two, y, step=0.5, member_names=["wide", "recent"])
+    assert len(calls) == 3  # the counter does see a good search
 
 
 def test_search_rejects_bad_steps_and_member_counts():
@@ -179,13 +201,18 @@ def test_search_with_three_pass_metric_gives_the_same_blend(m, monkeypatch):
     calls = []
 
     def oracle(labels, preds):
-        calls.append(1)
-        return three_pass_composite_metric(labels, preds)
+        # the search hands over prepared labels; the oracle gets a plain
+        # 0/1 array rebuilt from their positive rows
+        calls.append(len(labels))
+        plain = np.zeros(len(labels), dtype=np.int64)
+        plain[labels.pos] = 1
+        return three_pass_composite_metric(plain, preds)
 
     monkeypatch.setattr(blend_mod, "composite_metric", oracle)
     oracle_spec, oracle_best = optimize_weights(members, y, step=0.05)
     assert oracle_spec == spec
     assert oracle_best.hex() == best.hex()
+    assert set(calls) == {y.size}  # every call's len() is the row count
     if m <= 3:  # one metric call per lattice point, no batching
         assert len(calls) == comb(20 + m - 1, m - 1)
 

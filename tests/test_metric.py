@@ -12,6 +12,7 @@ from credit_stack.errors import (
 from credit_stack.metric import (
     CAPTURE_FRACTION,
     NEGATIVE_WEIGHT,
+    Labels,
     composite_metric,
     default_rate_at_4pct,
     weight_of,
@@ -213,8 +214,26 @@ def test_non_finite_predictions_raise(bad):
         composite_metric([0, 1, 0, 1], [0.1, bad, 0.2, 0.9])
 
 
+def test_labels_are_checked_before_the_prediction_length():
+    # labels are prepared first, so labels that are wrong twice over fail
+    # on their own content, not on the length; both errors exit 3
+    for fn in (composite_metric, weighted_auc, default_rate_at_4pct):
+        with pytest.raises(DataError, match="labels must be 0 or 1") as raised:
+            fn([1, 2, 0], [0.1, 0.2])
+        assert not isinstance(raised.value, LengthMismatchError)
+        assert raised.value.exit_code == 3
+        with pytest.raises(DataError, match="at least one row") as raised:
+            fn([], [0.1, 0.2])
+        assert not isinstance(raised.value, LengthMismatchError)
+    for labels in ([1, 0, 0], Labels([1, 0, 0])):
+        with pytest.raises(LengthMismatchError, match=r"labels \(3\) and predictions \(2\)") as raised:
+            composite_metric(labels, [0.1, 0.2])
+        assert raised.value.exit_code == 3
+
+
 # ---------------------------------------------------------------------------
-# one validation per call: the same bits as the three-pass oracle
+# labels prepared once, predictions checked per call: the same bits as
+# the three-pass oracle
 
 
 def _bits(value):
@@ -237,20 +256,7 @@ def _metric_case(rng):
     n = int(rng.integers(1, 6)) if rng.random() < 0.3 else int(rng.integers(6, 300))
     share = rng.choice([0.0, 0.05, 0.3, 0.5, 0.95, 1.0], p=[0.05, 0.2, 0.25, 0.25, 0.2, 0.05])
     labels = (rng.random(n) < share).astype(np.int64)
-    kind = rng.integers(6)
-    if kind == 0:
-        preds = rng.random(n)
-    elif kind == 1:  # tie clusters
-        preds = np.round(rng.random(n), int(rng.integers(0, 3)))
-    elif kind == 2:  # every row tied
-        preds = np.full(n, rng.choice([0.0, 0.5, -3.0]))
-    elif kind == 3:  # large magnitudes, whole numbers tie often
-        preds = rng.integers(-1_000_000, 1_000_001, size=n).astype(np.float64)
-    elif kind == 4:  # large magnitudes, signed zeros mixed in
-        preds = rng.uniform(-1e6, 1e6, size=n)
-        preds[rng.random(n) < 0.3] = rng.choice([0.0, -0.0])
-    else:  # few levels
-        preds = rng.choice([0.1, 0.2, 0.3], size=n)
+    preds = _metric_preds(rng, n)
     labels = rng.choice([
         labels, labels.astype(np.int8), labels.astype(np.float64),
         labels.astype(bool), labels.tolist(),
@@ -269,17 +275,53 @@ def _metric_case(rng):
     return labels, preds
 
 
+def _metric_preds(rng, n):
+    """One seeded prediction vector of ``n`` rows, of a random kind."""
+    kind = rng.integers(6)
+    if kind == 0:
+        preds = rng.random(n)
+    elif kind == 1:  # tie clusters
+        preds = np.round(rng.random(n), int(rng.integers(0, 3)))
+    elif kind == 2:  # every row tied
+        preds = np.full(n, rng.choice([0.0, 0.5, -3.0]))
+    elif kind == 3:  # large magnitudes, whole numbers tie often
+        preds = rng.integers(-1_000_000, 1_000_001, size=n).astype(np.float64)
+    elif kind == 4:  # large magnitudes, signed zeros mixed in
+        preds = rng.uniform(-1e6, 1e6, size=n)
+        preds[rng.random(n) < 0.3] = rng.choice([0.0, -0.0])
+    else:  # few levels
+        preds = rng.choice([0.1, 0.2, 0.3], size=n)
+    return preds
+
+
 def test_metric_matches_three_pass_oracle_bit_for_bit():
     rng = np.random.default_rng(2024)
-    scored = 0
+    more = np.random.default_rng(2025)  # extra vectors; the cases stay as drawn
+    pairs = (
+        (composite_metric, three_pass_composite_metric),
+        (weighted_auc, three_pass_weighted_auc),
+        (default_rate_at_4pct, three_pass_default_rate),
+    )
+    scored = reused = 0
     for _ in range(2500):
         labels, preds = _metric_case(rng)
-        for fn, oracle in (
-            (composite_metric, three_pass_composite_metric),
-            (weighted_auc, three_pass_weighted_auc),
-            (default_rate_at_4pct, three_pass_default_rate),
-        ):
+        for fn, oracle in pairs:
             want = _outcome(oracle, labels, preds)
             assert _outcome(fn, labels, preds) == want, (fn.__name__, labels, preds)
         scored += not isinstance(want, tuple)
+        try:
+            prepared = Labels(labels)
+        except DataError:
+            continue
+        # one prepared label set scores several vectors, in shuffled
+        # order, with the same bits as the raw labels and the oracle
+        vectors = [preds] + [_metric_preds(more, len(prepared)) for _ in range(3)]
+        for i in more.permutation(len(vectors)):
+            p = vectors[i]
+            for fn, oracle in pairs:
+                want = _outcome(oracle, labels, p)
+                assert _outcome(fn, labels, p) == want, (fn.__name__, labels, p)
+                assert _outcome(fn, prepared, p) == want, (fn.__name__, labels, p)
+            reused += not isinstance(want, tuple)
     assert 1200 < scored < 2300  # reports and errors are both well exercised
+    assert reused > 4 * 1200  # and so are reused label sets
