@@ -32,7 +32,7 @@ from .errors import (
     MissingLabelError,
     NonPositivePrecisionError,
 )
-from .serialize import read_csv_rows, read_json_doc, write_csv_rows
+from .serialize import check_config_doc, read_csv_rows, read_json_doc, write_csv_rows
 
 log = logging.getLogger(__name__)
 
@@ -103,31 +103,20 @@ def load_schema(source) -> list[ColumnSchema]:
         raise ConfigError("schema must be a non-empty JSON array of column objects")
 
     schema: list[ColumnSchema] = []
-    for entry in doc:
-        if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
-            raise ConfigError(f"schema entry needs 'name' and 'kind': {entry!r}")
-        if not isinstance(entry["name"], str):
-            raise ConfigError(f"schema entry 'name' must be a string: {entry!r}")
-        kind = entry["kind"]
+    for i, entry in enumerate(doc):
+        entry = check_config_doc(entry, f"schema entry {i}", ColumnSchema)
+        name, kind = entry["name"], entry["kind"]
         if kind not in _KINDS:
-            raise ConfigError(f"unknown column kind {kind!r} for {entry['name']!r}")
-        storage = entry.get("storage", "int8" if kind == "categorical" else "float32")
-        if storage not in _STORAGES:
-            raise ConfigError(f"unknown storage {storage!r} for {entry['name']!r}")
+            raise ConfigError(f"unknown column kind {kind!r} for {name!r}")
+        entry.setdefault("storage", "int8" if kind == "categorical" else "float32")
+        if entry["storage"] not in _STORAGES:
+            raise ConfigError(f"unknown storage {entry['storage']!r} for {name!r}")
         rng = entry.get("valid_range")
-        if rng is not None:
-            if (
-                not isinstance(rng, (list, tuple))
-                or len(rng) != 2
-                or not all(isinstance(v, (int, float)) for v in rng)
-            ):
-                raise ConfigError(
-                    f"valid_range of {entry['name']!r} must be [low, high]: {rng!r}"
-                )
-            if rng[0] > rng[1]:
-                raise ConfigError(f"valid_range low > high for {entry['name']!r}")
-            rng = (float(rng[0]), float(rng[1]))
-        schema.append(ColumnSchema(entry["name"], kind, storage, rng))
+        if rng is not None and kind != "continuous":
+            raise ConfigError(f"valid_range of {name!r} needs a continuous column")
+        if rng is not None and rng[0] > rng[1]:
+            raise ConfigError(f"valid_range low > high for {name!r}")
+        schema.append(ColumnSchema(**entry))
 
     names = [c.name for c in schema]
     if len(set(names)) != len(names):
@@ -276,6 +265,17 @@ def parse_csv(path, schema: list[ColumnSchema]) -> StatementTable:
 # cleaning
 
 
+def _reject_overflow(table: StatementTable, col: ColumnSchema, values, result, problem: str):
+    """DataError naming the first cell finite in ``values`` but not in ``result``."""
+    overflow = np.isinf(result) & np.isfinite(values)
+    if overflow.any():
+        i = int(np.flatnonzero(overflow)[0])
+        raise DataError(
+            f"column {col.name!r}: value {float(values[i])!r} of customer "
+            f"{table.customer_ids[i]!r} {problem}"
+        )
+
+
 def compact_types(table: StatementTable) -> StatementTable:
     """Narrow column storage: float32 values, int8/int16 codes.
 
@@ -292,13 +292,7 @@ def compact_types(table: StatementTable) -> StatementTable:
             values = columns[col.name]
             with np.errstate(over="ignore"):  # reported below
                 narrow = values.astype(np.float32)
-            overflow = np.isinf(narrow) & np.isfinite(values)
-            if overflow.any():
-                i = int(np.flatnonzero(overflow)[0])
-                raise DataError(
-                    f"column {col.name!r}: value {float(values[i])!r} of customer "
-                    f"{table.customer_ids[i]!r} exceeds float32 storage"
-                )
+            _reject_overflow(table, col, values, narrow, "exceeds float32 storage")
             columns[col.name] = narrow
             new_schema.append(replace(col, storage="float32"))
         elif col.kind == "categorical":
@@ -334,16 +328,18 @@ def denoise_round(table: StatementTable, precision: float = 0.01) -> StatementTa
     Exact halves round away from zero, and a value that rounds to zero
     is stored (and written) as +0.0, never -0.0.  Missing cells and
     non-continuous columns pass through untouched; applying the same
-    precision twice is an identity.
+    precision twice is an identity.  Overflow is a DataError.
     """
-    if not precision > 0:
-        raise NonPositivePrecisionError(f"precision must be > 0, got {precision}")
+    if not (precision > 0 and math.isfinite(precision)):
+        raise NonPositivePrecisionError(f"precision must be finite and > 0, got {precision}")
     columns = dict(table.columns)
     for col in table.schema:
         if col.kind != "continuous":
             continue
         values = columns[col.name]
-        snapped = snap_to_grid(values.astype(np.float64), precision)
+        with np.errstate(over="ignore"):  # reported below
+            snapped = snap_to_grid(values.astype(np.float64), precision)
+        _reject_overflow(table, col, values, snapped, f"has no finite multiple of {precision}")
         columns[col.name] = snapped.astype(values.dtype)
     return StatementTable(table.schema, table.customer_ids, table.statement_index, columns)
 

@@ -100,7 +100,7 @@ class Labels:
             raise DataError("metric needs at least one row")
         bad = (y != 0.0) & (y != 1.0)  # NaN fails both comparisons, so it is bad too
         if bad.any():
-            raise DataError(f"labels must be 0 or 1, found {y[bad][0]!r}")
+            raise DataError(f"labels must be 0 or 1, found {float(y[bad][0])}")
         self.is_pos = y == 1.0
         self.pos = np.flatnonzero(self.is_pos)
         self.neg = np.flatnonzero(~self.is_pos)
@@ -125,7 +125,7 @@ def _prepared(labels, preds) -> tuple[Labels, np.ndarray]:
             f"labels ({len(labels)}) and predictions ({p.size}) differ in length"
         )
     if not np.isfinite(p).all():
-        raise DataError(f"predictions must be finite, found {p[~np.isfinite(p)][0]!r}")
+        raise DataError(f"predictions must be finite, found {float(p[~np.isfinite(p)][0])}")
     return labels, p
 
 

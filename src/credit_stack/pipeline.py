@@ -42,6 +42,7 @@ from .blend import (
 from .errors import ConfigError, CreditStackError
 from .metric import composite_metric
 from .serialize import (
+    check_config_doc,
     format_float,
     load_config_doc,
     sha256_file,
@@ -59,8 +60,8 @@ class MemberConfig:
     """One ensemble member: its feature recipe, learner, and inputs."""
 
     name: str
-    features: features_mod.AggregationSpec
-    train: gbdt.TrainConfig
+    features: features_mod.AggregationSpec = features_mod.AggregationSpec()
+    train: gbdt.TrainConfig = gbdt.TrainConfig()
     meta_from: tuple[str, ...] = ()
 
 
@@ -116,26 +117,16 @@ class PipelineConfig:
 def config_from_json(source) -> PipelineConfig:
     """Load and validate a pipeline configuration document."""
     doc = load_config_doc(source, "pipeline config", PipelineConfig)
-    for key in ("data", "labels", "schema", "out_dir", "members"):
-        if key not in doc:
-            raise ConfigError(f"pipeline config is missing {key!r}")
     if not isinstance(doc["members"], list):
         raise ConfigError("pipeline config 'members' must be a list of member objects")
     members = []
     for i, raw in enumerate(doc["members"]):
-        if not isinstance(raw, dict) or "name" not in raw:
-            raise ConfigError(f"member {i} must be an object with a 'name'")
-        raw = load_config_doc(raw, f"member {i}", MemberConfig)
-        members.append(
-            MemberConfig(
-                name=raw["name"],
-                features=features_mod.spec_from_json(raw.get("features", {})),
-                train=gbdt.config_from_json(raw.get("train", {})),
-                meta_from=raw.get("meta_from", ()),
-            )
-        )
-    kwargs = {k: v for k, v in doc.items() if k != "members"}
-    return PipelineConfig(members=tuple(members), **kwargs)
+        raw = check_config_doc(raw, f"member {i}", MemberConfig)
+        raw["features"] = features_mod.spec_from_json(raw.get("features", {}))
+        raw["train"] = gbdt.config_from_json(raw.get("train", {}))
+        members.append(MemberConfig(**raw))
+    doc["members"] = tuple(members)
+    return PipelineConfig(**doc)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import fields
+import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .errors import ConfigError, DataError, EmptyFileError
@@ -58,17 +59,17 @@ def _escape(text: str) -> str:
     return "".join(out)
 
 
-def dumps(obj, indent: int = 2) -> str:
+def dumps(obj) -> str:
     """Serialize dicts/lists/str/bool/None/int/float to stable JSON text."""
     pieces: list[str] = []
-    _write(obj, pieces, indent, 0)
+    _write(obj, pieces, 0)
     pieces.append("\n")
     return "".join(pieces)
 
 
-def _write(obj, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _write(obj, out: list[str], level: int) -> None:
+    pad = "  " * (level + 1)
+    close_pad = "  " * level
     if obj is None:
         out.append("null")
     elif obj is True:
@@ -90,7 +91,7 @@ def _write(obj, out: list[str], indent: int, level: int) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, got {type(key)}")
             out.append(f'{pad}"{_escape(key)}": ')
-            _write(value, out, indent, level + 1)
+            _write(value, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(close_pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -100,15 +101,13 @@ def _write(obj, out: list[str], indent: int, level: int) -> None:
         out.append("[\n")
         for i, value in enumerate(obj):
             out.append(pad)
-            _write(value, out, indent, level + 1)
+            _write(value, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(close_pad + "]")
+    elif hasattr(obj, "item"):  # numpy scalars and similar
+        _write(obj.item(), out, level)
     else:
-        # numpy scalars and similar
-        if hasattr(obj, "item"):
-            _write(obj.item(), out, indent, level)
-        else:
-            raise TypeError(f"cannot serialize {type(obj)}")
+        raise TypeError(f"cannot serialize {type(obj)}")
 
 
 def ensure_parent(path: str | Path) -> Path:
@@ -156,31 +155,46 @@ def write_csv_rows(path: str | Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-# JSON value types accepted for a config field, by its annotation
+def _is_number(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and (
+        abs(value) <= sys.float_info.max  # false for NaN, ±inf and ints past float64
+    )
+
+
+# JSON values accepted for a config field, by its annotation
 _FIELD_TYPES = {
-    "int": (int, "an integer"),
-    "float": ((int, float), "a number"),
-    "str": (str, "a string"),
-    "bool": (bool, "true or false"),
-    "tuple[str, ...]": ((list, tuple), "a list of strings"),
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (_is_number, "a finite number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "tuple[str, ...]": (
+        lambda v: isinstance(v, (list, tuple)) and all(isinstance(s, str) for s in v),
+        "a list of strings",
+    ),
+    "tuple[float, float]": (
+        lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)),
+        "a [low, high] pair of finite numbers",
+    ),
 }
 
 
 def load_config_doc(source, what: str, config_class) -> dict:
-    """Read one config object from a JSON file path or an already-parsed dict.
-
-    ``what`` names the document in error messages.  The result is a
-    fresh dict whose keys are all fields of the dataclass
-    ``config_class``; an unreadable file, a non-object document, an
-    unknown key, or a value whose JSON type does not fit its field's
-    ``int``, ``float``, ``str``, ``bool`` or ``tuple[str, ...]``
-    annotation (``None`` only where the annotation allows it) raises
-    ConfigError.  String lists come back as tuples.
-    """
+    """``check_config_doc`` of a JSON file path (unreadable: ConfigError) or a parsed object."""
     if isinstance(source, (str, Path)):
-        doc = read_json_doc(source, what, ConfigError)
-    else:
-        doc = source
+        source = read_json_doc(source, what, ConfigError)
+    return check_config_doc(source, what, config_class)
+
+
+def check_config_doc(doc, what: str, config_class) -> dict:
+    """The one place that decides whether a parsed config value fits its field.
+
+    Returns a fresh dict of fields of the dataclass ``config_class``; range
+    rules stay with it.  ConfigError, naming ``what``: a non-object (never
+    read as a path), an unknown key, a missing key with no default, or a
+    value unfit for its annotation: ``None`` only where allowed, an int or
+    float never a bool, a float a finite float64.  Lists come back as
+    tuples (the bounds of a ``tuple[float, float]`` as floats).
+    """
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must be a JSON object")
     unknown = set(doc) - {f.name for f in fields(config_class)}
@@ -188,20 +202,19 @@ def load_config_doc(source, what: str, config_class) -> dict:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
     doc = dict(doc)
     for f in fields(config_class):
+        if f.name not in doc:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{what} is missing {f.name!r}")
+            continue
         kind = f.type.removesuffix(" | None")
-        if f.name not in doc or kind not in _FIELD_TYPES:
-            continue
         value = doc[f.name]
-        if value is None and kind != f.type:
+        if kind not in _FIELD_TYPES or (value is None and kind != f.type):
             continue
-        allowed, described = _FIELD_TYPES[kind]
-        is_names = kind == "tuple[str, ...]"
-        if not isinstance(value, allowed) or (
-            is_names and not all(isinstance(v, str) for v in value)
-        ):
+        valid, described = _FIELD_TYPES[kind]
+        if not valid(value):
             raise ConfigError(f"{what} key {f.name!r} must be {described}, got {value!r}")
-        if is_names:
-            doc[f.name] = tuple(value)
+        if kind.startswith("tuple"):
+            doc[f.name] = tuple(map(float, value) if "float" in kind else value)
     return doc
 
 

@@ -106,9 +106,9 @@ def _three_pass_validated(labels, preds):
         raise DataError("metric needs at least one row")
     bad = ~np.isin(y, (0.0, 1.0))
     if bad.any():
-        raise DataError(f"labels must be 0 or 1, found {y[bad][0]!r}")
+        raise DataError(f"labels must be 0 or 1, found {float(y[bad][0])}")
     if not np.isfinite(p).all():
-        raise DataError(f"predictions must be finite, found {p[~np.isfinite(p)][0]!r}")
+        raise DataError(f"predictions must be finite, found {float(p[~np.isfinite(p)][0])}")
     return y, p
 
 

@@ -227,6 +227,30 @@ def test_pipeline_config_rejects_a_bad_blend_step(step):
     assert config_from_json(doc).blend_step == 0.25
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"data": None}, "pipeline config is missing 'data'"),
+        ({"out_dir": None}, "pipeline config is missing 'out_dir'"),
+        ({"members": None}, "pipeline config is missing 'members'"),
+        ({"members": ["only"]}, "member 0 must be a JSON object"),  # never read as a path
+        ({"members": [{"train": {}}]}, "member 0 is missing 'name'"),
+        ({"members": [{"name": 7}]}, "member 0 key 'name' must be a string"),
+        ({"seed": True}, "pipeline config key 'seed' must be an integer, got True"),
+        ({"precision": float("inf")}, "'precision' must be a finite number, got inf"),
+        ({"members": [{"name": "only", "train": {"l2_lambda": float("nan")}}]},
+         "train config key 'l2_lambda' must be a finite number, got nan"),
+    ],
+)
+def test_pipeline_config_names_a_missing_or_mistyped_key(change, message):
+    doc = {"data": "d.csv", "labels": "l.csv", "schema": "s.json", "out_dir": "out",
+           "members": [{"name": "only"}]}
+    doc.update(change)
+    doc = {k: v for k, v in doc.items() if v is not None}
+    with pytest.raises(ConfigError, match=message):
+        config_from_json(doc)
+
+
 # ---------------------------------------------------------------------------
 # persistence
 

@@ -363,6 +363,17 @@ def test_exit_codes(work, tmp_path, capsys):
                "--out", str(tmp_path / "huge_clean.csv")) == 3
     assert not (tmp_path / "huge_clean.csv").exists()
 
+    # 2: a precision that is not finite; 3: one so small that a finite
+    # cell has no finite multiple (each would have blanked every cell)
+    capsys.readouterr()
+    for precision, code, message in (("inf", 2, "precision must be finite and > 0, got inf"),
+                                     ("1e-320", 3, f"column '{name}': value ")):
+        assert run("prep", "--input", str(work / "data.csv"), "--schema",
+                   str(work / "schema.json"), "--precision", precision,
+                   "--out", str(tmp_path / "tiny_clean.csv")) == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "tiny_clean.csv").exists()
+
     # 3: single-class labels are a data problem too
     labels = read_labels(work / "labels.csv")
     flat = tmp_path / "flat_labels.csv"
@@ -673,7 +684,7 @@ def _fuzzed_json(rng, doc, stray):
                 collect(node[key])
 
     collect(doc)
-    wrong = [None, True, 5, 1.5, [], {}, [5], {"x": 1}, stray]
+    wrong = [None, True, 5, 1.5, [], {}, [5], {"x": 1}, stray, float("nan"), float("inf")]
     for _ in range(int(rng.choice(3, p=[0.3, 0.5, 0.2]))):
         container, key = slots[int(rng.integers(len(slots)))]
         container[key] = copy.deepcopy(wrong[int(rng.integers(len(wrong)))])
@@ -707,6 +718,22 @@ def test_schema_and_run_config_fuzz_exit_with_a_documented_code(work, tmp_path):
     assert set(prep_codes + run_codes) <= {0, 2, 3}
     assert prep_codes.count(0) > 20 and prep_codes.count(2) > 50
     assert run_codes.count(0) > 10 and run_codes.count(2) > 40
+
+
+def test_synth_config_fuzz_exits_with_a_configuration_code(work, tmp_path):
+    rng = np.random.default_rng(29)
+    stray = str(tmp_path / "stray")
+    doc = json.loads((work / "synth.json").read_text(encoding="utf-8"))
+    doc.update(frac_full=0.8, signal_features=["cont_00"], noise_amplitude=0.004)
+    codes = []
+    for case in range(60):
+        path = tmp_path / f"synth_{case}.json"
+        path.write_bytes(_fuzzed_json(rng, doc, stray))
+        codes.append(run("synth", "--config", str(path), "--out-data", str(tmp_path / "d.csv"),
+                         "--out-labels", str(tmp_path / "l.csv")))
+    # a NaN noise_amplitude would have escaped main above as a traceback
+    assert set(codes) <= {0, 2}
+    assert codes.count(0) >= 5 and codes.count(2) >= 30
 
 
 def test_negative_seeds_are_configuration_errors(work, tmp_path, capsys):

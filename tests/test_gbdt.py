@@ -729,6 +729,26 @@ def test_config_from_json(tmp_path):
     assert cfg.rounds == 30 and cfg.goss_a == 0.2 and cfg.seed == 7
     with pytest.raises(ConfigError):
         config_from_json({"rounds": 5, "who": 1})
+    # a "learning_rate": 1 is kept as the int it was written as
+    assert type(config_from_json({"learning_rate": 1}).learning_rate) is int
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("rounds", True, "'rounds' must be an integer, got True"),
+        ("seed", False, "'seed' must be an integer, got False"),
+        ("learning_rate", True, "'learning_rate' must be a finite number, got True"),
+        ("min_child_weight", math.nan, "'min_child_weight' must be a finite number, got nan"),
+        ("l2_lambda", math.nan, "'l2_lambda' must be a finite number, got nan"),
+        ("l2_lambda", math.inf, "'l2_lambda' must be a finite number, got inf"),
+        ("goss_b", -math.inf, "'goss_b' must be a finite number, got -inf"),
+        ("min_child_weight", 10**400, "'min_child_weight' must be a finite number, got 1000"),
+    ],
+)
+def test_config_from_json_rejects_booleans_and_non_finite_numbers(key, value, message):
+    with pytest.raises(ConfigError, match=f"train config key {message}"):
+        config_from_json({key: value})
 
 
 def test_shipped_train_config_loads_and_early_stopping_is_rejected():

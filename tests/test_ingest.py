@@ -191,8 +191,18 @@ def test_denoise_idempotent_random(tmp_path):
 def test_denoise_rejects_bad_precision(tmp_path):
     path = make_csv(tmp_path, "A,2017-03-01,0.5,0.1,2\n")
     table = parse_csv(path, SCHEMA)
-    with pytest.raises(NonPositivePrecisionError):
-        denoise_round(table, 0.0)
+    for precision in (0.0, -0.01, math.inf, math.nan):
+        with pytest.raises(NonPositivePrecisionError, match="finite and > 0"):
+            denoise_round(table, precision)
+
+
+def test_denoise_rejects_a_multiple_that_overflows(tmp_path):
+    # 0.5 / 1e-320 overflows float64, so the cell would become inf and
+    # then be masked or written as a blank; 0.0 snaps to 0.0 at any step
+    path = make_csv(tmp_path, "A,2017-03-01,0.0,0.5,2\n")
+    table = parse_csv(path, SCHEMA)
+    with pytest.raises(DataError, match=r"column 'spend': value 0\.5 of customer 'A'"):
+        denoise_round(table, 1e-320)
 
 
 def test_compact_narrows_storage(tmp_path):
@@ -474,3 +484,38 @@ def test_load_schema_validation():
                 {"name": "x", "kind": "mystery"},
             ]
         )
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"name": "x", "kind": "continuous", "valid_rnage": [0, 1]},
+         r"unknown schema entry 1 keys: \['valid_rnage'\]"),
+        ({"name": "x"}, "schema entry 1 is missing 'kind'"),
+        ({"kind": "continuous"}, "schema entry 1 is missing 'name'"),
+        ({"name": 3, "kind": "continuous"}, "'name' must be a string"),
+        ("schema.json", "schema entry 1 must be a JSON object"),  # never read as a path
+        ({"name": "x", "kind": "continuous", "valid_range": [math.nan, 8]}, "valid_range"),
+        ({"name": "x", "kind": "continuous", "valid_range": [0, math.inf]}, "valid_range"),
+        ({"name": "x", "kind": "continuous", "valid_range": [True, 2]}, "valid_range"),
+        ({"name": "x", "kind": "continuous", "valid_range": [{}, 2]}, "valid_range"),
+        ({"name": "x", "kind": "continuous", "valid_range": [1]}, "valid_range"),
+        ({"name": "x", "kind": "categorical", "valid_range": [0, 2]},
+         "valid_range of 'x' needs a continuous column"),
+        ({"name": "x", "kind": "date", "valid_range": [0, 2]},
+         "valid_range of 'x' needs a continuous column"),
+        ({"name": "x", "kind": "continuous", "storage": "float64"}, "unknown storage"),
+    ],
+)
+def test_load_schema_reads_each_entry_like_a_config(entry, message):
+    with pytest.raises(ConfigError, match=message):
+        load_schema([{"name": "a", "kind": "identifier"}, entry])
+
+
+def test_load_schema_keeps_integer_ranges_as_floats():
+    schema = load_schema(
+        [{"name": "a", "kind": "identifier"},
+         {"name": "x", "kind": "continuous", "valid_range": [-8, 8]}]
+    )
+    assert schema[1] == ColumnSchema("x", "continuous", "float32", (-8.0, 8.0))
+    assert all(isinstance(v, float) for v in schema[1].valid_range)

@@ -204,13 +204,13 @@ def test_empty_input_raises():
 
 
 def test_non_binary_labels_raise():
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=r"labels must be 0 or 1, found 2\.0$"):
         weighted_auc([1, 2, 0], [0.1, 0.2, 0.3])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_predictions_raise(bad):
-    with pytest.raises(DataError, match="finite"):
+    with pytest.raises(DataError, match=f"predictions must be finite, found {bad}$"):
         composite_metric([0, 1, 0, 1], [0.1, bad, 0.2, 0.9])
 
 

@@ -203,3 +203,9 @@ def test_config_from_json(tmp_path):
     assert cfg.signal_features == ("cont_00", "cont_01")
     with pytest.raises(ConfigError):
         config_from_json({"n_customers": 40, "bogus": 1})
+    with pytest.raises(ConfigError, match="synth config is missing 'n_customers'"):
+        config_from_json({})
+    with pytest.raises(ConfigError, match="'seed' must be an integer, got True"):
+        config_from_json({"n_customers": 40, "seed": True})
+    with pytest.raises(ConfigError, match="'noise_amplitude' must be a finite number, got nan"):
+        config_from_json({"n_customers": 40, "noise_amplitude": float("nan")})
