@@ -27,7 +27,7 @@ from .errors import (
     SingleMemberError,
 )
 from .metric import Labels, composite_metric
-from .serialize import format_float, read_csv_rows, write_csv_rows, write_json
+from .serialize import format_float, read_keyed_column, write_csv_rows, write_json
 
 log = logging.getLogger(__name__)
 
@@ -208,34 +208,16 @@ def write_predictions(customer_ids, probabilities, path) -> None:
     )
 
 
-def read_predictions(path):
-    """Read a (customer_id, probability) CSV; returns (ids, float vector).
+def _finite(cell: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"{cell!r} is not finite")
+    return value
 
-    A cell that is not a finite number, and a customer id that appears
-    on two rows, is a ``DataError`` naming the row(s).
-    """
-    header, records = read_csv_rows(path)
-    if len(header) < 2:
-        raise DataError(f"{path}: expected a customer_id,probability header")
-    ids, probs = [], []
-    first_row: dict[str, int] = {}
-    for i, rec in enumerate(records):
-        if len(rec) < 2:
-            raise DataError(f"{path}: row {i + 2} is incomplete")
-        if rec[0] in first_row:
-            raise DataError(
-                f"{path}: rows {first_row[rec[0]]} and {i + 2} both score "
-                f"customer {rec[0]!r}"
-            )
-        first_row[rec[0]] = i + 2
-        ids.append(rec[0])
-        try:
-            prob = float(rec[1])
-        except ValueError:
-            raise DataError(f"{path}: row {i + 2}: {rec[1]!r} is not a number") from None
-        if not math.isfinite(prob):
-            raise DataError(f"{path}: row {i + 2}: {rec[1]!r} is not finite")
-        probs.append(prob)
-    if not ids:
-        raise DataError(f"{path}: no prediction rows")
+
+def read_predictions(path):
+    """(ids, float vector) from the ``customer_id`` and ``probability``
+    columns of a CSV, read by ``serialize.read_keyed_column``; a cell that
+    is not a finite number is a ``DataError`` naming its row."""
+    ids, probs = read_keyed_column(path, "probability", _finite, "score")
     return ids, np.asarray(probs, dtype=np.float64)

@@ -1,10 +1,10 @@
 """Command-line entry points for the credit-stack toolchain.
 
 Subcommands: synth, prep, features, train, stack, blend, eval,
-importance, run.  Every subcommand accepts --seed (override the
-relevant configured seed), --threads (checked to be >= 1, and
-without effect: the pipeline runs in one thread), and --quiet (errors
-only).
+importance, run.  Every subcommand accepts --threads (checked to be
+>= 1, and without effect: the pipeline runs in one thread) and --quiet
+(errors only); synth, train, stack and run, the ones that draw random
+numbers, also accept --seed (override the configured seed).
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
 4 training error.
@@ -18,10 +18,8 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .blend import optimize_weights, read_predictions, save_ensemble, write_predictions
+from .blend import optimize_weights, read_predictions, save_ensemble
 from . import cv_stack, features as features_mod, gbdt, ingest
 from . import pipeline as pipeline_mod, report as report_mod, synth as synth_mod
 from .errors import ConfigError, CreditStackError, DataError
@@ -31,10 +29,11 @@ from .serialize import write_json
 log = logging.getLogger(__name__)
 
 
-def _common_flags() -> argparse.ArgumentParser:
+def _common_flags(seeded: bool) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the configured random seed")
+    if seeded:
+        common.add_argument("--seed", type=int, default=None,
+                            help="override the configured random seed")
     common.add_argument("--threads", type=int, default=1,
                         help="must be >= 1; has no effect (the pipeline runs in one thread)")
     common.add_argument("--quiet", action="store_true",
@@ -43,7 +42,7 @@ def _common_flags() -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
+    common, seeded = _common_flags(False), _common_flags(True)
     parser = argparse.ArgumentParser(
         prog="credit-stack",
         description="Credit-default prediction pipeline: cleaning, features, "
@@ -52,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", parents=[common],
+    p = sub.add_parser("synth", parents=[seeded],
                        help="generate a seeded synthetic statement dataset")
     p.add_argument("--config", required=True, help="synth config JSON")
     p.add_argument("--out-data", required=True, help="statement CSV to write")
@@ -81,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one-hot vocabulary JSON: read when present, written after fitting")
     p.add_argument("--out", required=True, help="feature matrix container to write")
 
-    p = sub.add_parser("train", parents=[common],
+    p = sub.add_parser("train", parents=[seeded],
                        help="train one boosted model on a feature matrix")
     p.add_argument("--features", required=True,
                    help="feature matrix container (a -0.0 cell bins as 0.0)")
@@ -89,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="train config JSON")
     p.add_argument("--model-out", required=True, help="model JSON to write")
 
-    p = sub.add_parser("stack", parents=[common],
+    p = sub.add_parser("stack", parents=[seeded],
                        help="out-of-fold base training plus a stacked meta model")
     p.add_argument("--features", required=True, help="feature matrix container")
     p.add_argument("--labels", required=True, help="label CSV")
@@ -122,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-json", required=True, help="report JSON to write")
     p.add_argument("--out-svg", required=True, help="box plot SVG to write")
 
-    p = sub.add_parser("run", parents=[common],
+    p = sub.add_parser("run", parents=[seeded],
                        help="execute the full pipeline from one config file")
     p.add_argument("--config", required=True, help="pipeline config JSON")
 
@@ -212,8 +211,7 @@ def _cmd_stack(args) -> int:
     result = cv_stack.train_oof(matrix, y, plan, base_cfg)
     for f, model in enumerate(result.models):
         gbdt.save_model(model, out / f"base_fold_{f}.model.json")
-    write_predictions(matrix.customer_ids, result.oof.prediction,
-                                out / "oof.csv")
+    cv_stack.save_oof(matrix.customer_ids, result.oof, out / "oof.csv")
 
     augmented = cv_stack.append_meta(matrix, [result.oof.prediction])
     meta_model = cv_stack.train_meta(augmented, y, plan, meta_cfg)
@@ -229,16 +227,7 @@ def _cmd_blend(args) -> int:
     vectors = [first]
     for path in args.pred[1:]:
         ids, vec = read_predictions(path)
-        if ids != first_ids:
-            lookup = dict(zip(ids, vec))
-            missing = [cid for cid in first_ids if cid not in lookup]
-            if missing:
-                raise DataError(
-                    f"{path}: missing predictions for {len(missing)} customers "
-                    f"(first: {missing[0]!r})"
-                )
-            vec = np.array([lookup[cid] for cid in first_ids])
-        vectors.append(vec)
+        vectors.append(ingest.align_values(first_ids, dict(zip(ids, vec)), f"score in {path}"))
     y = ingest.align_labels(first_ids, ingest.read_labels(args.labels))
 
     names = [Path(p).stem for p in args.pred]

@@ -28,7 +28,8 @@ from .errors import (
 )
 from .features import FeatureMatrix
 from .gbdt import BoostedModel, TrainConfig, predict, train
-from .serialize import write_csv_rows
+from .ingest import check_labels
+from .serialize import format_float, write_csv_rows
 
 log = logging.getLogger(__name__)
 
@@ -71,13 +72,11 @@ class OofResult:
 
 def make_folds(labels, k: int, seed) -> FoldPlan:
     """Deal rows into k stratified folds, deterministically per seed."""
-    y = np.asarray(labels, dtype=np.int64).ravel()
     if k < 2:
         raise ConfigError(f"k must be >= 2, got {k}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    if not np.isin(y, (0, 1)).all():
-        raise DataError("fold labels must be 0 or 1")
+    y = check_labels(labels)
     pos = np.flatnonzero(y == 1)
     neg = np.flatnonzero(y == 0)
     for name, idx in (("positive", pos), ("negative", neg)):
@@ -118,7 +117,7 @@ def train_oof(matrix: FeatureMatrix, labels, plan: FoldPlan, config: TrainConfig
     rows exclude fold(i).  Failures surface as FoldTrainingError naming
     the fold.
     """
-    y = np.asarray(labels, dtype=np.int64).ravel()
+    y = check_labels(labels)
     _check_plan(plan, matrix.n_rows)
     if y.size != matrix.n_rows:
         raise LengthMismatchError(f"{y.size} labels for {matrix.n_rows} rows")
@@ -180,10 +179,17 @@ def train_meta(matrix: FeatureMatrix, labels, plan: FoldPlan, config: TrainConfi
 
 
 # ---------------------------------------------------------------------------
-# fold plan persistence
+# fold plan and OOF persistence
 
 
 def save_plan(plan: FoldPlan, path) -> None:
     write_csv_rows(
         path, ["row_index", "fold"], ([i, int(f)] for i, f in enumerate(plan.assignment))
     )
+
+
+def save_oof(customer_ids, oof: OofVector, path) -> None:
+    """Write the one OOF format, ``customer_id,fold,probability``, full precision."""
+    rows = zip(customer_ids, oof.fold, oof.prediction)
+    write_csv_rows(path, ["customer_id", "fold", "probability"],
+                   ([cid, int(f), format_float(float(p))] for cid, f, p in rows))

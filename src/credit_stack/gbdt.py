@@ -64,6 +64,7 @@ from .errors import (
     TrainError,
 )
 from .features import FeatureMatrix
+from .ingest import check_labels
 from .serialize import load_config_doc, read_json_doc, write_json
 
 
@@ -479,12 +480,12 @@ def _route_raw(nodes, values: np.ndarray, col_of: dict) -> np.ndarray:
 
 
 def train(matrix: FeatureMatrix, labels, config: TrainConfig) -> BoostedModel:
-    """Boost ``config.rounds`` trees on the matrix."""
+    """Boost ``config.rounds`` trees on the matrix (labels: ``ingest.check_labels``)."""
     if matrix.n_rows < 2 or matrix.n_cols == 0:
         raise EmptyMatrixError(
             f"training needs >= 2 rows and >= 1 column, got {matrix.n_rows}x{matrix.n_cols}"
         )
-    y = np.asarray(labels, dtype=np.float64).ravel()
+    y = check_labels(labels)
     if y.size != matrix.n_rows:
         raise DataError(f"{y.size} labels for {matrix.n_rows} rows")
     pos = float(np.count_nonzero(y == 1.0))

@@ -32,7 +32,8 @@ from .errors import (
     MissingLabelError,
     NonPositivePrecisionError,
 )
-from .serialize import check_config_doc, read_csv_rows, read_json_doc, write_csv_rows
+from .serialize import check_config_doc, read_csv_rows, read_json_doc, read_keyed_column
+from .serialize import write_csv_rows
 
 log = logging.getLogger(__name__)
 
@@ -378,21 +379,35 @@ def clean(table: StatementTable, precision: float) -> tuple[StatementTable, dict
     return mask_outliers(table)
 
 
-def align_labels(customer_ids, labels: Mapping[str, int]) -> np.ndarray:
-    """int8 labels in ``customer_ids`` order, looked up in ``labels``.
+def check_labels(labels) -> np.ndarray:
+    """The one 0/1 label rule: ``labels`` as a flat float64 array.
 
-    A customer without a label, or with a label other than 0 or 1, is
-    an error.
+    It runs before any cast, so NaN, 0.5 and 2 are all a ``DataError``
+    (``labels must be 0 or 1, found 2.0``) rather than an int.
     """
-    target = np.empty(len(customer_ids), dtype=np.int8)
-    for i, cid in enumerate(customer_ids):
-        if cid not in labels:
-            raise MissingLabelError(f"no label for customer {cid!r}")
-        value = labels[cid]
-        if value not in (0, 1):
-            raise DataError(f"label for customer {cid!r} must be 0 or 1, got {value!r}")
-        target[i] = value
-    return target
+    y = np.asarray(labels, dtype=np.float64).ravel()
+    bad = (y != 0.0) & (y != 1.0)  # NaN fails both comparisons, so it is bad too
+    if bad.any():
+        raise DataError(f"labels must be 0 or 1, found {float(y[bad][0])}")
+    return y
+
+
+def align_values(ids, keyed: Mapping, what: str) -> list:
+    """``keyed[cid]`` for every id of ``ids``, in that order.
+
+    The first id with no entry is a ``MissingLabelError`` naming it
+    (``no {what} for customer 'C1'``); entries for other ids are ignored.
+    """
+    try:
+        return [keyed[cid] for cid in ids]
+    except KeyError as exc:
+        raise MissingLabelError(f"no {what} for customer {str(exc.args[0])!r}") from None
+
+
+def align_labels(customer_ids, labels: Mapping[str, int]) -> np.ndarray:
+    """int8 labels in ``customer_ids`` order, looked up in ``labels``
+    by ``align_values`` and held to ``check_labels``."""
+    return check_labels(align_values(customer_ids, labels, "label")).astype(np.int8)
 
 
 def join_labels(table: StatementTable, labels: Mapping[str, int]) -> np.ndarray:
@@ -449,36 +464,16 @@ def write_csv(table: StatementTable, path) -> None:
 
 
 def read_labels(path) -> dict[str, int]:
-    """Load a two-column (customer_id, target) CSV into a mapping.
+    """Load the ``customer_id`` and ``target`` columns of a CSV into a mapping.
 
-    A customer id that appears on two rows is a ``DataError`` naming both.
-    """
-    header, records = read_csv_rows(path)
-    if len(header) < 2:
-        raise MissingColumnError(f"{path}: expected customer_id and target columns")
-    labels: dict[str, int] = {}
-    first_row: dict[str, int] = {}
-    for i, rec in enumerate(records):
-        if len(rec) < 2:
-            raise DataError(f"{path}: row {i + 2} is incomplete")
-        try:
-            value = int(rec[1])
-        except ValueError:
-            raise DataError(
-                f"{path}: row {i + 2}: label {rec[1]!r} is not an integer"
-            ) from None
-        if value not in (0, 1):
-            raise DataError(f"{path}: row {i + 2}: label must be 0 or 1, got {value}")
-        if rec[0] in first_row:
-            raise DataError(
-                f"{path}: rows {first_row[rec[0]]} and {i + 2} both label "
-                f"customer {rec[0]!r}"
-            )
-        first_row[rec[0]] = i + 2
-        labels[rec[0]] = value
-    if not labels:
-        raise EmptyFileError(f"{path}: no label rows")
-    return labels
+    Read by ``serialize.read_keyed_column``; the labels must pass
+    ``check_labels``."""
+    ids, values = read_keyed_column(path, "target", int, "label")
+    try:
+        check_labels(values)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    return dict(zip(ids, values))
 
 
 def write_labels(labels: Mapping[str, int], path) -> None:

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, LengthMismatchError, NoPositivesError, SingleClassError
+from .ingest import check_labels
 
 #: Row weight for the negative class; 20 = 1 / 0.05 subsample rate.
 NEGATIVE_WEIGHT = 20.0
@@ -88,19 +89,16 @@ class Labels:
     Keeps the positive mask, the positive and negative row indices, the
     row weights, their total and the capture cutoff, so that scoring
     many prediction vectors against the same labels repeats none of
-    that work.  An empty vector, or a label that is not 0 or 1, is a
-    ``DataError``.  ``len()`` is the row count.
+    that work.  An empty vector, or a label that breaks
+    ``ingest.check_labels``, is a ``DataError``.  ``len()`` is the row count.
     """
 
     __slots__ = ("is_pos", "pos", "neg", "n_pos", "weights", "total_weight", "cutoff")
 
     def __init__(self, labels):
-        y = np.asarray(labels, dtype=np.float64).ravel()
+        y = check_labels(labels)
         if y.size == 0:
             raise DataError("metric needs at least one row")
-        bad = (y != 0.0) & (y != 1.0)  # NaN fails both comparisons, so it is bad too
-        if bad.any():
-            raise DataError(f"labels must be 0 or 1, found {float(y[bad][0])}")
         self.is_pos = y == 1.0
         self.pos = np.flatnonzero(self.is_pos)
         self.neg = np.flatnonzero(~self.is_pos)

@@ -43,7 +43,6 @@ from .errors import ConfigError, CreditStackError
 from .metric import composite_metric
 from .serialize import (
     check_config_doc,
-    format_float,
     load_config_doc,
     sha256_file,
     write_csv_rows,
@@ -122,8 +121,11 @@ def config_from_json(source) -> PipelineConfig:
     members = []
     for i, raw in enumerate(doc["members"]):
         raw = check_config_doc(raw, f"member {i}", MemberConfig)
-        raw["features"] = features_mod.spec_from_json(raw.get("features", {}))
-        raw["train"] = gbdt.config_from_json(raw.get("train", {}))
+        # nested documents are objects, never read as file paths
+        for key, cls, what in (("features", features_mod.AggregationSpec, "aggregation spec"),
+                               ("train", gbdt.TrainConfig, "train config")):
+            if key in raw:
+                raw[key] = cls(**check_config_doc(raw[key], f"member {i} {key!r} {what}", cls))
         members.append(MemberConfig(**raw))
     doc["members"] = tuple(members)
     return PipelineConfig(**doc)
@@ -254,7 +256,7 @@ def run_pipeline(config: PipelineConfig) -> Path:
             result = cv_stack.train_oof(matrix, y_train, plan, member.train)
             for f, model in enumerate(result.models):
                 gbdt.save_model(model, emit(mdir / f"fold_{f}.model.json"))
-            _write_oof_csv(emit(mdir / "oof.csv"), matrix.customer_ids, result.oof)
+            cv_stack.save_oof(matrix.customer_ids, result.oof, emit(mdir / "oof.csv"))
 
             hold_pred = cv_stack.predict_with_fold_models(result.models, hold_matrix)
             write_predictions(
@@ -300,14 +302,3 @@ def run_pipeline(config: PipelineConfig) -> Path:
         write_json(out / "manifest.json", {"files": digests})
 
     return out
-
-
-def _write_oof_csv(path, customer_ids, oof: cv_stack.OofVector) -> None:
-    write_csv_rows(
-        path,
-        ["customer_id", "fold", "probability"],
-        (
-            [cid, int(f), format_float(float(p))]
-            for cid, f, p in zip(customer_ids, oof.fold, oof.prediction)
-        ),
-    )

@@ -15,8 +15,10 @@ I/O rules, shared by every CSV and JSON file the package touches:
   field size limit), raises one typed error naming the path:
   ``DataError`` for CSVs, and the caller's chosen ``ConfigError`` or
   ``DataError`` for JSON documents.  A CSV without a header row raises
-  ``EmptyFileError``.  Column rules (widths, value parsing, repeated
-  ids) stay with each caller.
+  ``EmptyFileError``.  Per-customer files (labels, scores) are read by
+  ``read_keyed_column``, which finds its columns by header name and
+  checks row widths and repeated ids for every caller; each caller
+  passes only the rule for its value cells.
 * Encode: files are written as UTF-8; CSV rows end in a bare ``\n``
   and JSON documents end in one newline.
 """
@@ -31,7 +33,7 @@ import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 
-from .errors import ConfigError, DataError, EmptyFileError
+from .errors import ConfigError, DataError, EmptyFileError, MissingColumnError
 
 
 def format_float(value: float) -> str:
@@ -145,6 +147,39 @@ def read_csv_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
     if header is None:
         raise EmptyFileError(f"{path}: no header row")
     return header, rows
+
+
+def read_keyed_column(path: str | Path, column: str, parse, verb: str) -> tuple[list[str], list]:
+    """(ids, values) from the ``customer_id`` and ``column`` cells of a CSV.
+
+    Both columns are found by header name; others are ignored.  ``parse``
+    turns a value cell into its value, raising ``ValueError`` for a bad one.
+    ``DataError`` naming the path: a missing column (``MissingColumnError``),
+    no data rows (``EmptyFileError``), or, naming the row, a short row, a
+    bad cell or an id on two rows (``rows 2 and 4 both {verb} customer 'C1'``).
+    """
+    header, rows = read_csv_rows(path)
+    for name in ("customer_id", column):
+        if name not in header:
+            raise MissingColumnError(f"{path}: no {name!r} column in header {header}")
+    at_id, at_value = header.index("customer_id"), header.index(column)
+    width = max(at_id, at_value) + 1
+    first_row: dict[str, int] = {}  # insertion order is the ids' order
+    values = []
+    for row, rec in enumerate(rows, start=2):
+        if len(rec) < width:
+            raise DataError(f"{path}: row {row} is incomplete")
+        cid = rec[at_id]
+        if cid in first_row:
+            raise DataError(f"{path}: rows {first_row[cid]} and {row} both {verb} customer {cid!r}")
+        first_row[cid] = row
+        try:
+            values.append(parse(rec[at_value]))
+        except ValueError as exc:
+            raise DataError(f"{path}: row {row}: {exc}") from None
+    if not values:
+        raise EmptyFileError(f"{path}: no {verb} rows")
+    return list(first_row), values
 
 
 def write_csv_rows(path: str | Path, header, rows) -> None:

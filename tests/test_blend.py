@@ -1,5 +1,6 @@
 """Convex blending and weight-search tests."""
 
+import json
 from math import comb
 
 import numpy as np
@@ -19,6 +20,7 @@ from credit_stack.errors import (
     DataError,
     InvalidWeightsError,
     LengthMismatchError,
+    MissingColumnError,
     SingleMemberError,
 )
 from credit_stack.metric import composite_metric
@@ -227,6 +229,16 @@ def test_pipeline_config_rejects_a_bad_blend_step(step):
     assert config_from_json(doc).blend_step == 0.25
 
 
+@pytest.mark.parametrize("key", ["features", "train"])
+def test_pipeline_member_documents_are_objects_not_paths(tmp_path, monkeypatch, key):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "doc.json").write_text(json.dumps({"rounds": 3}), encoding="utf-8")
+    doc = {"data": "d.csv", "labels": "l.csv", "schema": "s.json", "out_dir": "out",
+           "members": [{"name": "only", key: "doc.json"}]}
+    with pytest.raises(ConfigError, match=f"member 0 '{key}' .* must be a JSON object"):
+        config_from_json(doc)
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
@@ -275,6 +287,18 @@ def test_predictions_round_trip(tmp_path):
 
     with pytest.raises(LengthMismatchError):
         write_predictions(ids, probs[:2], tmp_path / "x.csv")
+
+
+def test_read_predictions_reads_the_probability_column_by_name(tmp_path):
+    # an OOF file: the fold column sits where a two-column file has its scores
+    oof = tmp_path / "oof.csv"
+    oof.write_text("customer_id,fold,probability\nC1,2,0.25\nC2,0,0.75\n", encoding="utf-8")
+    ids, probs = read_predictions(oof)
+    assert ids == ["C1", "C2"] and probs.tolist() == [0.25, 0.75]
+    unnamed = tmp_path / "unnamed.csv"
+    unnamed.write_text("customer_id,score\nC1,0.25\n", encoding="utf-8")
+    with pytest.raises(MissingColumnError, match="no 'probability' column"):
+        read_predictions(unnamed)
 
 
 def test_predictions_reader_rejects_garbage(tmp_path):

@@ -13,10 +13,11 @@ import pytest
 
 from credit_stack import features, ingest
 from credit_stack.blend import write_predictions
-from credit_stack.cli import main
+from credit_stack.cli import build_parser, main
 from credit_stack.features import load_matrix
 from credit_stack.ingest import load_schema, read_labels
 from credit_stack.pipeline import config_from_json
+from credit_stack.serialize import read_csv_rows
 from oracles import build_matrix_by_customer, write_csv_by_cell
 
 
@@ -139,7 +140,9 @@ def test_stack_writes_fold_artifacts(work):
     assert (out / "folds.csv").exists()
     for f in range(3):
         assert (out / f"base_fold_{f}.model.json").exists()
-    assert (out / "oof.csv").exists()
+    assert (out / "oof.csv").read_text(encoding="utf-8").startswith(
+        "customer_id,fold,probability\n"
+    )
     assert (out / "meta.model.json").exists()
 
 
@@ -165,6 +168,35 @@ def test_blend_two_members(work):
     assert doc["members"] == ["member_a", "member_b"]
     assert doc["weights"][0] >= 0.5  # the informative member dominates
     assert abs(sum(doc["weights"]) - 1.0) < 1e-9
+
+
+def test_eval_and_blend_score_a_run_oof_file_like_its_two_column_copy(work, tmp_path):
+    out = tmp_path / "run"
+    cfg = pipeline_config(work, tmp_path / "run.json", out, THREE_MEMBERS[:1])
+    assert run("run", "--config", str(cfg)) == 0
+    oof = out / "members" / "wide" / "oof.csv"
+    header, rows = read_csv_rows(oof)
+    assert header == ["customer_id", "fold", "probability"]
+    ids = [cid for cid, _, _ in rows]
+    plain, other = tmp_path / "plain", tmp_path / "other.csv"
+    (tmp_path / "oof").mkdir()
+    write_predictions(ids, [float(p) for _, _, p in rows], plain / "wide.csv")
+    write_predictions(ids, np.linspace(0.1, 0.9, len(ids)), other)
+    (tmp_path / "oof" / "wide.csv").write_bytes(oof.read_bytes())
+
+    reports, weights = [], []
+    for folder in ("oof", "plain"):
+        pred = str(tmp_path / folder / "wide.csv")
+        report, spec = tmp_path / f"{folder}_report.json", tmp_path / f"{folder}_weights.json"
+        assert run("eval", "--labels", str(work / "labels.csv"), "--pred", pred,
+                   "--report", str(report)) == 0
+        assert run("blend", "--labels", str(work / "labels.csv"), "--pred", pred,
+                   "--pred", str(other), "--step", "0.1", "--out", str(spec)) == 0
+        reports.append(report.read_bytes())
+        weights.append(spec.read_bytes())
+    assert reports[0] == reports[1] and weights[0] == weights[1]
+    # the fold column, read as scores, would be far off the run's OOF M
+    assert json.loads(reports[0])["M"] > 0.3
 
 
 def test_importance_report_and_plot(work):
@@ -761,6 +793,67 @@ def test_negative_seeds_are_configuration_errors(work, tmp_path, capsys):
                    str(work / "labels.csv"), "--seed", "-1", *flags) == 2
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
     assert not (tmp_path / "m.json").exists()
+
+
+def test_files_without_their_named_column_exit_3(work, tmp_path, capsys):
+    labels = read_labels(work / "labels.csv")
+    good, unnamed = tmp_path / "good.csv", tmp_path / "unnamed.csv"
+    write_predictions(sorted(labels), np.linspace(0.1, 0.9, len(labels)), good)
+    unnamed.write_text(good.read_text(encoding="utf-8").replace("probability", "p", 1),
+                       encoding="utf-8")
+    no_target = tmp_path / "no_target.csv"
+    no_target.write_text((work / "labels.csv").read_text(encoding="utf-8").replace(
+        "target", "label", 1), encoding="utf-8")
+    label_flags = ["--labels", str(work / "labels.csv")]
+    for argv, column in (
+        (["eval", *label_flags, "--pred", str(unnamed), "--report", str(tmp_path / "r.json")],
+         "probability"),
+        (["blend", *label_flags, "--pred", str(good), "--pred", str(unnamed),
+          "--out", str(tmp_path / "w.json")], "probability"),
+        (["eval", "--labels", str(no_target), "--pred", str(good),
+          "--report", str(tmp_path / "r.json")], "target"),
+        (["train", "--features", str(work / "matrix.bin"), "--labels", str(no_target),
+          "--config", str(work / "train.json"), "--model-out", str(tmp_path / "m.json")],
+         "target"),
+    ):
+        assert run(*argv) == 3
+        assert f"no '{column}' column" in capsys.readouterr().err
+    assert not any((tmp_path / name).exists() for name in ("r.json", "w.json", "m.json"))
+
+
+REQUIRED_FLAGS = {
+    "synth": ["--config", "c", "--out-data", "d", "--out-labels", "l"],
+    "prep": ["--input", "i", "--schema", "s", "--out", "o"],
+    "features": ["--input", "i", "--spec", "s", "--out", "o"],
+    "train": ["--features", "f", "--labels", "l", "--config", "c", "--model-out", "m"],
+    "stack": ["--features", "f", "--labels", "l", "--base-config", "b", "--meta-config", "m",
+              "--out", "o"],
+    "blend": ["--pred", "p", "--labels", "l", "--out", "o"],
+    "eval": ["--labels", "l", "--pred", "p", "--report", "r"],
+    "importance": ["--model", "m", "--out-json", "j", "--out-svg", "s"],
+    "run": ["--config", "c"],
+}
+
+
+def test_seed_is_taken_only_where_numbers_are_drawn(capsys):
+    parser = build_parser()
+    for command in ("synth", "train", "stack", "run"):
+        assert parser.parse_args([command, "--seed", "1", *REQUIRED_FLAGS[command]]).seed == 1
+    for command in ("prep", "features", "blend", "eval", "importance"):
+        with pytest.raises(SystemExit) as raised:
+            main([command, "--seed", "1", *REQUIRED_FLAGS[command]])
+        assert raised.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["features", "train"])
+def test_run_with_a_member_document_given_as_a_path_exits_2(work, tmp_path, capsys, key):
+    # the file exists and holds a valid document; it is still never read
+    member = {"name": "wide", key: str(work / "train.json")}
+    cfg = pipeline_config(work, tmp_path / "run.json", tmp_path / "run", [member])
+    assert run("run", "--config", str(cfg)) == 2
+    assert f"member 0 '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def _container_spans(blob):

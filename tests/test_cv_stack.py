@@ -141,6 +141,20 @@ def test_oof_failure_names_the_fold():
     assert "fold 1" in str(err.value)
 
 
+@pytest.mark.parametrize("bad", [2, 0.5, np.nan])
+def test_folds_and_oof_reject_a_label_that_is_not_0_or_1(bad):
+    # checked before any cast: an int64 cast used to turn 0.5 into 0
+    m, y = toy_data(n=40, seed=2)
+    plan = make_folds(y, 2, seed=0)
+    labels = y.astype(np.float64)
+    labels[5] = bad
+    message = f"labels must be 0 or 1, found {float(bad)}$"
+    with pytest.raises(DataError, match=message):
+        make_folds(labels, 2, seed=0)
+    with pytest.raises(DataError, match=message):
+        train_oof(m, labels, plan, SMALL)
+
+
 def test_oof_length_mismatch():
     m, y = toy_data(n=50, seed=3)
     plan = make_folds(y, 2, seed=0)

@@ -11,6 +11,7 @@ import pytest
 from credit_stack import gbdt
 from credit_stack.errors import (
     ConfigError,
+    DataError,
     DegenerateSamplingError,
     EmptyMatrixError,
     MissingFeatureColumnError,
@@ -275,6 +276,16 @@ def test_train_single_class_raises():
     m, _ = separable_matrix(n=20)
     with pytest.raises(SingleClassError):
         train(m, np.ones(20, dtype=np.int8), TrainConfig(rounds=2))
+
+
+@pytest.mark.parametrize("bad", [2, 0.5, np.nan])
+def test_train_rejects_a_label_that_is_not_0_or_1(bad):
+    # checked before any cast: 0.5 must not train as 0, nor 2 as a third class
+    m, y = separable_matrix(n=20)
+    labels = y.astype(np.float64)
+    labels[3] = bad
+    with pytest.raises(DataError, match=f"labels must be 0 or 1, found {float(bad)}$"):
+        train(m, labels, TrainConfig(rounds=2))
 
 
 def test_train_empty_matrix_raises():

@@ -22,6 +22,7 @@ from credit_stack.ingest import (
     ColumnSchema,
     StatementTable,
     align_labels,
+    align_values,
     clean,
     compact_types,
     denoise_round,
@@ -291,6 +292,29 @@ def test_only_ingest_runs_the_cleaning_steps():
     assert offenders == []
 
 
+def test_only_ingest_checks_labels_for_0_or_1():
+    # the 0/1 label rule lives in ingest.check_labels alone; a copy of it
+    # elsewhere would be spelled with one of these
+    pattern = re.compile(
+        r"0 or 1|\bisin\(|\bin [({\[]0(\.0)?, 1(\.0)?[)}\]]\s*(:|\)|for\b)"
+        r"|!= 0(\.0)?\) & \(\w+ != 1"
+    )
+    lines = {
+        path.name: path.read_text(encoding="utf-8").splitlines()
+        for path in sorted(SRC.glob("*.py"))
+    }
+    offenders = [
+        f"{name}:{i}: {line.strip()}"
+        for name, text in lines.items()
+        if name != "ingest.py"
+        for i, line in enumerate(text, 1)
+        if pattern.search(line)
+    ]
+    assert len(lines) > 10
+    assert sum(bool(pattern.search(line)) for line in lines["ingest.py"]) >= 2
+    assert offenders == []
+
+
 def test_join_labels_exact_and_superset(tmp_path):
     path = make_csv(
         tmp_path,
@@ -321,6 +345,19 @@ def test_align_labels_follows_the_given_order():
         align_labels(["A", "D"], labels)
     with pytest.raises(DataError, match="0 or 1"):
         align_labels(["A"], {"A": 2})
+
+
+def test_align_values_names_the_first_missing_id():
+    keyed = {"A": 0.5, "B": 0.25, "Z": 1.0}
+    assert align_values(np.array(["B", "A"]), keyed, "score") == [0.25, 0.5]
+    with pytest.raises(MissingLabelError, match=r"^no score in p\.csv for customer 'C'$"):
+        align_values(np.array(["A", "C", "D"]), keyed, "score in p.csv")
+
+
+@pytest.mark.parametrize("bad", ["2", "0.5", "nan"])
+def test_align_labels_rejects_a_label_that_is_not_0_or_1(bad):
+    with pytest.raises(DataError, match=f"labels must be 0 or 1, found {float(bad)}$"):
+        align_labels(["A", "B"], {"A": 1, "B": float(bad)})
 
 
 def test_csv_round_trip_is_lossless(tmp_path):
@@ -441,6 +478,20 @@ def test_read_labels_rejects_bad_rows(tmp_path):
     path.write_text("customer_id,target\nA,7\n", encoding="utf-8")
     with pytest.raises(DataError):
         read_labels(path)
+
+
+def test_read_labels_finds_the_target_column_by_name(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("target,note,customer_id\n1,x,A\n0,y,B\n", encoding="utf-8")
+    assert read_labels(path) == {"A": 1, "B": 0}
+    path.write_text("customer_id,label\nA,1\nB,0\n", encoding="utf-8")
+    with pytest.raises(MissingColumnError, match="no 'target' column"):
+        read_labels(path)
+    for cell, message in (("2", "labels must be 0 or 1, found 2.0"),
+                          ("0.5", r"row 3: invalid literal for int\(\) .*'0\.5'")):
+        path.write_text(f"customer_id,target\nA,1\nB,{cell}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=message):
+            read_labels(path)
 
 
 def test_read_labels_rejects_duplicate_ids(tmp_path):

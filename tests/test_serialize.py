@@ -7,8 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from credit_stack.errors import ConfigError, DataError, EmptyFileError
-from credit_stack.serialize import read_csv_rows, read_json_doc, write_csv_rows
+from credit_stack.errors import ConfigError, DataError, EmptyFileError, MissingColumnError
+from credit_stack.serialize import (
+    read_csv_rows,
+    read_json_doc,
+    read_keyed_column,
+    write_csv_rows,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "credit_stack"
 BOM = b"\xef\xbb\xbf"
@@ -40,6 +45,38 @@ def test_read_csv_rows_rejects_garbage(tmp_path):
     header_only = tmp_path / "header.csv"
     header_only.write_text("row_index,fold\n", encoding="utf-8")
     assert read_csv_rows(header_only) == (["row_index", "fold"], [])
+
+
+def test_read_keyed_column_finds_its_columns_by_header_name(tmp_path):
+    path = tmp_path / "oof.csv"
+    path.write_text("fold,probability,customer_id\n2,0.25,C1\n0,0.75,\"C,2\"\n",
+                    encoding="utf-8")
+    assert read_keyed_column(path, "probability", float, "score") == (
+        ["C1", "C,2"], [0.25, 0.75]
+    )
+    assert read_keyed_column(path, "fold", int, "score") == (["C1", "C,2"], [2, 0])
+
+
+@pytest.mark.parametrize(
+    "body, error, message",
+    [
+        ("customer_id,fold\nC1,1\n", MissingColumnError,
+         r"no 'probability' column in header \['customer_id', 'fold'\]"),
+        ("id,probability\nC1,0.5\n", MissingColumnError, "no 'customer_id' column"),
+        ("customer_id,probability\n", EmptyFileError, "no score rows"),
+        ("probability,customer_id\n0.5,C1\n0.5\n", DataError, "row 3 is incomplete"),
+        ("customer_id,probability\nC1,0.5\nC1,0.5\n", DataError,
+         "rows 2 and 3 both score customer 'C1'"),
+        ("customer_id,probability\nC1,0.5\nC2,half\n", DataError,
+         "row 3: could not convert string to float: 'half'"),
+    ],
+)
+def test_read_keyed_column_names_the_path_and_row(tmp_path, body, error, message):
+    path = tmp_path / "scores.csv"
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(error, match=message) as raised:
+        read_keyed_column(path, "probability", float, "score")
+    assert str(raised.value).startswith(str(path))
 
 
 @pytest.mark.parametrize("error", [ConfigError, DataError])
