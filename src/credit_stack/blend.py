@@ -15,7 +15,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from numbers import Real
+from operator import itemgetter
 
 import numpy as np
 
@@ -149,14 +151,16 @@ def optimize_weights(predictions, labels, step: float = 0.01, member_names=None)
         w = np.asarray(int_weights, dtype=np.float64) / ticks
         return composite_metric(prepared, w @ stacked).M
 
+    best_w, best_m = None, -np.inf
     if m <= 3:
-        best_w, best_m = None, -np.inf
-        for candidate in _lattice(ticks, m):
-            value = score(candidate)
-            if value > best_m:
-                best_w, best_m = candidate, value
+        # one division per block of candidates that share a leading weight
+        for _, block in groupby(_lattice(ticks, m), key=itemgetter(0)):
+            block = list(block)
+            for candidate, w in zip(block, np.array(block, dtype=np.float64) / ticks):
+                value = composite_metric(prepared, w @ stacked).M
+                if value > best_m:
+                    best_w, best_m = candidate, value
     else:
-        best_w, best_m = None, -np.inf
         for i in range(m):  # vertices, leading member first
             vertex = tuple(ticks if j == i else 0 for j in range(m))
             value = score(vertex)

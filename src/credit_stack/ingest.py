@@ -168,6 +168,42 @@ def _parse_code(cell: str) -> int:
     return code if code >= 0 else MISSING_CODE
 
 
+def _code_overflow(name: str, code: int) -> CodeOverflowError:
+    return CodeOverflowError(f"column {name!r}: code {code} exceeds 16-bit storage")
+
+
+def _float_column(cells) -> np.ndarray:
+    """``_parse_float`` of every cell, with one ``float()`` pass over the
+    column; only a column holding a cell ``float()`` rejects is parsed
+    cell by cell."""
+    try:
+        values = np.fromiter(map(float, [c or "nan" for c in cells]), np.float64, len(cells))
+    except ValueError:
+        return np.array([_parse_float(c) for c in cells], dtype=np.float64)
+    values[~np.isfinite(values)] = math.nan
+    return values
+
+
+def _code_column(name: str, cells) -> np.ndarray:
+    """``_parse_code`` of every cell, with one ``int()`` pass over the
+    column; only a column holding a cell ``int()`` rejects is parsed cell
+    by cell.  A code past int64 is a ``CodeOverflowError``."""
+    try:
+        codes = list(map(int, [c or "-1" for c in cells]))
+    except ValueError:
+        codes = [_parse_code(c) for c in cells]
+    try:
+        values = np.array(codes, dtype=np.int64)
+    except OverflowError:  # a code past int64, of either sign
+        codes = [c if c >= 0 else MISSING_CODE for c in codes]
+        top = max(codes)
+        if top > np.iinfo(np.int64).max:
+            raise _code_overflow(name, top) from None
+        values = np.array(codes, dtype=np.int64)
+    values[values < 0] = MISSING_CODE
+    return values
+
+
 def _parse_ordinal(cell: str) -> int:
     try:
         return _date.fromisoformat(cell.strip()).toordinal()
@@ -182,6 +218,13 @@ def parse_csv(path, schema: list[ColumnSchema]) -> StatementTable:
     Unparseable or empty cells become the missing marker.  Rows are
     re-ordered by (customer first appearance, date ascending) and each
     customer's statements are numbered from 1.
+
+    The rows are transposed once, and each continuous or categorical
+    column is converted with one ``float()`` or ``int()`` pass over its
+    cells; a column holding a cell that pass rejects is parsed cell by
+    cell with ``_parse_float`` / ``_parse_code``, the one definition of
+    a cell, and both ways give the same bits.  A categorical code past
+    int64 is a ``CodeOverflowError`` naming the column.
     """
     header, records = read_csv_rows(path)
     if not records:
@@ -196,20 +239,17 @@ def parse_csv(path, schema: list[ColumnSchema]) -> StatementTable:
             + (f"; missing {missing}" if missing else "")
             + (f"; unexpected {extra}" if extra else "")
         )
-    pos = {name: header.index(name) for name in want}
-
     width = len(header)
     for i, rec in enumerate(records):
         if len(rec) != width:
             raise DataError(f"{path}: row {i + 2} has {len(rec)} cells, expected {width}")
 
-    cells = {name: [rec[pos[name]] for rec in records] for name in want}
+    cells = dict(zip(header, zip(*records)))
 
     id_col = _id_column(schema)
     ids = cells[id_col.name]
-    for i, cid in enumerate(ids):
-        if not cid:
-            raise DataError(f"{path}: empty customer identifier at row {i + 2}")
+    if "" in ids:
+        raise DataError(f"{path}: empty customer identifier at row {ids.index('') + 2}")
     ids = np.asarray(ids, dtype=object)
 
     columns: dict[str, np.ndarray] = {}
@@ -218,9 +258,9 @@ def parse_csv(path, schema: list[ColumnSchema]) -> StatementTable:
             continue
         raw = cells[col.name]
         if col.kind == "continuous":
-            columns[col.name] = np.array([_parse_float(c) for c in raw], dtype=np.float64)
+            columns[col.name] = _float_column(raw)
         elif col.kind == "categorical":
-            columns[col.name] = np.array([_parse_code(c) for c in raw], dtype=np.int64)
+            columns[col.name] = _code_column(col.name, raw)
         else:  # date
             columns[col.name] = np.array([_parse_ordinal(c) for c in raw], dtype=np.int64)
 
@@ -304,9 +344,7 @@ def compact_types(table: StatementTable) -> StatementTable:
             elif top <= np.iinfo(np.int16).max:
                 storage = "int16"
             else:
-                raise CodeOverflowError(
-                    f"column {col.name!r}: code {top} exceeds 16-bit storage"
-                )
+                raise _code_overflow(col.name, top)
             columns[col.name] = codes.astype(_STORAGE_DTYPES[storage])
             new_schema.append(replace(col, storage=storage))
         else:

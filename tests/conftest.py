@@ -1,10 +1,22 @@
-"""Shared pytest wiring: collects acceptance one-liners for the summary."""
+"""Shared pytest wiring: lists the acceptance one-liners in the summary.
 
-ACCEPTANCE_LINES = []
+Each acceptance test prints its ``[criterion NN]`` line; the lines are
+taken from the captured output of the test reports, so no module state
+is shared with the tests (``perfbench/tests`` has a ``conftest`` module
+of its own, and both are collected in one session).
+"""
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if ACCEPTANCE_LINES:
+    lines = sorted(
+        line
+        for reports in terminalreporter.stats.values()
+        for report in reports
+        if getattr(report, "when", None) == "call"
+        for line in report.capstdout.splitlines()
+        if line.startswith("[criterion ")
+    )
+    if lines:
         terminalreporter.section("acceptance criteria")
-        for line in ACCEPTANCE_LINES:
+        for line in lines:
             terminalreporter.write_line(line)

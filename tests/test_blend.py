@@ -108,6 +108,12 @@ def labeled_members(n=60, seed=1):
     return y, [np.clip(v, 0.0, 1.0) for v in (good, fair, noise)]
 
 
+def tied_members(n=60, seed=1):
+    """labeled_members rounded to 25, 35 and 22 levels: few values, many ties."""
+    y, members = labeled_members(n, seed)
+    return y, [np.round(v * k) / k for v, k in zip(members, (25, 35, 22))]
+
+
 def test_search_puts_all_weight_on_a_perfect_member():
     y = np.array([1, 0, 1, 0, 1, 0, 1, 0])
     perfect = 0.9 * y + 0.05
@@ -132,6 +138,27 @@ def test_search_matches_exhaustive_oracle():
     # and the returned weights really achieve the returned score
     achieved = composite_metric(y, blend(members, spec.weights)).M
     assert abs(achieved - best) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_search_scores_each_lattice_point_once_and_matches_the_oracle_on_ties(m, monkeypatch):
+    y, members = tied_members(n=40, seed=m)
+    members = members[:m]
+    calls = []
+
+    def counted(labels, preds):
+        calls.append(1)
+        return composite_metric(labels, preds)
+
+    monkeypatch.setattr(blend_mod, "composite_metric", counted)
+    for step in (1.0, 0.5, 0.25, 0.1, 0.05, 0.01):
+        calls.clear()
+        spec, best = optimize_weights(members, y, step=step)
+        ticks = round(1 / step)
+        assert len(calls) == comb(ticks + m - 1, m - 1), step
+        if ticks <= 20:  # the brute-force oracle is slow on fine lattices
+            assert abs(best - exhaustive_blend_best_m(members, y, step=step)) <= 1e-12
+        assert composite_metric(y, blend(members, spec.weights)).M == best
 
 
 def test_search_beats_every_vertex():
@@ -196,10 +223,6 @@ def test_search_rejects_bad_steps_and_member_counts():
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_search_with_three_pass_metric_gives_the_same_blend(m, monkeypatch):
-    y, members = labeled_members(n=90, seed=m)
-    members = (members + [np.round(members[0] * 0.5 + 0.25, 2)])[:m]
-    spec, best = optimize_weights(members, y, step=0.05)
-
     calls = []
 
     def oracle(labels, preds):
@@ -210,13 +233,19 @@ def test_search_with_three_pass_metric_gives_the_same_blend(m, monkeypatch):
         plain[labels.pos] = 1
         return three_pass_composite_metric(plain, preds)
 
-    monkeypatch.setattr(blend_mod, "composite_metric", oracle)
-    oracle_spec, oracle_best = optimize_weights(members, y, step=0.05)
-    assert oracle_spec == spec
-    assert oracle_best.hex() == best.hex()
-    assert set(calls) == {y.size}  # every call's len() is the row count
-    if m <= 3:  # one metric call per lattice point, no batching
-        assert len(calls) == comb(20 + m - 1, m - 1)
+    for make in (labeled_members, tied_members):
+        y, members = make(n=90, seed=m)
+        members = (members + [np.round(members[0] * 0.5 + 0.25, 2)])[:m]
+        spec, best = optimize_weights(members, y, step=0.05)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(blend_mod, "composite_metric", oracle)
+            oracle_spec, oracle_best = optimize_weights(members, y, step=0.05)
+        assert oracle_spec == spec, make.__name__
+        assert oracle_best.hex() == best.hex(), make.__name__
+        assert set(calls) == {y.size}  # every call's len() is the row count
+        if m <= 3:  # one metric call per lattice point, no batching
+            assert len(calls) == comb(20 + m - 1, m - 1)
 
 
 @pytest.mark.parametrize("step", [0.03, 0, 2.0, -0.5, float("nan"), "0.05", True])

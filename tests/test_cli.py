@@ -395,6 +395,21 @@ def test_exit_codes(work, tmp_path, capsys):
                "--out", str(tmp_path / "huge_clean.csv")) == 3
     assert not (tmp_path / "huge_clean.csv").exists()
 
+    # 3: a categorical code past int64, named with its column; 0: a
+    # negative code of any size, which is missing like any negative code
+    capsys.readouterr()
+    code_col = next(c["name"] for c in schema if c["kind"] == "categorical")
+    rows[1][rows[0].index(name)] = "0.5"
+    for code, want in (("99999999999999999999", 3), ("-99999999999999999999", 0)):
+        rows[1][rows[0].index(code_col)] = code
+        wide = tmp_path / "wide_code.csv"
+        wide.write_text("".join(",".join(r) + "\n" for r in rows), encoding="utf-8")
+        assert run("prep", "--input", str(wide), "--schema", str(work / "schema.json"),
+                   "--out", str(tmp_path / "wide_clean.csv")) == want
+        assert (tmp_path / "wide_clean.csv").exists() == (want == 0)
+    assert (f"column '{code_col}': code 99999999999999999999 exceeds 16-bit storage"
+            in capsys.readouterr().err)
+
     # 2: a precision that is not finite; 3: one so small that a finite
     # cell has no finite multiple (each would have blanked every cell)
     capsys.readouterr()
@@ -574,9 +589,11 @@ def _fuzzed_csv(rng, header, rows):
         damage = int(rng.integers(7))
         if damage == 0:  # blank cell
             rows[i][int(rng.integers(len(rows[i])))] = ""
-        elif damage == 1:  # non-finite or unparsable value
-            bad = ["nan", "NaN", "inf", "-inf", "1e400", "0x1", " 1", "1.5"]
-            rows[i][-1] = str(rng.choice(bad))
+        elif damage == 1:  # non-finite, unparsable or huge value in a data column
+            bad = ["nan", "NaN", "inf", "-inf", "1e400", "0x1", " 1", "1.5",
+                   "99999999999999999999"]
+            j = int(rng.integers(1, len(rows[i]))) if len(rows[i]) > 1 else 0
+            rows[i][j] = str(rng.choice(bad))
         elif damage == 2:  # the same id twice
             rows.insert(int(rng.integers(len(rows) + 1)), list(rows[i]))
         elif damage == 3:  # an id holding a quoted comma

@@ -1,5 +1,6 @@
 """CSV ingestion and cleaning tests: parsing, rounding, masking, labels."""
 
+import csv
 import math
 import re
 from pathlib import Path
@@ -21,6 +22,8 @@ from credit_stack.ingest import (
     MISSING_CODE,
     ColumnSchema,
     StatementTable,
+    _parse_code,
+    _parse_float,
     align_labels,
     align_values,
     clean,
@@ -88,6 +91,63 @@ def test_parse_unparseable_cell_becomes_missing(tmp_path):
     path = make_csv(tmp_path, "A,2017-03-01,oops,0.1,2\n")
     table = parse_csv(path, SCHEMA)
     assert math.isnan(table.columns["balance"][0])
+
+
+# cells that float() or int() read in a surprising way, or reject
+ODD_CELLS = ["", "nan", "-nan", "NaN", "inf", "-inf", "1e400", "-1e400", " 1.5 ", "1_0",
+             "١٢", "-0.0", "0", "3.0", "7", "-3", "12345678901234567890",
+             "-99999999999999999999"]
+
+
+def test_parse_columns_equal_the_per_cell_parse_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(8)
+    cells = ODD_CELLS * 3
+    # fast: every cell is one float() / int() takes (or blank); slow: one is not
+    columns = {
+        "fast_x": [c for c in cells if c != "3.0"] + ["0.25"],
+        "slow_x": list(cells) + ["garbage"],
+        "fast_c": [c for c in cells if c not in ("nan", "-nan", "NaN", "inf", "-inf", "1e400",
+                                                 "-1e400", " 1.5 ", "-0.0", "3.0",
+                                                 "12345678901234567890")] + ["9"],
+        "slow_c": [c for c in cells if c != "12345678901234567890"] + ["garbage"],
+    }
+    n = max(len(v) for v in columns.values())
+    for values in columns.values():  # every odd cell, in a shuffled order
+        values[:] = (values * n)[:n]
+        rng.shuffle(values)
+    schema = [ColumnSchema("customer_id", "identifier"),
+              ColumnSchema("fast_x", "continuous"), ColumnSchema("slow_x", "continuous"),
+              ColumnSchema("fast_c", "categorical"), ColumnSchema("slow_c", "categorical")]
+    path = tmp_path / "odd.csv"
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([c.name for c in schema])
+        writer.writerows(zip((f"C{i:03d}" for i in range(n)), *columns.values()))
+
+    table = parse_csv(path, schema)  # one row per customer: file order is kept
+    for name in ("fast_x", "slow_x"):
+        want = np.array([_parse_float(c) for c in columns[name]], dtype=np.float64)
+        got = table.columns[name]
+        assert got.dtype == np.float64
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), name
+    for name in ("fast_c", "slow_c"):
+        want = np.array([_parse_code(c) for c in columns[name]], dtype=np.int64)
+        got = table.columns[name]
+        assert got.dtype == np.int64 and got.tolist() == want.tolist(), name
+    # the odd cells really are in the table
+    assert np.isnan(table.columns["fast_x"]).any() and (table.columns["fast_c"] == 12).any()
+    assert (table.columns["slow_x"] == 10.0).any() and (table.columns["slow_c"] == 7).any()
+
+
+@pytest.mark.parametrize("code", ["99999999999999999999", "9223372036854775808"])
+@pytest.mark.parametrize("other", ["1", "garbage"])
+def test_parse_code_past_int64_names_the_column(tmp_path, code, other):
+    path = make_csv(tmp_path, f"A,2017-03-01,0.5,0.1,{code}\nB,2017-03-01,0.5,0.1,{other}\n")
+    with pytest.raises(CodeOverflowError, match=f"column 'region': code {code} exceeds"):
+        parse_csv(path, SCHEMA)
+    # a negative code of any size is missing, as any negative code is
+    path = make_csv(tmp_path, f"A,2017-03-01,0.5,0.1,-{code}\nB,2017-03-01,0.5,0.1,{other}\n")
+    assert parse_csv(path, SCHEMA).columns["region"][0] == MISSING_CODE
 
 
 def test_parse_duplicate_statement_raises(tmp_path):
