@@ -22,7 +22,7 @@ from . import __version__
 from .blend import optimize_weights, read_predictions, save_ensemble
 from . import cv_stack, features as features_mod, gbdt, ingest
 from . import pipeline as pipeline_mod, report as report_mod, synth as synth_mod
-from .errors import ConfigError, CreditStackError, DataError
+from .errors import ConfigError, CreditStackError
 from .metric import composite_metric
 from .serialize import write_json
 
@@ -65,12 +65,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", type=float, default=0.01,
                    help="rounding step for continuous values (default 0.01)")
     p.add_argument("--out", required=True,
-                   help="cleaned CSV path; a .schema.json sidecar is written next to it")
+                   help="cleaned CSV path; its schema sidecar is written next to it")
 
     p = sub.add_parser("features", parents=[common],
                        help="aggregate a cleaned CSV into a per-customer feature matrix")
     p.add_argument("--input", required=True,
-                   help="cleaned CSV (its <input>.schema.json sidecar must exist)")
+                   help="cleaned CSV written by prep or run, beside its schema sidecar")
     p.add_argument("--spec", required=True, help="aggregation spec JSON")
     p.add_argument("--window", type=int, default=None,
                    help="override: keep only the last N statements per customer")
@@ -115,8 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="aggregate fold models into an importance report and box plot")
     p.add_argument("--model", action="append", required=True, metavar="JSON",
                    help="fold model JSON; repeat per fold")
-    p.add_argument("--kind", choices=("average_gain", "total_gain"),
-                   default="average_gain")
+    p.add_argument("--kind", choices=gbdt.IMPORTANCE_KINDS, default="average_gain")
     p.add_argument("--top-n", type=int, default=20, help="features in the box plot")
     p.add_argument("--out-json", required=True, help="report JSON to write")
     p.add_argument("--out-svg", required=True, help="box plot SVG to write")
@@ -152,18 +151,13 @@ def _cmd_prep(args) -> int:
     for column, count in masked.items():
         if count:
             log.info("masked %d outlier cells in %s", count, column)
-    ingest.write_csv(table, args.out)
-    write_json(str(args.out) + ".schema.json", ingest.schema_to_json(table.schema))
+    ingest.write_clean(table, args.out)
     log.info("cleaned %d rows into %s", table.n_rows, args.out)
     return 0
 
 
 def _cmd_features(args) -> int:
-    sidecar = str(args.input) + ".schema.json"
-    if not Path(sidecar).exists():
-        raise DataError(f"schema sidecar {sidecar} not found; run prep first")
-    schema = ingest.load_schema(sidecar)
-    table = ingest.parse_csv(args.input, schema)
+    table = ingest.read_clean(args.input)
     spec = features_mod.spec_from_json(args.spec)
     overrides = {}
     if args.window is not None:

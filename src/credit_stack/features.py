@@ -129,19 +129,11 @@ class FeatureMatrix:
 
 
 def select_recent_window(table: StatementTable, k: int) -> StatementTable:
-    """Keep only each customer's last ``k`` statements, re-indexed from 1."""
+    """Keep only each customer's last ``k`` statements."""
     if k < 1:
         raise ConfigError(f"recent window must be >= 1, got {k}")
     counts = table.row_counts()
-    dropped = np.maximum(counts - k, 0)
-    keep = table.statement_index > np.repeat(dropped, counts)
-    new_index = (table.statement_index - np.repeat(dropped, counts).astype(np.int32))[keep]
-    return StatementTable(
-        table.schema,
-        table.customer_ids[keep],
-        new_index,
-        {name: arr[keep] for name, arr in table.columns.items()},
-    )
+    return table.take(table.statement_index > np.repeat(counts - k, counts))
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ from .errors import (
 )
 from .features import FeatureMatrix
 from .ingest import check_labels
-from .serialize import load_config_doc, read_json_doc, write_json
+from .serialize import is_finite_number, load_config_doc, read_json_doc, write_json
 
 
 @dataclass(frozen=True)
@@ -543,14 +543,17 @@ def predict(model: BoostedModel, matrix: FeatureMatrix) -> np.ndarray:
     return _sigmoid(predict_raw(model, matrix))
 
 
+IMPORTANCE_KINDS = ("average_gain", "total_gain")
+
+
 def importance(model: BoostedModel, kind: str = "average_gain") -> dict:
     """Per-column split-gain importance; unused columns are absent.
 
     ``total_gain`` sums a column's recorded gains, ``average_gain``
     divides by its split count.
     """
-    if kind not in ("average_gain", "total_gain"):
-        raise ConfigError(f"importance kind must be average_gain or total_gain, got {kind!r}")
+    if kind not in IMPORTANCE_KINDS:
+        raise ConfigError(f"importance kind must be one of {IMPORTANCE_KINDS}, got {kind!r}")
     grouped: dict = {}
     for feature, gain in model.split_records:
         grouped.setdefault(feature, []).append(gain)
@@ -598,32 +601,66 @@ def save_model(model: BoostedModel, path) -> None:
     write_json(path, model_to_dict(model))
 
 
+def _finite(value, what: str) -> float:
+    """``value`` as a float; anything but a finite JSON number is a ValueError."""
+    if not is_finite_number(value):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _node_from_dict(raw: dict, i: int, n_nodes: int) -> Node:
+    """Node ``i`` of a tree of ``n_nodes``; its children must come after it."""
+    if "value" in raw:
+        return Node(is_leaf=True, value=_finite(raw["value"], f"node {i} value"))
+    feature, missing_left = raw["feature"], raw["missing_left"]
+    if not isinstance(feature, str):
+        raise ValueError(f"node {i} feature must be a string, got {feature!r}")
+    if not isinstance(missing_left, bool):
+        raise ValueError(f"node {i} missing_left must be true or false, got {missing_left!r}")
+    left, right = raw["left"], raw["right"]
+    for child in (left, right):
+        if isinstance(child, bool) or not isinstance(child, int) or not i < child < n_nodes:
+            raise ValueError(
+                f"node {i} child {child!r} must be an index in {i + 1}..{n_nodes - 1}"
+            )
+    return Node(
+        is_leaf=False,
+        feature=feature,
+        threshold=_finite(raw["threshold"], f"node {i} threshold"),
+        missing_left=missing_left,
+        left=left,
+        right=right,
+    )
+
+
+def _split_record(record) -> tuple[str, float]:
+    if not (isinstance(record, list) and len(record) == 2 and isinstance(record[0], str)):
+        raise ValueError(f"split record {record!r} must be [feature, gain]")
+    return record[0], _finite(record[1], "split gain")
+
+
 def load_model(path) -> BoostedModel:
+    """Read a model written by :func:`save_model`.
+
+    A document of any other shape is a ``DataError`` naming the path:
+    every tree needs a node, each child index must lie after its parent
+    and inside its tree (so every walk ends at a leaf), and every
+    number must be finite.
+    """
     doc = read_json_doc(path, "model", DataError)
     try:
         trees = []
-        for tree in doc["trees"]:
-            nodes = []
-            for raw in tree["nodes"]:
-                if "value" in raw:
-                    nodes.append(Node(is_leaf=True, value=float(raw["value"])))
-                else:
-                    nodes.append(
-                        Node(
-                            is_leaf=False,
-                            feature=raw["feature"],
-                            threshold=float(raw["threshold"]),
-                            missing_left=bool(raw["missing_left"]),
-                            left=int(raw["left"]),
-                            right=int(raw["right"]),
-                        )
-                    )
-            trees.append(nodes)
+        for t, tree in enumerate(doc["trees"]):
+            raw_nodes = tree["nodes"]
+            if not raw_nodes:
+                raise ValueError(f"tree {t} has no nodes")
+            n = len(raw_nodes)
+            trees.append([_node_from_dict(raw, i, n) for i, raw in enumerate(raw_nodes)])
         return BoostedModel(
-            base_score=float(doc["base_score"]),
-            learning_rate=float(doc["learning_rate"]),
+            base_score=_finite(doc["base_score"], "base_score"),
+            learning_rate=_finite(doc["learning_rate"], "learning_rate"),
             trees=trees,
-            split_records=[(f, float(g)) for f, g in doc["split_records"]],
+            split_records=[_split_record(record) for record in doc["split_records"]],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model document {path}: {exc}") from exc

@@ -33,7 +33,7 @@ from .errors import (
     NonPositivePrecisionError,
 )
 from .serialize import check_config_doc, read_csv_rows, read_json_doc, read_keyed_column
-from .serialize import write_csv_rows
+from .serialize import write_csv_rows, write_json
 
 log = logging.getLogger(__name__)
 
@@ -60,19 +60,28 @@ class StatementTable:
     """Columnar statement records, contiguous per customer.
 
     Rows are grouped by customer in first-appearance order and sorted by
-    statement date within each customer; ``statement_index`` numbers them
-    1..n.  ``columns`` maps each non-identifier schema name to a per-row
-    array (dates stored as proleptic ordinals).
+    statement date within each customer.  ``columns`` maps each
+    non-identifier schema name to a per-row array (dates stored as
+    proleptic ordinals).
     """
 
     schema: list[ColumnSchema]
     customer_ids: np.ndarray
-    statement_index: np.ndarray
     columns: dict[str, np.ndarray]
 
     @property
     def n_rows(self) -> int:
         return int(self.customer_ids.size)
+
+    @property
+    def statement_index(self) -> np.ndarray:
+        """Each row's 1-based position in its customer's row block."""
+        return np.arange(self.n_rows) - np.repeat(self.row_starts(), self.row_counts()) + 1
+
+    def take(self, rows) -> StatementTable:
+        """The table of the rows ``rows`` selects (a mask or an index array)."""
+        columns = {name: arr[rows] for name, arr in self.columns.items()}
+        return StatementTable(self.schema, self.customer_ids[rows], columns)
 
     def customers(self) -> np.ndarray:
         """Unique customer ids in first-appearance order."""
@@ -212,12 +221,11 @@ def _parse_ordinal(cell: str) -> int:
 
 
 def parse_csv(path, schema: list[ColumnSchema]) -> StatementTable:
-    """Read a raw statement CSV into a sorted, indexed table.
+    """Read a raw statement CSV into a sorted table.
 
     The header must carry exactly the schema's column names (any order).
     Unparseable or empty cells become the missing marker.  Rows are
-    re-ordered by (customer first appearance, date ascending) and each
-    customer's statements are numbered from 1.
+    re-ordered by (customer first appearance, date ascending).
 
     The rows are transposed once, and each continuous or categorical
     column is converted with one ``float()`` or ``int()`` pass over its
@@ -289,17 +297,15 @@ def parse_csv(path, schema: list[ColumnSchema]) -> StatementTable:
                 f"customer {ids[i]!r} has two statements dated {when}"
             )
 
-    starts = np.flatnonzero(np.concatenate(([True], ranks[1:] != ranks[:-1])))
-    counts = np.diff(np.concatenate((starts, [ids.size])))
+    table = StatementTable(list(schema), ids, columns)
+    counts = table.row_counts()
     if counts.max() > MAX_STATEMENTS:
         worst = int(np.argmax(counts))
         raise DataError(
-            f"customer {ids[starts[worst]]!r} has {counts[worst]} statements,"
+            f"customer {table.customers()[worst]!r} has {counts[worst]} statements,"
             f" limit is {MAX_STATEMENTS}"
         )
-    index = np.arange(ids.size, dtype=np.int32) - np.repeat(starts, counts).astype(np.int32) + 1
-
-    return StatementTable(list(schema), ids, index, columns)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +355,7 @@ def compact_types(table: StatementTable) -> StatementTable:
             new_schema.append(replace(col, storage=storage))
         else:
             new_schema.append(col)
-    return StatementTable(new_schema, table.customer_ids, table.statement_index, columns)
+    return StatementTable(new_schema, table.customer_ids, columns)
 
 
 def snap_to_grid(x: np.ndarray, precision: float) -> np.ndarray:
@@ -380,7 +386,7 @@ def denoise_round(table: StatementTable, precision: float = 0.01) -> StatementTa
             snapped = snap_to_grid(values.astype(np.float64), precision)
         _reject_overflow(table, col, values, snapped, f"has no finite multiple of {precision}")
         columns[col.name] = snapped.astype(values.dtype)
-    return StatementTable(table.schema, table.customer_ids, table.statement_index, columns)
+    return StatementTable(table.schema, table.customer_ids, columns)
 
 
 def mask_outliers(table: StatementTable) -> tuple[StatementTable, dict[str, int]]:
@@ -400,7 +406,7 @@ def mask_outliers(table: StatementTable) -> tuple[StatementTable, dict[str, int]
         masked[col.name] = int(np.count_nonzero(bad))
         values[bad] = np.nan
         columns[col.name] = values
-    return StatementTable(table.schema, table.customer_ids, table.statement_index, columns), masked
+    return StatementTable(table.schema, table.customer_ids, columns), masked
 
 
 def clean(table: StatementTable, precision: float) -> tuple[StatementTable, dict[str, int]]:
@@ -499,6 +505,26 @@ def write_csv(table: StatementTable, path) -> None:
         texts.append(distinct[inverse].tolist())
 
     write_csv_rows(path, [c.name for c in table.schema], zip(*texts))
+
+
+def _sidecar(path) -> Path:
+    return Path(f"{path}.schema.json")
+
+
+def write_clean(table: StatementTable, path) -> tuple[Path, Path]:
+    """Write the CSV ``path`` and its schema sidecar; returns both paths."""
+    sidecar = _sidecar(path)
+    write_csv(table, path)
+    write_json(sidecar, schema_to_json(table.schema))
+    return Path(path), sidecar
+
+
+def read_clean(path) -> StatementTable:
+    """The table ``write_clean`` wrote to ``path``, parsed by its sidecar schema."""
+    sidecar = _sidecar(path)
+    if not sidecar.exists():
+        raise DataError(f"schema sidecar {sidecar} not found; run prep first")
+    return parse_csv(path, load_schema(sidecar))
 
 
 def read_labels(path) -> dict[str, int]:

@@ -10,7 +10,7 @@ seed reproduces every file byte for byte.
 
 Run directory layout::
 
-    clean/clean.csv + clean/clean.schema.json
+    clean/clean.csv + sidecar  the cleaned table and its schema (ingest.write_clean)
     split.csv                  customer_id,split (train/holdout)
     folds.csv                  row_index,fold over the training rows
     members/<name>/            matrix.bin, matrix_holdout.bin, vocab.json?,
@@ -39,7 +39,7 @@ from .blend import (
     save_ensemble,
     write_predictions,
 )
-from .errors import ConfigError, CreditStackError
+from .errors import ConfigError, CreditStackError, DataError
 from .metric import composite_metric
 from .serialize import (
     check_config_doc,
@@ -106,7 +106,9 @@ class PipelineConfig:
             raise ConfigError(
                 f"holdout_fraction must lie in (0, 1), got {self.holdout_fraction}"
             )
-        if self.importance_kind not in ("average_gain", "total_gain"):
+        if self.report_top_n < 1:
+            raise ConfigError(f"report_top_n must be >= 1, got {self.report_top_n}")
+        if self.importance_kind not in gbdt.IMPORTANCE_KINDS:
             raise ConfigError(f"unknown importance_kind {self.importance_kind!r}")
         # checked here, not at the blend stage: every member would be
         # trained first, and a one-member run never searches at all
@@ -150,16 +152,6 @@ def _stage(name: str):
             return False
 
     return _Guard()
-
-
-def _subset_rows(table: ingest.StatementTable, keep_customers: np.ndarray):
-    mask = np.repeat(keep_customers, table.row_counts())
-    return ingest.StatementTable(
-        table.schema,
-        table.customer_ids[mask],
-        table.statement_index[mask],
-        {name: arr[mask] for name, arr in table.columns.items()},
-    )
 
 
 def _holdout_split(labels: np.ndarray, fraction: float, seed: int) -> np.ndarray:
@@ -210,19 +202,25 @@ def run_pipeline(config: PipelineConfig) -> Path:
         if masked:
             log.info("masked outlier cells: %s", masked)
         y = ingest.join_labels(table, ingest.read_labels(config.labels))
-        clean_dir = out / "clean"
-        clean_dir.mkdir(exist_ok=True)
-        ingest.write_csv(table, emit(clean_dir / "clean.csv"))
-        write_json(emit(clean_dir / "clean.schema.json"), ingest.schema_to_json(table.schema))
+        written.extend(ingest.write_clean(table, out / "clean" / "clean.csv"))
 
     with _stage("split"):
-        customers = table.customers()
         holdout_mask = _holdout_split(y, config.holdout_fraction, config.seed)
-        _write_split(emit(out / "split.csv"), customers, holdout_mask)
-        train_table = _subset_rows(table, ~holdout_mask)
-        hold_table = _subset_rows(table, holdout_mask)
         y_train = y[~holdout_mask]
         y_hold = y[holdout_mask]
+        # checked here, not at the first metric: every fold model of the
+        # first member would be trained and written first
+        n_pos = int(np.count_nonzero(y_hold))
+        if n_pos == 0 or n_pos == y_hold.size:
+            raise DataError(
+                f"holdout_fraction {config.holdout_fraction} gives a holdout of {n_pos} "
+                f"positive and {y_hold.size - n_pos} negative customers; the blend "
+                "needs both classes"
+            )
+        _write_split(emit(out / "split.csv"), table.customers(), holdout_mask)
+        row_holdout = np.repeat(holdout_mask, table.row_counts())
+        train_table = table.take(~row_holdout)
+        hold_table = table.take(row_holdout)
 
     with _stage("folds"):
         plan = cv_stack.make_folds(y_train, config.folds, config.seed + 1)

@@ -190,7 +190,8 @@ def write_csv_rows(path: str | Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _is_number(value) -> bool:
+def is_finite_number(value) -> bool:
+    """A JSON number (never ``true``/``false``) within float64's finite range."""
     return not isinstance(value, bool) and isinstance(value, (int, float)) and (
         abs(value) <= sys.float_info.max  # false for NaN, ±inf and ints past float64
     )
@@ -199,7 +200,7 @@ def _is_number(value) -> bool:
 # JSON values accepted for a config field, by its annotation
 _FIELD_TYPES = {
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    "float": (_is_number, "a finite number"),
+    "float": (is_finite_number, "a finite number"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "tuple[str, ...]": (
@@ -207,7 +208,7 @@ _FIELD_TYPES = {
         "a list of strings",
     ),
     "tuple[float, float]": (
-        lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)),
+        lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(is_finite_number, v)),
         "a [low, high] pair of finite numbers",
     ),
 }

@@ -164,7 +164,6 @@ def generate(config: SynthConfig):
 
     months = _month_ordinals()
     offsets = np.concatenate([np.arange(c) for c in kept_counts])
-    statement_index = (offsets + 1).astype(np.int32)
     dates = months[offsets + (_FULL_MONTHS - np.repeat(kept_counts, kept_counts))]
 
     ids_all = np.array([f"C{i:06d}" for i in range(n)], dtype=object)
@@ -176,6 +175,6 @@ def generate(config: SynthConfig):
     for j in range(config.n_categorical):
         columns[f"cat_{j}"] = codes[:, j].copy()
 
-    table = StatementTable(synth_schema(config), customer_ids, statement_index, columns)
+    table = StatementTable(synth_schema(config), customer_ids, columns)
     label_map = {ids_all[i]: int(labels[i]) for i in np.flatnonzero(keep)}
     return table, label_map

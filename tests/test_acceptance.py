@@ -172,7 +172,6 @@ def test_criterion_04_aggregation_matches_direct_formulas():
     table = StatementTable(
         schema,
         np.asarray(ids),
-        index.astype(np.int32),
         {
             "statement_date": (736000 + index).astype(np.int64),
             "v": np.concatenate(vals).astype(np.float32),

@@ -554,6 +554,33 @@ def test_exit_codes(work, tmp_path, capsys):
     assert "members" in capsys.readouterr().err
     assert not (tmp_path / "five_run").exists()
 
+    # 3: a fold model whose numbers are not finite, whose feature is not a
+    # name or whose tree walk could leave the tree; nothing is written
+    def stump(**root):
+        nodes = [{"feature": "f", "threshold": 0.5, "missing_left": True, "left": 1, "right": 2,
+                  **root}, {"value": 0.25}, {"value": -0.25}]
+        return {"base_score": 0.0, "learning_rate": 0.1, "trees": [{"nodes": nodes}],
+                "split_records": [["f", 1.5]]}
+
+    for i, (doc, code) in enumerate((
+        (stump(), 0),
+        ({**stump(), "split_records": [["f", float("nan")]]}, 3),
+        ({**stump(), "split_records": [["f", float("inf")]]}, 3),
+        (stump(feature=7), 3),
+        (stump(left=-1), 3),
+        (stump(right=3), 3),
+        ({**stump(), "trees": [{"nodes": [{"value": float("nan")}]}]}, 3),
+        ({**stump(), "trees": [{"nodes": []}]}, 3),
+    )):
+        model = tmp_path / f"stump_{i}.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        out_json, out_svg = tmp_path / f"stump_{i}_imp.json", tmp_path / f"stump_{i}_imp.svg"
+        assert run("importance", "--model", str(model), "--model", str(model),
+                   "--out-json", str(out_json), "--out-svg", str(out_svg)) == code
+        assert out_json.exists() == out_svg.exists() == (code == 0)
+        assert ("malformed model document" in capsys.readouterr().err) == (code == 3)
+
 
 def test_features_vocab_is_written_then_read(work, tmp_path):
     spec = tmp_path / "onehot.json"
@@ -714,6 +741,82 @@ def _fuzz_pipeline(work, out_dir):
              "train": {"rounds": 1, "max_leaves": 2}, "meta_from": ["a"]},
         ],
     }
+
+
+def test_features_reads_the_cleaned_csv_a_run_writes(work, tmp_path):
+    # run and prep write the same cleaned-file pair, so features reads either
+    out_dir = tmp_path / "run"
+    config = tmp_path / "pipe.json"
+    config.write_text(json.dumps(_fuzz_pipeline(work, out_dir)), encoding="utf-8")
+    assert run("run", "--config", str(config)) == 0
+    for name in ("clean.csv", "clean.csv.schema.json"):
+        assert (out_dir / "clean" / name).read_bytes() == (work / name).read_bytes()
+    manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert "clean/clean.csv.schema.json" in manifest["files"]
+    assert run("features", "--input", str(out_dir / "clean" / "clean.csv"),
+               "--spec", str(work / "spec.json"), "--out", str(tmp_path / "matrix.bin")) == 0
+    assert (tmp_path / "matrix.bin").read_bytes() == (work / "matrix.bin").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "key, value, code, message",
+    [
+        ("report_top_n", 0, 2, "report_top_n must be >= 1, got 0"),
+        ("holdout_fraction", 0.05, 3,
+         "[stage split]: holdout_fraction 0.05 gives a holdout of 0 positive and 3 negative"),
+        ("holdout_fraction", 0.005, 3,
+         "[stage split]: holdout_fraction 0.005 gives a holdout of 0 positive and 0 negative"),
+    ],
+)
+def test_run_config_that_cannot_finish_fails_before_any_member_trains(
+    work, tmp_path, capsys, key, value, code, message
+):
+    out_dir = tmp_path / "run"
+    config = tmp_path / "pipe.json"
+    config.write_text(json.dumps({**_fuzz_pipeline(work, out_dir), key: value}),
+                      encoding="utf-8")
+    capsys.readouterr()
+    assert run("run", "--config", str(config)) == code
+    assert message in capsys.readouterr().err
+    assert not (out_dir / "members").exists()
+
+
+# one cell of a typed column replaced: codes past int64 and past int16,
+# codes written as reals, a negative code, a blank, impossible dates and
+# dates in another spelling
+TYPED_DAMAGE = ("99999999999999999999", "-99999999999999999999", "40000", "3.0", "1e3",
+                "-1", "", "2017-02-30", "2017-13-01", "20170301", " 2017-03-01 ")
+OVERFLOWING_CODES = ("99999999999999999999", "40000")
+
+
+def test_prep_over_damaged_typed_columns_exits_0_or_3(work, tmp_path, capsys):
+    header, *rows = csv.reader(io.StringIO((work / "data.csv").read_text(encoding="utf-8")))
+    schema = json.loads((work / "schema.json").read_text(encoding="utf-8"))
+    typed = [c["name"] for c in schema if c["kind"] in ("categorical", "date")]
+    rng = np.random.default_rng(23)
+    codes, drawn, overflowed = [], set(), set()
+    for case in range(120):
+        column, value = str(rng.choice(typed)), str(rng.choice(TYPED_DAMAGE))
+        start = int(rng.integers(len(rows) - 40))
+        damaged = [list(r) for r in rows[start:start + 40]]
+        damaged[int(rng.integers(40))][header.index(column)] = value
+        data = tmp_path / f"data_{case}.csv"
+        with open(data, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header] + damaged)
+        capsys.readouterr()
+        codes.append(run("prep", "--input", str(data), "--schema", str(work / "schema.json"),
+                         "--out", str(tmp_path / f"clean_{case}.csv")))
+        err = capsys.readouterr().err
+        drawn.add((column, value))
+        if column != "statement_date" and value in OVERFLOWING_CODES:
+            assert codes[-1] == 3
+            assert f"column {column!r}: code {value} exceeds 16-bit storage" in err
+            overflowed.add(value)
+    # anything but a CreditStackError would have escaped main above
+    assert set(codes) <= {0, 3}
+    assert drawn == {(column, value) for column in typed for value in TYPED_DAMAGE}
+    assert overflowed == set(OVERFLOWING_CODES)
+    assert codes.count(0) > 40 and codes.count(3) > 10
 
 
 def _fuzzed_json(rng, doc, stray):

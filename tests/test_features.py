@@ -53,11 +53,10 @@ SCHEMA = [
 
 def tiny_table(per_customer):
     """Build a StatementTable from {customer: [(bal, spend, region), ...]}."""
-    ids, idx, bal, spend, region, date = [], [], [], [], [], []
+    ids, bal, spend, region, date = [], [], [], [], []
     for cust, rows in per_customer.items():
         for i, (b, s, r) in enumerate(rows):
             ids.append(cust)
-            idx.append(i + 1)
             bal.append(b)
             spend.append(s)
             region.append(r)
@@ -65,7 +64,6 @@ def tiny_table(per_customer):
     return StatementTable(
         SCHEMA,
         np.asarray(ids),
-        np.asarray(idx, dtype=np.int32),
         {
             "statement_date": np.asarray(date, dtype=np.int64),
             "bal": np.asarray(bal, dtype=np.float32),
@@ -334,7 +332,6 @@ def random_statement_table(rng, n_customers):
     return StatementTable(
         ORACLE_SCHEMA,
         np.repeat([f"C{i:03d}" for i in range(n_customers)], lengths),
-        index,
         {
             "statement_date": 736000 + index.astype(np.int64),
             "bal": continuous(),
@@ -409,7 +406,6 @@ def test_build_matrix_rejects_non_contiguous_customer():
     split = StatementTable(
         SCHEMA,
         np.asarray(["A", "B", "A"]),
-        np.asarray([1, 1, 2], dtype=np.int32),
         {name: np.concatenate((arr, arr[:1])) for name, arr in table.columns.items()},
     )
     with pytest.raises(DataError, match="'A'"):

@@ -710,6 +710,77 @@ def test_model_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def _stump_doc(**changes):
+    """A valid one-split model document, with top-level keys replaced."""
+    doc = {
+        "base_score": 0.0,
+        "learning_rate": 0.1,
+        "trees": [{"nodes": [
+            {"feature": "f", "threshold": 0.5, "missing_left": True, "left": 1, "right": 2},
+            {"value": 0.25},
+            {"value": -0.25},
+        ]}],
+        "split_records": [["f", 1.5]],
+    }
+    doc.update(changes)
+    return doc
+
+
+def _stump_with_root(**changes):
+    doc = _stump_doc()
+    doc["trees"][0]["nodes"][0].update(changes)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_stump_doc(split_records=[["f", math.nan]]), "split gain must be a finite number"),
+        (_stump_doc(split_records=[["f", math.inf]]), "split gain must be a finite number"),
+        (_stump_doc(split_records=[["f", "1.5"]]), "split gain must be a finite number"),
+        (_stump_doc(split_records=[[3, 1.5]]), "must be [feature, gain]"),
+        (_stump_doc(split_records=["f1"]), "must be [feature, gain]"),
+        (_stump_doc(split_records=[["f", 1.5, 2.0]]), "must be [feature, gain]"),
+        (_stump_doc(base_score=math.nan), "base_score must be a finite number"),
+        (_stump_doc(learning_rate=-math.inf), "learning_rate must be a finite number"),
+        (_stump_doc(learning_rate=True), "learning_rate must be a finite number"),
+        (_stump_doc(learning_rate=10**400), "learning_rate must be a finite number"),
+        (_stump_doc(trees=[{"nodes": []}]), "tree 0 has no nodes"),
+        (_stump_doc(trees=[{"nodes": [{"value": math.nan}]}]), "node 0 value must be a finite"),
+        (_stump_with_root(threshold=math.inf), "node 0 threshold must be a finite"),
+        (_stump_with_root(feature=3), "node 0 feature must be a string"),
+        (_stump_with_root(missing_left=1), "node 0 missing_left must be true or false"),
+        (_stump_with_root(left=-1), "node 0 child -1 must be an index in 1..2"),
+        (_stump_with_root(left=0), "node 0 child 0 must be an index in 1..2"),
+        (_stump_with_root(right=3), "node 0 child 3 must be an index in 1..2"),
+        (_stump_with_root(right=True), "node 0 child True must be an index"),
+        (_stump_with_root(right=2.0), "node 0 child 2.0 must be an index"),
+        (_stump_with_root(right=None), "node 0 child None must be an index"),
+        (_stump_doc(trees=[{"nodes": [{"feature": "f", "threshold": 0.5, "missing_left": False,
+                                       "left": 1, "right": 1}, {"value": 1.0},
+                                      {"feature": "f", "threshold": 0.5, "missing_left": False,
+                                       "left": 1, "right": 3}, {"value": 1.0}]}]),
+         "node 2 child 1 must be an index in 3..3"),
+    ],
+)
+def test_load_model_rejects_a_document_of_another_shape(tmp_path, doc, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DataError, match="malformed model document") as info:
+        load_model(path)
+    assert message in str(info.value)
+
+
+def test_load_model_reads_the_valid_stump(tmp_path):
+    # the documents above differ from this one in the one value named
+    stump = tmp_path / "stump.json"
+    stump.write_text(json.dumps(_stump_doc()), encoding="utf-8")
+    model = load_model(stump)
+    assert predict_raw(model, matrix_of([[0.0], [1.0], [math.nan]], names=["f"])).tolist() == [
+        0.25, -0.25, 0.25
+    ]
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(rounds=-1)

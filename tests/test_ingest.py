@@ -33,8 +33,10 @@ from credit_stack.ingest import (
     load_schema,
     mask_outliers,
     parse_csv,
+    read_clean,
     read_labels,
     schema_to_json,
+    write_clean,
     write_csv,
     write_labels,
 )
@@ -211,8 +213,49 @@ def test_parse_groups_interleaved_customers(tmp_path):
     assert table.columns["balance"].tolist() == [3.0, 1.0, 2.0, 4.0]
     assert table.customers().tolist() == ["B", "A"]
     assert table.row_starts().tolist() == [0, 2] and table.row_counts().tolist() == [2, 2]
-    empty = StatementTable(SCHEMA, table.customer_ids[:0], table.statement_index[:0], {})
+    empty = StatementTable(SCHEMA, table.customer_ids[:0], {})
     assert empty.row_starts().size == empty.row_counts().size == empty.customers().size == 0
+
+
+def test_take_keeps_each_customers_rows_and_renumbers_them(tmp_path):
+    path = make_csv(
+        tmp_path,
+        "B,2017-04-01,1.0,0.1,1\n"
+        "A,2017-03-01,2.0,0.2,2\n"
+        "B,2017-03-01,3.0,0.3,3\n"
+        "A,2017-04-01,4.0,0.4,4\n"
+        "A,2017-05-01,5.0,0.5,5\n",
+    )
+    table = parse_csv(path, SCHEMA)
+    assert table.statement_index.tolist() == [1, 2, 1, 2, 3]
+    later = table.take(table.statement_index > 1)
+    assert later.customer_ids.tolist() == ["B", "A", "A"]
+    assert later.statement_index.tolist() == [1, 1, 2]
+    assert later.columns["balance"].tolist() == [1.0, 4.0, 5.0]
+    assert later.schema is table.schema
+    picked = table.take(np.array([2, 4]))
+    assert picked.customer_ids.tolist() == ["A", "A"] and picked.statement_index.tolist() == [1, 2]
+    assert table.take(np.zeros(5, dtype=bool)).statement_index.size == 0
+
+
+def test_clean_file_pair_round_trip(tmp_path):
+    path = make_csv(tmp_path, "A,2017-03-01,1.004,0.5,300\nA,2017-04-01,9.0,,\nB,2017-03-01,,2.25,1\n")
+    table, _ = clean(parse_csv(path, SCHEMA), 0.01)
+    out = tmp_path / "run" / "clean.csv"
+    assert write_clean(table, out) == (out, tmp_path / "run" / "clean.csv.schema.json")
+    # the sidecar records the widths compact_types chose, not the declared ones
+    assert [c.storage for c in load_schema(out.parent / "clean.csv.schema.json")] == [
+        "float32", "float32", "float32", "float32", "int16"
+    ]
+    back = compact_types(read_clean(out))
+    assert back.schema == table.schema
+    assert back.customer_ids.tolist() == table.customer_ids.tolist()
+    for name, values in table.columns.items():
+        np.testing.assert_array_equal(back.columns[name], values)
+        assert back.columns[name].dtype == values.dtype
+    (out.parent / "clean.csv.schema.json").unlink()
+    with pytest.raises(DataError, match="clean.csv.schema.json not found; run prep first"):
+        read_clean(out)
 
 
 def test_denoise_rounds_to_nearest_multiple(tmp_path):
@@ -350,6 +393,30 @@ def test_only_ingest_runs_the_cleaning_steps():
     ]
     assert len(list(SRC.glob("*.py"))) > 10
     assert offenders == []
+
+
+def test_only_ingest_names_the_schema_sidecar_and_builds_statement_tables():
+    # the cleaned-file pair is named in ingest alone, and a table's rows
+    # are laid out by ingest (parse, clean, take) or generated by synth
+    lines = {
+        path.name: path.read_text(encoding="utf-8").splitlines()
+        for path in sorted(SRC.glob("*.py"))
+    }
+
+    def offenders(spelling, owners):
+        return [
+            f"{name}:{i}: {line.strip()}"
+            for name, text in lines.items()
+            if name not in owners
+            for i, line in enumerate(text, 1)
+            if spelling in line
+        ]
+
+    assert len(lines) > 10
+    assert any(".schema.json" in line for line in lines["ingest.py"])
+    assert any("StatementTable(" in line for line in lines["synth.py"])
+    assert offenders(".schema.json", {"ingest.py"}) == []
+    assert offenders("StatementTable(", {"ingest.py", "synth.py"}) == []
 
 
 def test_only_ingest_checks_labels_for_0_or_1():
@@ -494,8 +561,7 @@ def _random_table(rng, n_rows):
         schema.append(ColumnSchema(f"cat_{c}", "categorical", storage))
         columns[f"cat_{c}"] = codes
     ids = np.array(rng.choice(AWKWARD_IDS, size=n_rows).tolist(), dtype=object)
-    index = np.arange(1, n_rows + 1, dtype=np.int32)
-    return StatementTable(schema, ids, index, columns)
+    return StatementTable(schema, ids, columns)
 
 
 def test_write_csv_matches_per_cell_oracle_byte_for_byte(tmp_path):
