@@ -39,7 +39,12 @@ Binning sorts a copy of the training matrix once, column by column, and
 groups the columns by their count n of non-missing values.  Each group's
 quantiles come from NumPy's ``linear`` formula applied to the first n
 sorted rows, which gives exactly the bits ``np.quantile`` gives per
-column.  A -0.0 cell bins as +0.0.
+column.  All columns' cuts are then sorted at once and a cut equal to
+the one before it is dropped, the rule ``np.unique`` applies, and so is
+every cut at or above its column's maximum.  A -0.0 cell bins as +0.0.
+The resulting ``BinMapper`` is the one description of a fold's bins:
+its edges, each column's missing bin and the histogram layout the split
+search reads.
 
 Everything is deterministic: one seeded generator drives sampling, bin
 edges come from fixed quantiles, histogram sums accumulate in ascending
@@ -123,36 +128,48 @@ def config_from_json(source) -> TrainConfig:
 
 @dataclass
 class BinMapper:
-    """Per-column quantile bin edges plus a reserved missing bin.
+    """A fold's bins: per-column quantile edges, a missing bin, the histogram layout.
 
     A value lands in the first bin whose upper edge is >= the value;
     values above every edge take the overflow bin.  Column c therefore
-    has len(edges[c]) + 1 real bins, and missing cells map to the slot
-    right after them.
+    has ``missing[c] = len(edges[c]) + 1`` real bins, and its missing
+    cells map to bin ``missing[c]``, the slot right after them.
+
+    A leaf histogram gives column c the flat slots [c*stride,
+    (c+1)*stride): its real bins from ``offsets[c]``, then its missing
+    bin at ``miss_pos[c]``.  A split candidate (c, b) sends bins 0..b
+    left; a column with r >= 2 real bins offers b in 0..r-2 (the slots
+    where ``is_cand`` is set), and ``first`` holds the bin-0 slot of
+    every column that offers any.
     """
 
     column_names: list
     edges: list  # per column, ascending float64 interior edges
 
-    def n_real_bins(self, col: int) -> int:
-        return len(self.edges[col]) + 1
-
-    def missing_bin(self, col: int) -> int:
-        return len(self.edges[col]) + 1
+    def __post_init__(self):
+        self.missing = np.array([len(e) + 1 for e in self.edges], dtype=np.intp)
+        self.stride = int(self.missing.max()) + 1
+        self.offsets = np.arange(self.missing.size, dtype=np.intp) * self.stride
+        self.miss_pos = self.offsets + self.missing
+        self.is_cand = (np.arange(self.stride) < (self.missing - 1)[:, None]).ravel()
+        self.first = self.offsets[self.missing >= 2]
 
     def transform(self, values: np.ndarray) -> np.ndarray:
-        """Bin a (rows x columns) float array into uint8 indices."""
+        """Bin a (rows x columns) float array into uint8 indices.
+
+        Each column is searched on its own in a transposed float64 copy;
+        every NaN cell then takes its column's ``missing`` bin at once.
+        """
         if values.shape[1] != len(self.edges):
             raise DataError(
                 f"matrix has {values.shape[1]} columns, mapper expects {len(self.edges)}"
             )
-        binned = np.empty(values.shape, dtype=np.uint8)
+        x = np.ascontiguousarray(values.T, dtype=np.float64)
+        binned = np.empty(x.shape, dtype=np.uint8)
         for c, edge in enumerate(self.edges):
-            x = values[:, c]
-            b = np.searchsorted(edge, x, side="left")
-            b[np.isnan(x)] = self.missing_bin(c)
-            binned[:, c] = b
-        return binned
+            binned[c] = np.searchsorted(edge, x[c], side="left")
+        np.copyto(binned, self.missing[:, None], casting="unsafe", where=np.isnan(x))
+        return np.ascontiguousarray(binned.T)
 
 
 def build_bins(matrix: FeatureMatrix, max_bins: int = 255) -> BinMapper:
@@ -178,13 +195,13 @@ def build_bins(matrix: FeatureMatrix, max_bins: int = 255) -> BinMapper:
     for n in np.unique(counts[counts > 1]):
         cols = np.flatnonzero(counts == n)
         cuts[:, cols] = _linear_quantiles(ordered[:n, cols], qs)
-    edges = []
-    for c, n in enumerate(counts):
-        if n == 0 or ordered[0, c] == ordered[n - 1, c]:
-            edges.append(np.empty(0, dtype=np.float64))
-            continue
-        e = np.unique(cuts[:, c])
-        edges.append(e[e < ordered[n - 1, c]])
+    # np.unique per column: sort, then keep each value unlike the one before
+    cuts.sort(axis=0)
+    keep = np.ones(cuts.shape, dtype=bool)
+    keep[1:] = cuts[1:] != cuts[:-1]
+    top = ordered[np.maximum(counts - 1, 0), np.arange(matrix.n_cols)]  # NaN: all missing
+    keep &= (cuts < top) & (ordered[0] < top)  # a constant column gets no edge
+    edges = np.split(cuts.T[keep.T], np.cumsum(keep.sum(axis=0))[:-1])
     return BinMapper(list(matrix.column_names), edges)
 
 
@@ -307,38 +324,12 @@ class _LeafCandidate:
     missing_left: bool
 
 
-@dataclass(frozen=True)
-class _SplitLayout:
-    """Where a mapper's columns and split candidates sit in a leaf histogram.
-
-    Column c owns the flat histogram slots [c*stride, (c+1)*stride): its
-    real bins first, then its missing bin.  A candidate (c, b) sends bins
-    0..b left; a column with r >= 2 real bins offers b in 0..r-2, and a
-    column with one bin offers none.
-    """
-
-    stride: int
-    offsets: np.ndarray  # (columns,) slot of each column's bin 0
-    miss_pos: np.ndarray  # (columns,) slot of each column's missing bin
-    is_cand: np.ndarray  # (columns*stride,) bool: the slot is a candidate bin
-    first: np.ndarray  # slot of bin 0 in every column that has candidates
-
-
-def _split_layout(mapper: BinMapper) -> _SplitLayout:
-    real = np.array([mapper.n_real_bins(c) for c in range(len(mapper.edges))], dtype=np.intp)
-    stride = int(real.max()) + 1
-    offsets = np.arange(real.size, dtype=np.intp) * stride
-    is_cand = np.arange(stride) < (real - 1)[:, None]
-    return _SplitLayout(stride, offsets, offsets + real, is_cand.ravel(), offsets[real >= 2])
-
-
 class _TreeGrower:
     """Grows one best-first tree on binned rows with weighted gradients."""
 
-    def __init__(self, binned, mapper: BinMapper, layout: _SplitLayout, g, h, config: TrainConfig):
+    def __init__(self, binned, mapper: BinMapper, g, h, config: TrainConfig):
         self.binned = binned
         self.mapper = mapper
-        self.layout = layout
         self.g = g
         self.h = h
         self.cfg = config
@@ -388,24 +379,24 @@ class _TreeGrower:
         return node_id, self._best_split(node_id, rows, g_sum, h_sum)
 
     def _best_split(self, node_id, rows, g_total, h_total):
-        lay = self.layout
-        if lay.first.size == 0:
+        mapper = self.mapper
+        if mapper.first.size == 0:
             return None
-        n_cols = lay.offsets.size
-        slots = (self.binned[rows] + lay.offsets).ravel()
-        size = n_cols * lay.stride
+        n_cols = mapper.offsets.size
+        slots = (self.binned[rows] + mapper.offsets).ravel()
+        size = n_cols * mapper.stride
         hg = np.bincount(slots, weights=np.repeat(self.g[rows], n_cols), minlength=size)
         hh = np.bincount(slots, weights=np.repeat(self.h[rows], n_cols), minlength=size)
         # A candidate whose bin holds no g and no h scores exactly as the one
         # before it in its column, which the scan meets first: score only
         # bin 0 and the bins the leaf's rows fill.
-        live = lay.is_cand & ((hg != 0.0) | (hh != 0.0))
-        live[lay.first] = True
+        live = mapper.is_cand & ((hg != 0.0) | (hh != 0.0))
+        live[mapper.first] = True
         pos = np.flatnonzero(live)  # column-then-bin order
-        col = pos // lay.stride
-        gl = np.cumsum(hg.reshape(n_cols, lay.stride), axis=1).ravel()[pos]
-        hl = np.cumsum(hh.reshape(n_cols, lay.stride), axis=1).ravel()[pos]
-        miss = lay.miss_pos[col]
+        col = pos // mapper.stride
+        gl = np.cumsum(hg.reshape(n_cols, mapper.stride), axis=1).ravel()[pos]
+        hl = np.cumsum(hh.reshape(n_cols, mapper.stride), axis=1).ravel()[pos]
+        miss = mapper.miss_pos[col]
         miss_g, miss_h = hg[miss], hh[miss]
         parent = g_total * g_total / (h_total + self.cfg.l2_lambda)
         left = self._gains(gl + miss_g, hl + miss_h, g_total, h_total, parent)
@@ -423,7 +414,7 @@ class _TreeGrower:
             k, missing_left, gain = i, True, left[i]
         if not gain > 0.0:
             return None
-        c, b = divmod(int(pos[k]), lay.stride)
+        c, b = divmod(int(pos[k]), mapper.stride)
         return _LeafCandidate(node_id, rows, float(gain), c, b, missing_left)
 
     def _gains(self, GL, HL, g_total, h_total, parent):
@@ -441,10 +432,9 @@ class _TreeGrower:
 
     def _partition(self, cand: _LeafCandidate):
         bins = self.binned[cand.rows, cand.feature_idx]
-        miss = self.mapper.missing_bin(cand.feature_idx)
         go_left = bins <= cand.split_bin
         if cand.missing_left:
-            go_left |= bins == miss
+            go_left |= bins == self.mapper.missing[cand.feature_idx]
         return cand.rows[go_left], cand.rows[~go_left]
 
 
@@ -494,7 +484,6 @@ def train(matrix: FeatureMatrix, labels, config: TrainConfig) -> BoostedModel:
 
     mapper = build_bins(matrix, config.max_bins)
     binned = mapper.transform(matrix.values)
-    layout = _split_layout(mapper)
     col_of = {name: c for c, name in enumerate(matrix.column_names)}
     p_bar = pos / y.size
     base = math.log(p_bar / (1.0 - p_bar))
@@ -511,7 +500,7 @@ def train(matrix: FeatureMatrix, labels, config: TrainConfig) -> BoostedModel:
         gw[rows] = g[rows] * mult
         hw[rows] = h[rows] * mult
 
-        grower = _TreeGrower(binned, mapper, layout, gw, hw, config)
+        grower = _TreeGrower(binned, mapper, gw, hw, config)
         nodes = grower.grow(rows)
         trees.append(nodes)
         records.extend(grower.records)

@@ -232,7 +232,8 @@ def parse_csv(path, schema: list[ColumnSchema]) -> StatementTable:
     cells; a column holding a cell that pass rejects is parsed cell by
     cell with ``_parse_float`` / ``_parse_code``, the one definition of
     a cell, and both ways give the same bits.  A categorical code past
-    int64 is a ``CodeOverflowError`` naming the column.
+    int64 is a ``CodeOverflowError`` naming the column.  Each distinct
+    date string is parsed once by ``_parse_ordinal``.
     """
     header, records = read_csv_rows(path)
     if not records:
@@ -270,7 +271,8 @@ def parse_csv(path, schema: list[ColumnSchema]) -> StatementTable:
         elif col.kind == "categorical":
             columns[col.name] = _code_column(col.name, raw)
         else:  # date
-            columns[col.name] = np.array([_parse_ordinal(c) for c in raw], dtype=np.int64)
+            ordinal = {cell: _parse_ordinal(cell) for cell in set(raw)}
+            columns[col.name] = np.array([ordinal[c] for c in raw], dtype=np.int64)
 
     # first-appearance rank per customer, then date, fixes the row order
     rank_of: dict = {}
@@ -520,11 +522,16 @@ def write_clean(table: StatementTable, path) -> tuple[Path, Path]:
 
 
 def read_clean(path) -> StatementTable:
-    """The table ``write_clean`` wrote to ``path``, parsed by its sidecar schema."""
+    """The table ``write_clean`` wrote to ``path``, parsed by its sidecar schema.
+
+    The values come back at the cleaned table's storage (``compact_types``),
+    so a matrix built from them has the bits of one built in memory; a
+    value too large for float32 is a ``DataError``.
+    """
     sidecar = _sidecar(path)
     if not sidecar.exists():
         raise DataError(f"schema sidecar {sidecar} not found; run prep first")
-    return parse_csv(path, load_schema(sidecar))
+    return compact_types(parse_csv(path, load_schema(sidecar)))
 
 
 def read_labels(path) -> dict[str, int]:

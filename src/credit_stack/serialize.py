@@ -47,18 +47,10 @@ def format_float(value: float) -> str:
     return text
 
 
-def _escape(text: str) -> str:
-    out = []
-    for ch in text:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
+# a JSON string's escapes: quote, backslash and each code point below 0x20
+_ESCAPES = str.maketrans(
+    {'"': '\\"', "\\": "\\\\", **{chr(i): f"\\u{i:04x}" for i in range(0x20)}}
+)
 
 
 def dumps(obj) -> str:
@@ -79,7 +71,7 @@ def _write(obj, out: list[str], level: int) -> None:
     elif obj is False:
         out.append("false")
     elif isinstance(obj, str):
-        out.append(f'"{_escape(obj)}"')
+        out.append(f'"{obj.translate(_ESCAPES)}"')
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
@@ -92,7 +84,7 @@ def _write(obj, out: list[str], level: int) -> None:
         for i, (key, value) in enumerate(obj.items()):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be str, got {type(key)}")
-            out.append(f'{pad}"{_escape(key)}": ')
+            out.append(f'{pad}"{key.translate(_ESCAPES)}": ')
             _write(value, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(close_pad + "}")

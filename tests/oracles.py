@@ -14,8 +14,10 @@ and returns its ``MetricReport`` and raises its error types;
 ``ingest.write_csv`` and formats each cell with the package's
 ``_format_value`` and writes through ``serialize.write_csv_rows``, so
 only the per-column deduplication is under test; ``SearchEveryLeafGrower``
-replaces ``gbdt._TreeGrower`` and inherits its partition, gain and heap
-code, so only the skipped split work is under test.
+replaces ``gbdt._TreeGrower``, inherits its partition, gain and heap
+code and reads the histogram layout (``stride``, ``offsets``,
+``miss_pos``, ``is_cand``, ``first``) from the grower's ``BinMapper``,
+so only the skipped split work is under test.
 """
 
 from __future__ import annotations
@@ -538,24 +540,24 @@ class SearchEveryLeafGrower(_TreeGrower):
         return node_id, self._best_split(node_id, rows, g_sum, h_sum)
 
     def _best_split(self, node_id, rows, g_total, h_total):
-        lay = self.layout
-        if lay.first.size == 0:
+        mapper = self.mapper
+        if mapper.first.size == 0:
             return None
-        n_cols = lay.offsets.size
-        slots = (self.binned[rows] + lay.offsets).ravel()
-        size = n_cols * lay.stride
+        n_cols = mapper.offsets.size
+        slots = (self.binned[rows] + mapper.offsets).ravel()
+        size = n_cols * mapper.stride
         hg = np.bincount(slots, weights=np.repeat(self.g[rows], n_cols), minlength=size)
         hh = np.bincount(slots, weights=np.repeat(self.h[rows], n_cols), minlength=size)
         # A candidate whose bin holds no g and no h scores exactly as the one
         # before it in its column, which the scan meets first: score only
         # bin 0 and the bins the leaf's rows fill.
-        live = lay.is_cand & ((hg != 0.0) | (hh != 0.0))
-        live[lay.first] = True
+        live = mapper.is_cand & ((hg != 0.0) | (hh != 0.0))
+        live[mapper.first] = True
         pos = np.flatnonzero(live)  # column-then-bin order
-        col = pos // lay.stride
-        gl = np.cumsum(hg.reshape(n_cols, lay.stride), axis=1).ravel()[pos]
-        hl = np.cumsum(hh.reshape(n_cols, lay.stride), axis=1).ravel()[pos]
-        miss = lay.miss_pos[col]
+        col = pos // mapper.stride
+        gl = np.cumsum(hg.reshape(n_cols, mapper.stride), axis=1).ravel()[pos]
+        hl = np.cumsum(hh.reshape(n_cols, mapper.stride), axis=1).ravel()[pos]
+        miss = mapper.miss_pos[col]
         miss_g, miss_h = hg[miss], hh[miss]
         parent = g_total * g_total / (h_total + self.cfg.l2_lambda)
         left = self._gains(gl + miss_g, hl + miss_h, g_total, h_total, parent)
@@ -570,5 +572,5 @@ class SearchEveryLeafGrower(_TreeGrower):
             k, missing_left, gain = i, True, left[i]
         if not gain > 0.0:
             return None
-        c, b = divmod(int(pos[k]), lay.stride)
+        c, b = divmod(int(pos[k]), mapper.stride)
         return _LeafCandidate(node_id, rows, float(gain), c, b, missing_left)

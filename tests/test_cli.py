@@ -1097,7 +1097,7 @@ def test_features_on_statements_whose_sum_overflows_float64_warns_nothing(
                        "--out", str(tmp_path / "m.bin"))
         err = capsys.readouterr().err
         assert code == 3
-        assert f"feature column {column!r} is infinite for customer {first!r}" in err
+        assert f"column 'cont_00': value 1e+308 of customer {first!r} exceeds float32" in err
         assert [str(w.message) for w in caught] == []
         assert "RuntimeWarning" not in err and "Traceback" not in err
         assert not (tmp_path / "m.bin").exists()
@@ -1127,7 +1127,7 @@ def test_features_on_statements_whose_sum_overflows_both_ways_exits_3(work, tmp_
                    "--out", str(tmp_path / "m.bin"))
     err = capsys.readouterr().err
     assert code == 3
-    assert f"feature column 'cont_00_mean' is infinite for customer {who!r}" in err
+    assert f"column 'cont_00': value 1e+308 of customer {who!r} exceeds float32" in err
     assert [str(w.message) for w in caught] == []
     assert "RuntimeWarning" not in err and "Traceback" not in err
     assert not (tmp_path / "m.bin").exists()

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from credit_stack import synth
 from credit_stack.errors import (
     ConfigError,
     DataError,
@@ -30,8 +31,12 @@ from credit_stack.ingest import (
     MISSING_CODE,
     ColumnSchema,
     StatementTable,
+    clean,
     join_labels,
     parse_csv,
+    read_clean,
+    write_clean,
+    write_csv,
 )
 from oracles import (
     aggregate_categorical,
@@ -279,6 +284,21 @@ def test_build_matrix_statement_order_safety(tmp_path):
     order = {c: i for i, c in enumerate(mb.customer_ids.tolist())}
     realign = [order[c] for c in ma.customer_ids.tolist()]
     np.testing.assert_array_equal(ma.values, mb.values[realign])
+
+
+def test_matrix_of_the_cleaned_file_pair_has_the_in_memory_bits(tmp_path):
+    """``prep`` then ``features`` builds the matrix ``run`` builds in memory."""
+    config = synth.SynthConfig(n_customers=300, seed=7)
+    raw = tmp_path / "raw.csv"
+    write_csv(synth.generate(config)[0], raw)
+    table, _ = clean(parse_csv(raw, synth.synth_schema(config)), 0.01)
+    write_clean(table, tmp_path / "clean.csv")
+    spec = AggregationSpec(encode="ordinal")
+    want, _ = build_matrix(table, spec)
+    got, _ = build_matrix(read_clean(tmp_path / "clean.csv"), spec)
+    assert got.column_names == want.column_names
+    assert got.customer_ids.tolist() == want.customer_ids.tolist()
+    np.testing.assert_array_equal(got.values.view(np.uint32), want.values.view(np.uint32))
 
 
 ORACLE_SCHEMA = [

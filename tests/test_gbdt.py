@@ -22,7 +22,6 @@ from credit_stack.gbdt import (
     BoostedModel,
     TrainConfig,
     _LeafCandidate,
-    _split_layout,
     _TreeGrower,
     build_bins,
     config_from_json,
@@ -70,7 +69,7 @@ def separable_matrix(n=200, seed=0):
 def test_bins_constant_column():
     m = matrix_of([[1.0], [1.0], [1.0]])
     mapper = build_bins(m, 8)
-    assert mapper.n_real_bins(0) == 1
+    assert mapper.edges[0].size == 0 and mapper.missing[0] == 1
     binned = mapper.transform(m.values)
     assert set(binned[:, 0].tolist()) == {0}
 
@@ -92,7 +91,7 @@ def test_bins_missing_goes_to_reserved_bin():
     m = matrix_of([[1.0], [2.0], [np.nan]])
     mapper = build_bins(m, 4)
     binned = mapper.transform(m.values)
-    assert binned[2, 0] == mapper.missing_bin(0)
+    assert binned[2, 0] == mapper.missing[0]
     assert binned[0, 0] != binned[2, 0]
 
 
@@ -132,10 +131,14 @@ def test_bins_match_per_column_quantile_oracle_bit_for_bit():
         got, want = build_bins(m, max_bins), build_bins_by_quantile(m, max_bins)
         assert got.column_names == want.column_names
         assert len(got.edges) == len(want.edges) == m.n_cols
+        binned = got.transform(m.values)
         for c, (g, w) in enumerate(zip(got.edges, want.edges)):
             assert g.dtype == w.dtype == np.float64
             assert g.tobytes() == w.tobytes(), (case, c, g, w)
             assert not np.any((g == 0.0) & np.signbit(g)), (case, c, g)
+            x = m.values[:, c]
+            want_bins = np.where(np.isnan(x), w.size + 1, np.searchsorted(w, x, side="left"))
+            assert binned.dtype == np.uint8 and np.array_equal(binned[:, c], want_bins), (case, c)
             real = m.values[:, c][~np.isnan(m.values[:, c])]
             seen["n1"] += real.size == 1
             seen["n2"] += real.size == 2
@@ -409,7 +412,7 @@ def random_leaf(rng):
 
 def oracle_split(grower, rows, g_total, h_total):
     mapper, cfg = grower.mapper, grower.cfg
-    real_bins = [mapper.n_real_bins(c) for c in range(len(mapper.edges))]
+    real_bins = [len(edge) + 1 for edge in mapper.edges]
     with np.errstate(divide="ignore"):  # l2_lambda = 0: an empty side, masked
         return scan_best_split(
             grower.binned, real_bins, grower.g, grower.h, rows, g_total, h_total,
@@ -419,7 +422,7 @@ def oracle_split(grower, rows, g_total, h_total):
 
 def leaf_grower(m, g, h, cfg):
     mapper = build_bins(m, cfg.max_bins)
-    return _TreeGrower(mapper.transform(m.values), mapper, _split_layout(mapper), g, h, cfg)
+    return _TreeGrower(mapper.transform(m.values), mapper, g, h, cfg)
 
 
 def test_split_search_matches_column_scan_oracle():

@@ -3,6 +3,7 @@
 import csv
 import math
 import re
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +162,21 @@ def test_parse_duplicate_statement_raises(tmp_path):
         parse_csv(path, SCHEMA)
 
 
+def test_parse_unreadable_dates_become_missing(tmp_path):
+    cells = ["2017-03-01", "", "garbage", "2017-02-30", " 2017-03-01 ", "2017-03-01", "garbage", ""]
+    body = "".join(f"C{i},{cell},0.5,0.1,1\n" for i, cell in enumerate(cells))
+    table = parse_csv(make_csv(tmp_path, body), SCHEMA)
+    assert table.customer_ids.tolist() == [f"C{i}" for i in range(len(cells))]
+    march, gone = date(2017, 3, 1).toordinal(), MISSING_CODE
+    assert table.columns["statement_date"].tolist() == [
+        march, gone, gone, gone, march, march, gone, gone
+    ]
+    # two blank dates of one customer are two statements of one (missing) date
+    path = make_csv(tmp_path, "A,,0.5,0.1,2\nA,,0.6,0.2,1\n", name="blank.csv")
+    with pytest.raises(DuplicateStatementError, match="'A' has two statements dated <missing>"):
+        parse_csv(path, SCHEMA)
+
+
 def test_parse_header_mismatch_raises(tmp_path):
     path = make_csv(
         tmp_path,
@@ -247,7 +263,7 @@ def test_clean_file_pair_round_trip(tmp_path):
     assert [c.storage for c in load_schema(out.parent / "clean.csv.schema.json")] == [
         "float32", "float32", "float32", "float32", "int16"
     ]
-    back = compact_types(read_clean(out))
+    back = read_clean(out)
     assert back.schema == table.schema
     assert back.customer_ids.tolist() == table.customer_ids.tolist()
     for name, values in table.columns.items():

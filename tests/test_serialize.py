@@ -9,6 +9,7 @@ import pytest
 
 from credit_stack.errors import ConfigError, DataError, EmptyFileError, MissingColumnError
 from credit_stack.serialize import (
+    dumps,
     read_csv_rows,
     read_json_doc,
     read_keyed_column,
@@ -155,3 +156,13 @@ def test_io_helpers_on_awkward_files(tmp_path, case):
         write_csv_rows(csv_path, ["customer_id", "value"], [])
         assert csv_path.read_bytes() == b"customer_id,value\n"
         assert read_csv_rows(csv_path) == (["customer_id", "value"], [])
+
+
+def test_dumps_escapes_quotes_backslashes_and_control_characters():
+    controls = "".join(chr(i) for i in range(0x20))
+    text = f'a"b\\c{controls} é€😀\x7f'
+    want = 'a\\"b\\\\c' + "".join(f"\\u{i:04x}" for i in range(0x20)) + ' é€😀\x7f'
+    assert dumps(text) == f'"{want}"\n'
+    assert dumps({text: [text]}) == f'{{\n  "{want}": [\n    "{want}"\n  ]\n}}\n'
+    assert dumps("\n\t\x1f\"\\") == '"\\u000a\\u0009\\u001f\\"\\\\"\n'
+    assert json.loads(dumps(text)) == text
