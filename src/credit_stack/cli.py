@@ -245,8 +245,9 @@ def _cmd_eval(args) -> int:
 def _cmd_importance(args) -> int:
     models = [gbdt.load_model(path) for path in args.model]
     rep = report_mod.build_importance_report(models, args.kind)
-    report_mod.save_report(rep, args.out_json)
+    # the plot rejects a --top-n below 1, so it goes first and a bad value writes no file
     report_mod.save_box_plot(rep, args.out_svg, args.top_n)
+    report_mod.save_report(rep, args.out_json)
     log.info("importance over %d folds -> %s, %s", len(models), args.out_json,
              args.out_svg)
     return 0

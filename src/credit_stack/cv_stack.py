@@ -190,6 +190,9 @@ def save_plan(plan: FoldPlan, path) -> None:
 
 def save_oof(customer_ids, oof: OofVector, path) -> None:
     """Write the one OOF format, ``customer_id,fold,probability``, full precision."""
+    n_ids, n_folds, n_probs = len(customer_ids), len(oof.fold), len(oof.prediction)
+    if not n_ids == n_folds == n_probs:
+        raise LengthMismatchError(f"{n_ids} ids for {n_folds} folds and {n_probs} probabilities")
     rows = zip(customer_ids, oof.fold, oof.prediction)
     write_csv_rows(path, ["customer_id", "fold", "probability"],
                    ([cid, int(f), format_float(float(p))] for cid, f, p in rows))

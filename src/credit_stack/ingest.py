@@ -193,31 +193,23 @@ def _float_column(cells) -> np.ndarray:
     return values
 
 
-def _code_column(name: str, cells) -> np.ndarray:
-    """``_parse_code`` of every cell, with one ``int()`` pass over the
-    column; only a column holding a cell ``int()`` rejects is parsed cell
-    by cell.  A code past int64 is a ``CodeOverflowError``."""
-    try:
-        codes = list(map(int, [c or "-1" for c in cells]))
-    except ValueError:
-        codes = [_parse_code(c) for c in cells]
-    try:
-        values = np.array(codes, dtype=np.int64)
-    except OverflowError:  # a code past int64, of either sign
-        codes = [c if c >= 0 else MISSING_CODE for c in codes]
-        top = max(codes)
-        if top > np.iinfo(np.int64).max:
-            raise _code_overflow(name, top) from None
-        values = np.array(codes, dtype=np.int64)
-    values[values < 0] = MISSING_CODE
-    return values
-
-
 def _parse_ordinal(cell: str) -> int:
     try:
         return _date.fromisoformat(cell.strip()).toordinal()
     except ValueError:
         return MISSING_CODE
+
+
+def _int_column(col: ColumnSchema, cells) -> np.ndarray:
+    """``_parse_code`` (categorical) or ``_parse_ordinal`` (date) of every
+    cell as int64, each distinct cell parsed once.  A code past int64 is
+    a ``CodeOverflowError`` naming the column."""
+    parse = _parse_code if col.kind == "categorical" else _parse_ordinal
+    value_of = {cell: parse(cell) for cell in set(cells)}
+    top = max(value_of.values())  # an ordinal never is past int64
+    if top > np.iinfo(np.int64).max:
+        raise _code_overflow(col.name, top)
+    return np.fromiter(map(value_of.__getitem__, cells), np.int64, len(cells))
 
 
 def parse_csv(path, schema: list[ColumnSchema]) -> StatementTable:
@@ -227,13 +219,13 @@ def parse_csv(path, schema: list[ColumnSchema]) -> StatementTable:
     Unparseable or empty cells become the missing marker.  Rows are
     re-ordered by (customer first appearance, date ascending).
 
-    The rows are transposed once, and each continuous or categorical
-    column is converted with one ``float()`` or ``int()`` pass over its
-    cells; a column holding a cell that pass rejects is parsed cell by
-    cell with ``_parse_float`` / ``_parse_code``, the one definition of
-    a cell, and both ways give the same bits.  A categorical code past
-    int64 is a ``CodeOverflowError`` naming the column.  Each distinct
-    date string is parsed once by ``_parse_ordinal``.
+    The rows are transposed once.  Categorical and date cells are
+    converted by ``_int_column``: ``_parse_code`` / ``_parse_ordinal``,
+    the one definition of a cell, runs once per distinct cell, and a
+    code past int64 is a ``CodeOverflowError`` naming the column.
+    Continuous columns keep one ``float()`` pass (``_float_column``),
+    which gives ``_parse_float``'s bits and is their floor: sending every
+    continuous cell through ``_parse_float`` was measured 15% slower.
     """
     header, records = read_csv_rows(path)
     if not records:
@@ -259,27 +251,17 @@ def parse_csv(path, schema: list[ColumnSchema]) -> StatementTable:
     ids = cells[id_col.name]
     if "" in ids:
         raise DataError(f"{path}: empty customer identifier at row {ids.index('') + 2}")
+    # first-appearance rank per customer, then date, fixes the row order
+    rank_of = {cid: r for r, cid in enumerate(dict.fromkeys(ids))}
+    ranks = np.fromiter(map(rank_of.__getitem__, ids), np.int64, len(ids))
     ids = np.asarray(ids, dtype=object)
 
     columns: dict[str, np.ndarray] = {}
     for col in schema:
-        if col.kind == "identifier":
-            continue
-        raw = cells[col.name]
         if col.kind == "continuous":
-            columns[col.name] = _float_column(raw)
-        elif col.kind == "categorical":
-            columns[col.name] = _code_column(col.name, raw)
-        else:  # date
-            ordinal = {cell: _parse_ordinal(cell) for cell in set(raw)}
-            columns[col.name] = np.array([ordinal[c] for c in raw], dtype=np.int64)
-
-    # first-appearance rank per customer, then date, fixes the row order
-    rank_of: dict = {}
-    for cid in ids:
-        if cid not in rank_of:
-            rank_of[cid] = len(rank_of)
-    ranks = np.array([rank_of[cid] for cid in ids], dtype=np.int64)
+            columns[col.name] = _float_column(cells[col.name])
+        elif col.kind != "identifier":
+            columns[col.name] = _int_column(col, cells[col.name])
 
     date_col = _date_column(schema)
     date_key = columns[date_col.name] if date_col else np.arange(ids.size, dtype=np.int64)

@@ -39,7 +39,7 @@ report bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -66,15 +66,7 @@ class MetricReport:
     total_weight: float
 
     def as_dict(self) -> dict:
-        return {
-            "G": self.G,
-            "D": self.D,
-            "M": self.M,
-            "auc_w": self.auc_w,
-            "n_rows": self.n_rows,
-            "n_pos": self.n_pos,
-            "total_weight": self.total_weight,
-        }
+        return asdict(self)
 
 
 def weight_of(label):

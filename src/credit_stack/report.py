@@ -219,4 +219,5 @@ def render_box_plot(report: ImportanceReport, top_n: int = 20) -> str:
 
 
 def save_box_plot(report: ImportanceReport, path, top_n: int = 20) -> None:
-    ensure_parent(path).write_text(render_box_plot(report, top_n), encoding="utf-8")
+    svg = render_box_plot(report, top_n)  # rejects a bad top_n before any directory is made
+    ensure_parent(path).write_text(svg, encoding="utf-8")

@@ -219,6 +219,16 @@ def test_importance_report_and_plot(work):
     assert svg.startswith("<svg ") and "lightsteelblue" in svg
 
 
+def test_importance_top_n_below_1_exits_2_and_writes_no_file(work, tmp_path, capsys):
+    out = work / "stacked"
+    models = [arg for f in range(3) for arg in ("--model", str(out / f"base_fold_{f}.model.json"))]
+    code = run("importance", *models, "--top-n", "0", "--out-json", str(tmp_path / "imp.json"),
+               "--out-svg", str(tmp_path / "plots" / "imp.svg"))
+    assert code == 2
+    assert "error: top_n must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "imp.json").exists() and not (tmp_path / "plots").exists()
+
+
 def test_run_produces_manifest_covering_everything(work, tmp_path):
     out_dir = tmp_path / "run"
     cfg = tmp_path / "pipe.json"
@@ -1073,44 +1083,24 @@ def test_features_on_statements_whose_spread_overflows_float32_exits_3(work, tmp
     assert "Traceback" not in err and not (tmp_path / "m.bin").exists()
 
 
-def test_features_on_statements_whose_sum_overflows_float64_warns_nothing(
-    work, tmp_path, capsys
+# Each cell is finite in float64 but past float32, so the cleaned file's
+# re-read stops at compact_types' storage check before any statistic is
+# taken: the sum of two 1e308 cells, and NumPy's pairwise sum of eight
+# cells adding 4e308 to -4e308, are never reached.
+@pytest.mark.parametrize("cells, spec", [
+    (["1e308"] * 2, {"encode": "ordinal"}),
+    (["1e308"] * 2, {"continuous_stats": []}),
+    (["1e308"] * 4 + ["-1e308"] * 4, {"continuous_stats": ["mean", "std"], "lag_enabled": False}),
+], ids=["sum-ordinal", "sum-lag_only", "both_ways-mean_std"])
+def test_features_on_1e308_statements_stops_at_the_float32_storage_check(
+    work, tmp_path, capsys, cells, spec
 ):
     header, *rows = csv.reader(io.StringIO((work / "clean.csv").read_text(encoding="utf-8")))
-    first = rows[0][0]
-    col = header.index("cont_00")
-    block = [r for r in rows if r[0] == first][:2]
-    for r in block:  # each cell is finite in float64; their sum is not
-        r[col] = "1e308"
-    rows = block + [r for r in rows if r[0] != first]
-    data = tmp_path / "huge.csv"
-    data.write_text("\n".join(",".join(r) for r in [header] + rows) + "\n", encoding="utf-8")
-    (tmp_path / "huge.csv.schema.json").write_bytes(
-        (work / "clean.csv.schema.json").read_bytes()
-    )
-    lag_only = tmp_path / "lag_only.json"
-    lag_only.write_text(json.dumps({"continuous_stats": []}), encoding="utf-8")
-    for spec, column in ((work / "spec.json", "cont_00_mean"), (lag_only, "cont_00_lag")):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = run("features", "--input", str(data), "--spec", str(spec),
-                       "--out", str(tmp_path / "m.bin"))
-        err = capsys.readouterr().err
-        assert code == 3
-        assert f"column 'cont_00': value 1e+308 of customer {first!r} exceeds float32" in err
-        assert [str(w.message) for w in caught] == []
-        assert "RuntimeWarning" not in err and "Traceback" not in err
-        assert not (tmp_path / "m.bin").exists()
-
-
-def test_features_on_statements_whose_sum_overflows_both_ways_exits_3(work, tmp_path, capsys):
-    header, *rows = csv.reader(io.StringIO((work / "clean.csv").read_text(encoding="utf-8")))
     ids = [r[0] for r in rows]
-    who = next(i for i in ids if ids.count(i) >= 8)
+    who = next(i for i in ids if ids.count(i) >= len(cells))
     col = header.index("cont_00")
-    block = [r for r in rows if r[0] == who][:8]
-    # NumPy's pairwise sum of the eight cells adds 4e308 to -4e308
-    for r, value in zip(block, ["1e308"] * 4 + ["-1e308"] * 4):
+    block = [r for r in rows if r[0] == who][:len(cells)]
+    for r, value in zip(block, cells):
         r[col] = value
     rows = block + [r for r in rows if r[0] != who]
     data = tmp_path / "huge.csv"
@@ -1118,12 +1108,11 @@ def test_features_on_statements_whose_sum_overflows_both_ways_exits_3(work, tmp_
     (tmp_path / "huge.csv.schema.json").write_bytes(
         (work / "clean.csv.schema.json").read_bytes()
     )
-    spec = tmp_path / "mean_std.json"
-    spec.write_text(json.dumps({"continuous_stats": ["mean", "std"], "lag_enabled": False}),
-                    encoding="utf-8")
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = run("features", "--input", str(data), "--spec", str(spec),
+        code = run("features", "--input", str(data), "--spec", str(spec_path),
                    "--out", str(tmp_path / "m.bin"))
     err = capsys.readouterr().err
     assert code == 3

@@ -5,9 +5,11 @@ import pytest
 
 from credit_stack.cv_stack import (
     FoldPlan,
+    OofVector,
     append_meta,
     make_folds,
     predict_with_fold_models,
+    save_oof,
     save_plan,
     train_meta,
     train_oof,
@@ -269,3 +271,13 @@ def test_plan_round_trip(tmp_path):
         assert header == ["row_index", "fold"]
         assert [int(i) for i, _ in rows] == list(range(plan.n_rows))
         np.testing.assert_array_equal([int(f) for _, f in rows], plan.assignment)
+
+
+@pytest.mark.parametrize("n_ids, n_folds, n_probs", [(3, 2, 2), (2, 3, 3), (3, 3, 2), (3, 2, 3)])
+def test_save_oof_rejects_lengths_that_disagree(tmp_path, n_ids, n_folds, n_probs):
+    oof = OofVector(np.full(n_probs, 0.5), np.zeros(n_folds, dtype=np.int64))
+    path = tmp_path / "oof.csv"
+    with pytest.raises(LengthMismatchError,
+                       match=f"{n_ids} ids for {n_folds} folds and {n_probs} probabilities"):
+        save_oof([f"C{i}" for i in range(n_ids)], oof, path)
+    assert not path.exists()

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from credit_stack import ingest
 from credit_stack.errors import (
     CodeOverflowError,
     ConfigError,
@@ -113,14 +114,18 @@ def test_parse_columns_equal_the_per_cell_parse_bit_for_bit(tmp_path):
                                                  "-1e400", " 1.5 ", "-0.0", "3.0",
                                                  "12345678901234567890")] + ["9"],
         "slow_c": [c for c in cells if c != "12345678901234567890"] + ["garbage"],
+        # every code compact_types stores (0..32767) once: each cell is distinct
+        "wide_c": [str(code) for code in range(32768)]
+        + [c for c in ODD_CELLS if c != "12345678901234567890"],
     }
     n = max(len(v) for v in columns.values())
     for values in columns.values():  # every odd cell, in a shuffled order
-        values[:] = (values * n)[:n]
+        values[:] = (values * math.ceil(n / len(values)))[:n]
         rng.shuffle(values)
     schema = [ColumnSchema("customer_id", "identifier"),
               ColumnSchema("fast_x", "continuous"), ColumnSchema("slow_x", "continuous"),
-              ColumnSchema("fast_c", "categorical"), ColumnSchema("slow_c", "categorical")]
+              ColumnSchema("fast_c", "categorical"), ColumnSchema("slow_c", "categorical"),
+              ColumnSchema("wide_c", "categorical")]
     path = tmp_path / "odd.csv"
     with path.open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -133,13 +138,37 @@ def test_parse_columns_equal_the_per_cell_parse_bit_for_bit(tmp_path):
         got = table.columns[name]
         assert got.dtype == np.float64
         assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), name
-    for name in ("fast_c", "slow_c"):
+    for name in ("fast_c", "slow_c", "wide_c"):
         want = np.array([_parse_code(c) for c in columns[name]], dtype=np.int64)
         got = table.columns[name]
         assert got.dtype == np.int64 and got.tolist() == want.tolist(), name
     # the odd cells really are in the table
     assert np.isnan(table.columns["fast_x"]).any() and (table.columns["fast_c"] == 12).any()
     assert (table.columns["slow_x"] == 10.0).any() and (table.columns["slow_c"] == 7).any()
+    assert table.columns["wide_c"].max() == 32767 and (table.columns["wide_c"] == -1).any()
+    assert compact_types(table).columns["wide_c"].dtype == np.int16
+
+
+def _counting(rule, seen):
+    def parse(cell):
+        seen.append(cell)
+        return rule(cell)
+    return parse
+
+
+def test_parse_runs_each_cell_rule_once_per_distinct_cell(tmp_path, monkeypatch):
+    parse_code, parse_ordinal = ingest._parse_code, ingest._parse_ordinal
+    codes_seen, dates_seen = [], []
+    monkeypatch.setattr(ingest, "_parse_code", _counting(parse_code, codes_seen))
+    monkeypatch.setattr(ingest, "_parse_ordinal", _counting(parse_ordinal, dates_seen))
+    dates = ["2017-03-01", "", "garbage", "2017-02-30", " 2017-03-01 ", "2017-04-01"] * 5
+    codes = ["1", "", "garbage", "-3", "١٢", "7", "1"] * 4 + ["2", "2"]
+    body = "".join(f"C{i},{d},0.5,0.1,{c}\n" for i, (d, c) in enumerate(zip(dates, codes)))
+    table = parse_csv(make_csv(tmp_path, body), SCHEMA)  # one row per customer: file order
+    assert sorted(codes_seen) == sorted(set(codes))
+    assert sorted(dates_seen) == sorted(set(dates))
+    assert table.columns["region"].tolist() == [parse_code(c) for c in codes]
+    assert table.columns["statement_date"].tolist() == [parse_ordinal(d) for d in dates]
 
 
 @pytest.mark.parametrize("code", ["99999999999999999999", "9223372036854775808"])
