@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-out", required=True, help="model JSON to write")
 
     p = sub.add_parser("stack", parents=[seeded],
-                       help="out-of-fold base training plus a stacked meta model")
+                       help="out-of-fold base models plus an out-of-fold stacked meta model")
     p.add_argument("--features", required=True, help="feature matrix container")
     p.add_argument("--labels", required=True, help="label CSV")
     p.add_argument("--folds", type=int, default=5, help="fold count (default 5)")
@@ -199,18 +199,17 @@ def _cmd_stack(args) -> int:
     plan = cv_stack.make_folds(y, args.folds, seed)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     cv_stack.save_plan(plan, out / "folds.csv")
-
-    result = cv_stack.train_oof(matrix, y, plan, base_cfg)
-    for f, model in enumerate(result.models):
-        gbdt.save_model(model, out / f"base_fold_{f}.model.json")
-    cv_stack.save_oof(matrix.customer_ids, result.oof, out / "oof.csv")
-
-    augmented = cv_stack.append_meta(matrix, [result.oof.prediction])
-    meta_model = cv_stack.train_meta(augmented, y, plan, meta_cfg)
-    gbdt.save_model(meta_model, out / "meta.model.json")
-    log.info("stacked into %s (base OOF M on train rows is in oof.csv)", out)
+    # the meta learner trains out-of-fold on the same plan, like a `run`
+    # member with `meta_from`
+    base = cv_stack.train_oof(matrix, y, plan, base_cfg)
+    meta = cv_stack.train_oof(cv_stack.append_meta(matrix, [base.prediction]), y, plan, meta_cfg)
+    for stage, result in (("base", base), ("meta", meta)):
+        for f, model in enumerate(result.models):
+            gbdt.save_model(model, out / f"{stage}_fold_{f}.model.json")
+    cv_stack.save_oof(matrix.customer_ids, plan, base.prediction, out / "oof.csv")
+    cv_stack.save_oof(matrix.customer_ids, plan, meta.prediction, out / "meta_oof.csv")
+    log.info("stacked into %s (OOF scores in oof.csv and meta_oof.csv)", out)
     return 0
 
 

@@ -6,9 +6,11 @@ position where the positives stopped — so both the fold sizes and the
 per-fold class counts are balanced to within one row.
 
 Out-of-fold (OOF) predictions become `meta_<k>` columns for a
-second-stage model; because every OOF value was produced by a model
-that never saw that row, training the meta model on all rows adds no
-leakage.  At test time the k fold models vote by plain averaging.
+second-stage model, which is trained out-of-fold on the same plan like
+any base learner (stacked generalization): every meta column value came
+from a model that never saw that row, and the meta learner's own OOF
+score is honest too.  At test time the k fold models vote by plain
+averaging.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .errors import (
     DataError,
     FoldTrainingError,
     LengthMismatchError,
-    NoMetaColumnsError,
     TooFewPerClassError,
 )
 from .features import FeatureMatrix
@@ -48,26 +49,13 @@ class FoldPlan:
     def rows_in(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.assignment == fold)
 
-    def rows_not_in(self, fold: int) -> np.ndarray:
-        return np.flatnonzero(self.assignment != fold)
-
-
-@dataclass
-class OofVector:
-    """Out-of-fold probability per row plus the fold that produced it."""
-
-    prediction: np.ndarray
-    fold: np.ndarray
-
 
 @dataclass
 class OofResult:
-    """Everything train_oof learned: the OOF vector, the k fold models,
-    and each model's training row indices (kept for leakage audits)."""
+    """Each row's out-of-fold probability and the k fold models."""
 
-    oof: OofVector
+    prediction: np.ndarray
     models: list
-    train_indices: list
 
 
 def make_folds(labels, k: int, seed) -> FoldPlan:
@@ -124,19 +112,17 @@ def train_oof(matrix: FeatureMatrix, labels, plan: FoldPlan, config: TrainConfig
 
     oof_pred = np.empty(matrix.n_rows, dtype=np.float64)
     models: list[BoostedModel] = []
-    train_indices: list[np.ndarray] = []
     for f in range(plan.k):
         held = plan.rows_in(f)
-        used = plan.rows_not_in(f)
+        used = np.flatnonzero(plan.assignment != f)
         try:
             model = train(_submatrix(matrix, used), y[used], config)
             oof_pred[held] = predict(model, _submatrix(matrix, held))
         except Exception as exc:  # noqa: BLE001 - re-raised with fold context
             raise FoldTrainingError(f, exc) from exc
         models.append(model)
-        train_indices.append(used)
         log.debug("fold %d: trained on %d rows, predicted %d", f, used.size, held.size)
-    return OofResult(OofVector(oof_pred, plan.assignment.copy()), models, train_indices)
+    return OofResult(oof_pred, models)
 
 
 def predict_with_fold_models(models, matrix: FeatureMatrix) -> np.ndarray:
@@ -165,19 +151,6 @@ def append_meta(matrix: FeatureMatrix, predictions) -> FeatureMatrix:
     return FeatureMatrix(matrix.customer_ids, names, np.concatenate(blocks, axis=1))
 
 
-def train_meta(matrix: FeatureMatrix, labels, plan: FoldPlan, config: TrainConfig) -> BoostedModel:
-    """Train the second-stage model on features plus meta columns.
-
-    The matrix must already carry at least one `meta_` column; the fold
-    plan is the one that produced those columns (checked for coverage,
-    since the OOF guarantee is what keeps this training leak-free).
-    """
-    if not any(name.startswith("meta_") for name in matrix.column_names):
-        raise NoMetaColumnsError("matrix has no meta_ columns; append OOF predictions first")
-    _check_plan(plan, matrix.n_rows)
-    return train(matrix, labels, config)
-
-
 # ---------------------------------------------------------------------------
 # fold plan and OOF persistence
 
@@ -188,11 +161,12 @@ def save_plan(plan: FoldPlan, path) -> None:
     )
 
 
-def save_oof(customer_ids, oof: OofVector, path) -> None:
-    """Write the one OOF format, ``customer_id,fold,probability``, full precision."""
-    n_ids, n_folds, n_probs = len(customer_ids), len(oof.fold), len(oof.prediction)
+def save_oof(customer_ids, plan: FoldPlan, prediction, path) -> None:
+    """Write the one OOF format, ``customer_id,fold,probability`` (the plan's
+    fold), full precision."""
+    n_ids, n_folds, n_probs = len(customer_ids), plan.n_rows, len(prediction)
     if not n_ids == n_folds == n_probs:
         raise LengthMismatchError(f"{n_ids} ids for {n_folds} folds and {n_probs} probabilities")
-    rows = zip(customer_ids, oof.fold, oof.prediction)
+    rows = zip(customer_ids, plan.assignment, prediction)
     write_csv_rows(path, ["customer_id", "fold", "probability"],
                    ([cid, int(f), format_float(float(p))] for cid, f, p in rows))

@@ -89,10 +89,6 @@ class LengthMismatchError(DataError):
     pass
 
 
-class NoMetaColumnsError(ConfigError):
-    pass
-
-
 class FoldTrainingError(TrainError):
     """Wraps a training failure inside one cross-validation fold."""
 

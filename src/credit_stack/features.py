@@ -39,7 +39,7 @@ from .errors import (
     VocabularyMissingError,
 )
 from .ingest import MISSING_CODE, StatementTable
-from .serialize import ensure_parent, load_config_doc, read_json_doc
+from .serialize import load_config_doc, open_output, read_json_doc
 
 CONTINUOUS_STATS = ("mean", "std", "min", "max", "last", "median")
 CATEGORICAL_STATS = ("count", "last", "nunique")
@@ -378,7 +378,7 @@ def save_matrix(matrix: FeatureMatrix, path) -> None:
     UTF-8 column names, length-prefixed UTF-8 customer ids, then the
     row-major float32 payload.  Little-endian throughout.
     """
-    with open(ensure_parent(path), "wb") as fh:
+    with open_output(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<III", _VERSION, matrix.n_rows, matrix.n_cols))
         for name in matrix.column_names:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import logging
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -137,21 +138,17 @@ def config_from_json(source) -> PipelineConfig:
 # helpers
 
 
+@contextmanager
 def _stage(name: str):
-    """Decorator-free stage guard: tag escaping errors with the stage."""
-
-    class _Guard:
-        def __enter__(self):
-            log.info("stage %s", name)
-            return self
-
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and isinstance(exc, CreditStackError):
-                if not getattr(exc, "stage", None):
-                    exc.stage = name
-            return False
-
-    return _Guard()
+    """Log the stage's start; tag an escaping error with the stage unless
+    one already carries a stage."""
+    log.info("stage %s", name)
+    try:
+        yield
+    except CreditStackError as exc:
+        if not getattr(exc, "stage", None):
+            exc.stage = name
+        raise
 
 
 def _holdout_split(labels: np.ndarray, fraction: float, seed: int) -> np.ndarray:
@@ -187,7 +184,6 @@ def _metric_json(path, labels, preds) -> float:
 def run_pipeline(config: PipelineConfig) -> Path:
     """Execute every stage and return the populated run directory."""
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     # the manifest digests these, so files an earlier run left in
     # ``out`` stay out of it
     written: list[Path] = []
@@ -232,7 +228,6 @@ def run_pipeline(config: PipelineConfig) -> Path:
     for member in config.members:
         with _stage(f"member:{member.name}"):
             mdir = out / "members" / member.name
-            mdir.mkdir(parents=True, exist_ok=True)
 
             matrix, vocab = features_mod.build_matrix(train_table, member.features)
             hold_matrix, _ = features_mod.build_matrix(
@@ -254,7 +249,7 @@ def run_pipeline(config: PipelineConfig) -> Path:
             result = cv_stack.train_oof(matrix, y_train, plan, member.train)
             for f, model in enumerate(result.models):
                 gbdt.save_model(model, emit(mdir / f"fold_{f}.model.json"))
-            cv_stack.save_oof(matrix.customer_ids, result.oof, emit(mdir / "oof.csv"))
+            cv_stack.save_oof(matrix.customer_ids, plan, result.prediction, emit(mdir / "oof.csv"))
 
             hold_pred = cv_stack.predict_with_fold_models(result.models, hold_matrix)
             write_predictions(
@@ -270,13 +265,12 @@ def run_pipeline(config: PipelineConfig) -> Path:
             report_mod.save_report(imp, emit(mdir / "importance.json"))
             report_mod.save_box_plot(imp, emit(mdir / "importance.svg"), config.report_top_n)
 
-            member_oof[member.name] = result.oof.prediction
+            member_oof[member.name] = result.prediction
             member_holdout_preds[member.name] = hold_pred
             log.info("member %s holdout M = %.6f", member.name, member_metrics[member.name])
 
     with _stage("blend"):
         edir = out / "ensemble"
-        edir.mkdir(exist_ok=True)
         names = [m.name for m in config.members]
         preds = [member_holdout_preds[name] for name in names]
         if len(preds) >= 2:

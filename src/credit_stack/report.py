@@ -13,13 +13,13 @@ two-decimal coordinates, making report bytes stable across runs.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ColumnSetMismatchError, ConfigError, EmptyReportError
 from .gbdt import BoostedModel, importance
-from .serialize import ensure_parent, write_json
+from .serialize import open_output, write_json
 
 log = logging.getLogger(__name__)
 
@@ -29,8 +29,8 @@ class BoxStats:
     median: float
     q1: float
     q3: float
-    low: float
-    high: float
+    min: float
+    max: float
 
 
 @dataclass
@@ -94,16 +94,7 @@ def report_to_dict(report: ImportanceReport) -> dict:
     return {
         "kind": report.kind,
         "per_fold": report.per_fold,
-        "box": {
-            col: {
-                "median": s.median,
-                "q1": s.q1,
-                "q3": s.q3,
-                "min": s.low,
-                "max": s.high,
-            }
-            for col, s in report.box.items()
-        },
+        "box": {col: asdict(s) for col, s in report.box.items()},
         "cumulative": [[col, frac] for col, frac in report.cumulative],
     }
 
@@ -149,7 +140,7 @@ def render_box_plot(report: ImportanceReport, top_n: int = 20) -> str:
         raise EmptyReportError("importance report has no columns to draw")
 
     chosen = sorted(report.box, key=lambda c: (-report.box[c].median, c))[:top_n]
-    scale_max = max(report.box[c].high for c in chosen)
+    scale_max = max(report.box[c].max for c in chosen)
     if scale_max <= 0:
         scale_max = 1.0
     width = _LABEL_W + _PLOT_W + _PAD_RIGHT
@@ -191,14 +182,14 @@ def render_box_plot(report: ImportanceReport, top_n: int = 20) -> str:
         )
         # whiskers with end caps
         parts.append(
-            f'<line x1="{_f(x_of(s.low))}" y1="{_f(cy)}" x2="{_f(x_of(s.q1))}" '
+            f'<line x1="{_f(x_of(s.min))}" y1="{_f(cy)}" x2="{_f(x_of(s.q1))}" '
             f'y2="{_f(cy)}" stroke="black"/>'
         )
         parts.append(
-            f'<line x1="{_f(x_of(s.q3))}" y1="{_f(cy)}" x2="{_f(x_of(s.high))}" '
+            f'<line x1="{_f(x_of(s.q3))}" y1="{_f(cy)}" x2="{_f(x_of(s.max))}" '
             f'y2="{_f(cy)}" stroke="black"/>'
         )
-        for v in (s.low, s.high):
+        for v in (s.min, s.max):
             parts.append(
                 f'<line x1="{_f(x_of(v))}" y1="{_f(cy - 5)}" x2="{_f(x_of(v))}" '
                 f'y2="{_f(cy + 5)}" stroke="black"/>'
@@ -220,4 +211,5 @@ def render_box_plot(report: ImportanceReport, top_n: int = 20) -> str:
 
 def save_box_plot(report: ImportanceReport, path, top_n: int = 20) -> None:
     svg = render_box_plot(report, top_n)  # rejects a bad top_n before any directory is made
-    ensure_parent(path).write_text(svg, encoding="utf-8")
+    with open_output(path) as fh:
+        fh.write(svg)

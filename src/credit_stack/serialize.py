@@ -21,6 +21,9 @@ I/O rules, shared by every CSV and JSON file the package touches:
   passes only the rule for its value cells.
 * Encode: files are written as UTF-8; CSV rows end in a bare ``\n``
   and JSON documents end in one newline.
+* Write: every output file, text or binary, is opened by ``open_output``,
+  which makes its directory; a path that cannot be created or written
+  raises ``ConfigError("cannot write <path>: ...")``.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -104,15 +108,25 @@ def _write(obj, out: list[str], level: int) -> None:
         raise TypeError(f"cannot serialize {type(obj)}")
 
 
-def ensure_parent(path: str | Path) -> Path:
-    """Create the target's parent directory so writers accept fresh paths."""
-    resolved = Path(path)
-    resolved.parent.mkdir(parents=True, exist_ok=True)
-    return resolved
+@contextmanager
+def open_output(path: str | Path, mode: str = "w"):
+    """Open ``path`` for writing (``"w"``: UTF-8 text, ``"wb"``: binary), making
+    its directory first.  An ``OSError`` while making, opening or writing
+    raises ``ConfigError`` naming the path."""
+    path = Path(path)
+    text = "b" not in mode
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, mode, encoding="utf-8" if text else None,
+                  newline="" if text else None) as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def write_json(path: str | Path, obj) -> None:
-    ensure_parent(path).write_text(dumps(obj), encoding="utf-8")
+    with open_output(path) as fh:
+        fh.write(dumps(obj))
 
 
 def read_json_doc(path: str | Path, what: str, error: type):
@@ -176,7 +190,7 @@ def read_keyed_column(path: str | Path, column: str, parse, verb: str) -> tuple[
 
 def write_csv_rows(path: str | Path, header, rows) -> None:
     """Write ``header`` then every row of the iterable ``rows``."""
-    with open(ensure_parent(path), "w", encoding="utf-8", newline="") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

@@ -14,12 +14,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from credit_stack import cv_stack
 from credit_stack.cli import main as cli_main
 from credit_stack.cv_stack import (
     append_meta,
     make_folds,
     predict_with_fold_models,
-    train_meta,
     train_oof,
 )
 from credit_stack.blend import blend, optimize_weights
@@ -267,9 +267,16 @@ def test_criterion_06_goss_fidelity():
          f"{rel_err:.2%} of the small-gradient sum (<= 2%)")
 
 
-def test_criterion_07_no_leakage_under_label_permutation():
+def test_criterion_07_no_leakage_under_label_permutation(monkeypatch):
     matrix, y = synth_features(SynthConfig(n_customers=21500, seed=31))
     config = TrainConfig(rounds=20, max_leaves=10, seed=5)
+    trained_ids = []  # the customer ids each cv_stack.train call received
+
+    def recording_train(m, labels, cfg):
+        trained_ids.append(m.customer_ids)
+        return train(m, labels, cfg)
+
+    monkeypatch.setattr(cv_stack, "train", recording_train)
     aucs = []
     rows_checked = 0
     rows_excluded = 0
@@ -277,13 +284,14 @@ def test_criterion_07_no_leakage_under_label_permutation():
         rng = np.random.default_rng(1000 + trial)
         perm = rng.permutation(y)
         plan = make_folds(perm, 5, seed=trial)
+        trained_ids.clear()
         result = train_oof(matrix, perm, plan, config)
-        aucs.append(weighted_auc(perm, result.oof.prediction))
-        for f in range(plan.k):
-            held = plan.rows_in(f)
+        aucs.append(weighted_auc(perm, result.prediction))
+        assert len(trained_ids) == plan.k
+        for f, ids in enumerate(trained_ids):
+            held = matrix.customer_ids[plan.rows_in(f)]
             rows_checked += held.size
-            trained_on = set(result.train_indices[f].tolist())
-            rows_excluded += sum(1 for r in held.tolist() if r not in trained_on)
+            rows_excluded += int(np.count_nonzero(~np.isin(held, ids)))
     lo, hi = min(aucs), max(aucs)
     exclusion = rows_excluded / rows_checked
     ok = lo >= 0.45 and hi <= 0.55 and exclusion == 1.0
@@ -317,21 +325,21 @@ def test_criterion_08_stacking_does_not_degrade():
             res = train_oof(sub(mats[name], tr), y[tr], plan, base_cfg)
             hp = predict_with_fold_models(res.models, sub(mats[name], ho))
             base_m[name] = composite_metric(y[ho], hp).M
-            oofs.append(res.oof.prediction)
+            oofs.append(res.prediction)
             hold_preds.append(hp)
         aug_tr = append_meta(sub(mats["thin"], tr), oofs)
-        meta_model = train_meta(
+        meta = train_oof(
             aug_tr, y[tr], plan,
             TrainConfig(rounds=30, max_leaves=6, min_child_weight=5.0, seed=4),
         )
         aug_ho = append_meta(sub(mats["thin"], ho), hold_preds)
-        meta_m = composite_metric(y[ho], predict(meta_model, aug_ho)).M
+        meta_m = composite_metric(y[ho], predict_with_fold_models(meta.models, aug_ho)).M
         margin = meta_m - max(base_m.values())
         margins.append(margin)
         passes += margin >= -0.005
     ok = passes >= 3
     note(8, ok,
-         f"meta vs best base holdout M over 5 seeds: margins "
+         f"out-of-fold meta learner vs best base holdout M over 5 seeds: margins "
          f"{['%+.4f' % m for m in margins]}, {passes}/5 within -0.005 "
          "(majority required)")
 

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from credit_stack import features, ingest
+from credit_stack import cv_stack, features, gbdt, ingest
 from credit_stack.blend import write_predictions
 from credit_stack.cli import build_parser, main
 from credit_stack.features import load_matrix
@@ -124,7 +124,7 @@ def test_train_and_eval_chain(work):
     assert rep["n_rows"] == matrix.n_rows
 
 
-def test_stack_writes_fold_artifacts(work):
+def test_stack_writes_fold_artifacts(work, tmp_path):
     out = work / "stacked"
     assert (
         run(
@@ -143,7 +143,24 @@ def test_stack_writes_fold_artifacts(work):
     assert (out / "oof.csv").read_text(encoding="utf-8").startswith(
         "customer_id,fold,probability\n"
     )
-    assert (out / "meta.model.json").exists()
+    assert not (out / "meta.model.json").exists()
+
+    # the meta learner is the one `run` ships for a `meta_from` member:
+    # trained out-of-fold on the same plan and the base OOF column
+    matrix = load_matrix(work / "matrix.bin")
+    y = ingest.align_labels(matrix.customer_ids, read_labels(work / "labels.csv"))
+    config = gbdt.config_from_json(work / "train.json")
+    plan = cv_stack.make_folds(y, 3, config.seed)
+    base = cv_stack.train_oof(matrix, y, plan, config)
+    meta = cv_stack.train_oof(cv_stack.append_meta(matrix, [base.prediction]), y, plan, config)
+    for f, model in enumerate(meta.models):
+        gbdt.save_model(model, tmp_path / f"meta_fold_{f}.model.json")
+    cv_stack.save_oof(matrix.customer_ids, plan, meta.prediction, tmp_path / "meta_oof.csv")
+    assert len(meta.models) == 3
+    for name in [f"meta_fold_{f}.model.json" for f in range(3)] + ["meta_oof.csv"]:
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+    assert run("eval", "--labels", str(work / "labels.csv"), "--pred", str(out / "meta_oof.csv"),
+               "--report", str(tmp_path / "meta_metrics.json")) == 0
 
 
 def test_blend_two_members(work):
@@ -751,6 +768,28 @@ def _fuzz_pipeline(work, out_dir):
              "train": {"rounds": 1, "max_leaves": 2}, "meta_from": ["a"]},
         ],
     }
+
+
+@pytest.mark.parametrize("command", ["prep", "features", "run"])
+def test_an_output_path_that_cannot_be_written_exits_2_naming_it(work, tmp_path, capsys, command):
+    # prep and features aim --out at a directory; run's out_dir is a file
+    target = tmp_path / "taken"
+    if command == "run":
+        target.write_text("", encoding="utf-8")
+        config = tmp_path / "pipe.json"
+        config.write_text(json.dumps(_fuzz_pipeline(work, target)), encoding="utf-8")
+        argv = ["--config", str(config)]
+    else:
+        target.mkdir()
+        argv = {
+            "prep": ["--input", str(work / "data.csv"), "--schema", str(work / "schema.json")],
+            "features": ["--input", str(work / "clean.csv"),
+                         "--spec", str(work / "spec.json")],
+        }[command] + ["--out", str(target)]
+    capsys.readouterr()
+    assert run(command, *argv) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {target}" in err and "Traceback" not in err
 
 
 def test_features_reads_the_cleaned_csv_a_run_writes(work, tmp_path):

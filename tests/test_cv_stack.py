@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
+from credit_stack import cv_stack
 from credit_stack.cv_stack import (
     FoldPlan,
-    OofVector,
     append_meta,
     make_folds,
     predict_with_fold_models,
     save_oof,
     save_plan,
-    train_meta,
     train_oof,
 )
 from credit_stack.errors import (
@@ -19,7 +18,6 @@ from credit_stack.errors import (
     DataError,
     FoldTrainingError,
     LengthMismatchError,
-    NoMetaColumnsError,
     TooFewPerClassError,
 )
 from credit_stack.features import FeatureMatrix
@@ -79,9 +77,6 @@ def test_folds_partition_every_row_exactly_once():
     plan = make_folds(y, 4, seed=9)
     seen = np.concatenate([plan.rows_in(f) for f in range(4)])
     assert sorted(seen.tolist()) == list(range(77))
-    for f in range(4):
-        assert set(plan.rows_in(f)) | set(plan.rows_not_in(f)) == set(range(77))
-        assert not set(plan.rows_in(f)) & set(plan.rows_not_in(f))
 
 
 def test_folds_deterministic_per_seed():
@@ -110,25 +105,37 @@ def test_folds_rejects_bad_inputs():
 # out-of-fold training
 
 
-def test_oof_models_never_see_their_held_out_rows():
+def record_training(monkeypatch) -> list:
+    """Patch ``cv_stack.train`` to keep the customer ids of each call's matrix."""
+    calls = []
+
+    def recording_train(matrix, labels, config):
+        calls.append(set(matrix.customer_ids.tolist()))
+        return train(matrix, labels, config)
+
+    monkeypatch.setattr(cv_stack, "train", recording_train)
+    return calls
+
+
+def test_oof_models_never_see_their_held_out_rows(monkeypatch):
     m, y = toy_data(n=100, seed=1)
     plan = make_folds(y, 4, seed=2)
+    calls = record_training(monkeypatch)
     result = train_oof(m, y, plan, SMALL)
-    assert len(result.models) == 4
-    for f in range(4):
-        held = set(plan.rows_in(f).tolist())
-        used = set(result.train_indices[f].tolist())
-        assert not held & used
-        assert held | used == set(range(100))
-    np.testing.assert_array_equal(result.oof.fold, plan.assignment)
-    assert np.all((result.oof.prediction > 0) & (result.oof.prediction < 1))
+    assert len(result.models) == len(calls) == 4
+    every = set(m.customer_ids.tolist())
+    for f, trained_on in enumerate(calls):
+        held = set(m.customer_ids[plan.rows_in(f)].tolist())
+        assert not held & trained_on
+        assert held | trained_on == every
+    assert np.all((result.prediction > 0) & (result.prediction < 1))
 
 
 def test_oof_is_bit_reproducible():
     m, y = toy_data(n=90, seed=2)
     plan = make_folds(y, 3, seed=3)
-    p1 = train_oof(m, y, plan, SMALL).oof.prediction
-    p2 = train_oof(m, y, plan, SMALL).oof.prediction
+    p1 = train_oof(m, y, plan, SMALL).prediction
+    p2 = train_oof(m, y, plan, SMALL).prediction
     np.testing.assert_array_equal(p1, p2)
 
 
@@ -229,30 +236,16 @@ def test_fold_mean_requires_models():
 # second-stage model
 
 
-def test_meta_training_requires_meta_columns():
-    m, y = toy_data(n=40, seed=10)
-    plan = make_folds(y, 2, seed=0)
-    with pytest.raises(NoMetaColumnsError):
-        train_meta(m, y, plan, SMALL)
-
-
 def test_meta_training_uses_the_meta_column():
-    # a meta column equal to the labels is a perfect predictor; the
-    # second stage must discover it immediately
+    # a meta column equal to the labels is a perfect predictor; every
+    # fold's second-stage model must discover it immediately
     m, y = toy_data(n=100, seed=11)
     plan = make_folds(y, 2, seed=1)
     stacked = append_meta(m, [y.astype(np.float64)])
-    model = train_meta(stacked, y, plan, TrainConfig(rounds=3, max_leaves=4, seed=0))
-    gains = importance(model, "total_gain")
-    assert max(gains, key=gains.get) == "meta_0"
-
-
-def test_meta_training_checks_plan_length():
-    m, y = toy_data(n=30, seed=12)
-    stacked = append_meta(m, [np.zeros(30)])
-    bad_plan = FoldPlan(k=2, assignment=np.zeros(29, dtype=np.int32))
-    with pytest.raises(LengthMismatchError):
-        train_meta(stacked, y, bad_plan, SMALL)
+    result = train_oof(stacked, y, plan, TrainConfig(rounds=3, max_leaves=4, seed=0))
+    for model in result.models:
+        gains = importance(model, "total_gain")
+        assert max(gains, key=gains.get) == "meta_0"
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +268,9 @@ def test_plan_round_trip(tmp_path):
 
 @pytest.mark.parametrize("n_ids, n_folds, n_probs", [(3, 2, 2), (2, 3, 3), (3, 3, 2), (3, 2, 3)])
 def test_save_oof_rejects_lengths_that_disagree(tmp_path, n_ids, n_folds, n_probs):
-    oof = OofVector(np.full(n_probs, 0.5), np.zeros(n_folds, dtype=np.int64))
+    plan = FoldPlan(k=2, assignment=np.zeros(n_folds, dtype=np.int32))
     path = tmp_path / "oof.csv"
     with pytest.raises(LengthMismatchError,
                        match=f"{n_ids} ids for {n_folds} folds and {n_probs} probabilities"):
-        save_oof([f"C{i}" for i in range(n_ids)], oof, path)
+        save_oof([f"C{i}" for i in range(n_ids)], plan, np.full(n_probs, 0.5), path)
     assert not path.exists()

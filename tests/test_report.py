@@ -40,12 +40,12 @@ def three_folds():
 def test_report_box_statistics():
     report = build_importance_report(three_folds(), kind="total_gain")
     alpha = report.box["alpha"]  # per-fold totals 8, 4, 5
-    assert alpha.median == 5.0 and alpha.low == 4.0 and alpha.high == 8.0
+    assert alpha.median == 5.0 and alpha.min == 4.0 and alpha.max == 8.0
     beta = report.box["beta"]
-    assert beta.median == beta.low == beta.high == 2.0  # zero spread
+    assert beta.median == beta.min == beta.max == 2.0  # zero spread
     gamma = report.box["gamma"]  # 0, 1, 0: absent folds count as zero
-    assert gamma.low == gamma.median == 0.0
-    assert gamma.high == 1.0
+    assert gamma.min == gamma.median == 0.0
+    assert gamma.max == 1.0
 
 
 def test_report_cumulative_curve():
@@ -108,9 +108,12 @@ def test_report_round_trip(tmp_path):
     assert back["kind"] == report.kind
     assert back["per_fold"] == report.per_fold
     assert back["box"] == {
-        col: {"median": s.median, "q1": s.q1, "q3": s.q3, "min": s.low, "max": s.high}
+        col: {"median": s.median, "q1": s.q1, "q3": s.q3, "min": s.min, "max": s.max}
         for col, s in report.box.items()
     }
+    assert [list(box) for box in back["box"].values()] == [
+        ["median", "q1", "q3", "min", "max"]
+    ] * len(report.box)
     assert [tuple(pair) for pair in back["cumulative"]] == report.cumulative
 
 
