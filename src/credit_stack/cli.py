@@ -21,9 +21,8 @@ from pathlib import Path
 from . import __version__
 from .blend import optimize_weights, read_predictions, save_ensemble
 from . import cv_stack, features as features_mod, gbdt, ingest
-from . import pipeline as pipeline_mod, report as report_mod, synth as synth_mod
+from . import pipeline as pipeline_mod, synth as synth_mod
 from .errors import ConfigError, CreditStackError
-from .metric import composite_metric
 from .serialize import write_json
 
 log = logging.getLogger(__name__)
@@ -147,10 +146,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_prep(args) -> int:
     schema = ingest.load_schema(args.schema)
-    table, masked = ingest.clean(ingest.parse_csv(args.input, schema), args.precision)
-    for column, count in masked.items():
-        if count:
-            log.info("masked %d outlier cells in %s", count, column)
+    table, _ = ingest.clean(ingest.parse_csv(args.input, schema), args.precision)
     ingest.write_clean(table, args.out)
     log.info("cleaned %d rows into %s", table.n_rows, args.out)
     return 0
@@ -235,20 +231,15 @@ def _cmd_blend(args) -> int:
 def _cmd_eval(args) -> int:
     ids, preds = read_predictions(args.pred)
     y = ingest.align_labels(ids, ingest.read_labels(args.labels))
-    rep = composite_metric(y, preds)
-    write_json(args.report, rep.as_dict())
+    rep = pipeline_mod.write_metrics(args.report, y, preds)
     log.info("M = %.6f (G %.6f, D %.6f) over %d rows", rep.M, rep.G, rep.D, rep.n_rows)
     return 0
 
 
 def _cmd_importance(args) -> int:
     models = [gbdt.load_model(path) for path in args.model]
-    rep = report_mod.build_importance_report(models, args.kind)
-    # the plot rejects a --top-n below 1, so it goes first and a bad value writes no file
-    report_mod.save_box_plot(rep, args.out_svg, args.top_n)
-    report_mod.save_report(rep, args.out_json)
-    log.info("importance over %d folds -> %s, %s", len(models), args.out_json,
-             args.out_svg)
+    pipeline_mod.write_importance(models, args.kind, args.out_json, args.out_svg, args.top_n)
+    log.info("importance over %d folds -> %s, %s", len(models), args.out_json, args.out_svg)
     return 0
 
 

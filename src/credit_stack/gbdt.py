@@ -335,7 +335,6 @@ class _TreeGrower:
         self.cfg = config
         self.nodes: list[Node] = []
         self.records: list = []
-        self._tick = 0  # heap tie-break: creation order
 
     def grow(self, rows: np.ndarray) -> list[Node]:
         heap: list = []
@@ -362,8 +361,8 @@ class _TreeGrower:
     def _push(self, heap, pair) -> int:
         node_id, cand = pair
         if cand is not None:
-            self._tick += 1
-            heapq.heappush(heap, (-cand.gain, self._tick, cand))
+            # pushed as soon as its node is made: node ids break gain ties by creation order
+            heapq.heappush(heap, (-cand.gain, cand.node_id, cand))
         return node_id
 
     def _new_leaf(self, rows: np.ndarray, search: bool):

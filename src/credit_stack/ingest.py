@@ -399,12 +399,16 @@ def clean(table: StatementTable, precision: float) -> tuple[StatementTable, dict
     Rounding comes first because a tie needs the full parsed precision;
     a float32 value can sit a hair below the tie point.  Masking comes
     last, so each valid range is checked against the float32 value that
-    is stored and written.  Returns the cleaned table and the per-column
-    count of cells masked.
+    is stored and written.  Each column with masked cells gets one INFO
+    record, ``masked <n> outlier cells in <column>``; so ``prep`` and
+    ``run`` log alike.  Returns the cleaned table and the per-column count
+    of cells masked.
     """
-    table = denoise_round(table, precision)
-    table = compact_types(table)
-    return mask_outliers(table)
+    table, masked = mask_outliers(compact_types(denoise_round(table, precision)))
+    for column, count in masked.items():
+        if count:
+            log.info("masked %d outlier cells in %s", count, column)
+    return table, masked
 
 
 def check_labels(labels) -> np.ndarray:

@@ -8,6 +8,10 @@ blend weights on the holdout, and writes every artifact plus a
 manifest of content digests.  Rerunning the same configuration and
 seed reproduces every file byte for byte.
 
+``prep``, ``eval`` and ``importance`` run the run's own stage code:
+``ingest.clean``, ``write_metrics`` and ``write_importance``.  The run
+directory is made before the first stage reads any input.
+
 Run directory layout::
 
     clean/clean.csv + sidecar  the cleaned table and its schema (ingest.write_clean)
@@ -32,23 +36,12 @@ from pathlib import Path
 import numpy as np
 
 from . import cv_stack, features as features_mod, gbdt, ingest, report as report_mod
-from .blend import (
-    EnsembleSpec,
-    blend,
-    lattice_ticks,
-    optimize_weights,
-    save_ensemble,
-    write_predictions,
-)
+from .blend import (EnsembleSpec, blend, lattice_ticks, optimize_weights, save_ensemble,
+                    write_predictions)
 from .errors import ConfigError, CreditStackError, DataError
-from .metric import composite_metric
-from .serialize import (
-    check_config_doc,
-    load_config_doc,
-    sha256_file,
-    write_csv_rows,
-    write_json,
-)
+from .metric import MetricReport, composite_metric
+from .serialize import (check_config_doc, load_config_doc, make_dir, sha256_file,
+                        write_csv_rows, write_json)
 
 log = logging.getLogger(__name__)
 
@@ -171,10 +164,19 @@ def _write_split(path, customers: np.ndarray, holdout: np.ndarray) -> None:
     )
 
 
-def _metric_json(path, labels, preds) -> float:
+def write_metrics(path, labels, preds) -> MetricReport:
+    """Score ``preds`` against ``labels`` and write the report to ``path``."""
     rep = composite_metric(labels, preds)
     write_json(path, rep.as_dict())
-    return rep.M
+    return rep
+
+
+def write_importance(models, kind, json_path, svg_path, top_n, column_names=None) -> None:
+    """Write the importance report of fold ``models`` and its box plot; the
+    plot goes first, so a ``top_n`` below 1 writes neither file."""
+    rep = report_mod.build_importance_report(models, kind, column_names)
+    report_mod.save_box_plot(rep, svg_path, top_n)
+    report_mod.save_report(rep, json_path)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +185,7 @@ def _metric_json(path, labels, preds) -> float:
 
 def run_pipeline(config: PipelineConfig) -> Path:
     """Execute every stage and return the populated run directory."""
-    out = Path(config.out_dir)
+    out = make_dir(config.out_dir)
     # the manifest digests these, so files an earlier run left in
     # ``out`` stay out of it
     written: list[Path] = []
@@ -194,9 +196,7 @@ def run_pipeline(config: PipelineConfig) -> Path:
 
     with _stage("prep"):
         schema = ingest.load_schema(config.schema)
-        table, masked = ingest.clean(ingest.parse_csv(config.data, schema), config.precision)
-        if masked:
-            log.info("masked outlier cells: %s", masked)
+        table, _ = ingest.clean(ingest.parse_csv(config.data, schema), config.precision)
         y = ingest.join_labels(table, ingest.read_labels(config.labels))
         written.extend(ingest.write_clean(table, out / "clean" / "clean.csv"))
 
@@ -224,7 +224,6 @@ def run_pipeline(config: PipelineConfig) -> Path:
 
     member_holdout_preds: dict = {}
     member_oof: dict = {}
-    member_metrics: dict = {}
     for member in config.members:
         with _stage(f"member:{member.name}"):
             mdir = out / "members" / member.name
@@ -255,19 +254,15 @@ def run_pipeline(config: PipelineConfig) -> Path:
             write_predictions(
                 hold_matrix.customer_ids, hold_pred, emit(mdir / "holdout_pred.csv")
             )
-            member_metrics[member.name] = _metric_json(
-                emit(mdir / "metrics.json"), y_hold, hold_pred
+            rep = write_metrics(emit(mdir / "metrics.json"), y_hold, hold_pred)
+            write_importance(
+                result.models, config.importance_kind, emit(mdir / "importance.json"),
+                emit(mdir / "importance.svg"), config.report_top_n, matrix.column_names,
             )
-
-            imp = report_mod.build_importance_report(
-                result.models, config.importance_kind, matrix.column_names
-            )
-            report_mod.save_report(imp, emit(mdir / "importance.json"))
-            report_mod.save_box_plot(imp, emit(mdir / "importance.svg"), config.report_top_n)
 
             member_oof[member.name] = result.prediction
             member_holdout_preds[member.name] = hold_pred
-            log.info("member %s holdout M = %.6f", member.name, member_metrics[member.name])
+            log.info("member %s holdout M = %.6f", member.name, rep.M)
 
     with _stage("blend"):
         edir = out / "ensemble"
@@ -284,8 +279,8 @@ def run_pipeline(config: PipelineConfig) -> Path:
         write_predictions(
             hold_table.customers(), final, emit(edir / "prediction.csv")
         )
-        ensemble_m = _metric_json(emit(edir / "metrics.json"), y_hold, final)
-        log.info("ensemble holdout M = %.6f (weights %s)", ensemble_m, spec.weights)
+        rep = write_metrics(emit(edir / "metrics.json"), y_hold, final)
+        log.info("ensemble holdout M = %.6f (weights %s)", rep.M, spec.weights)
 
     with _stage("manifest"):
         digests = {

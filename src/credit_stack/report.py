@@ -90,17 +90,13 @@ def build_importance_report(
     return ImportanceReport(kind, per_fold, box, cumulative)
 
 
-def report_to_dict(report: ImportanceReport) -> dict:
-    return {
+def save_report(report: ImportanceReport, path) -> None:
+    write_json(path, {
         "kind": report.kind,
         "per_fold": report.per_fold,
         "box": {col: asdict(s) for col, s in report.box.items()},
         "cumulative": [[col, frac] for col, frac in report.cumulative],
-    }
-
-
-def save_report(report: ImportanceReport, path) -> None:
-    write_json(path, report_to_dict(report))
+    })
 
 
 # ---------------------------------------------------------------------------

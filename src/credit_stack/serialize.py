@@ -22,8 +22,9 @@ I/O rules, shared by every CSV and JSON file the package touches:
 * Encode: files are written as UTF-8; CSV rows end in a bare ``\n``
   and JSON documents end in one newline.
 * Write: every output file, text or binary, is opened by ``open_output``,
-  which makes its directory; a path that cannot be created or written
-  raises ``ConfigError("cannot write <path>: ...")``.
+  which makes its directory with ``make_dir``, the one directory maker; a
+  path that cannot be created or written raises
+  ``ConfigError("cannot write <path>: ...")``.
 """
 
 from __future__ import annotations
@@ -108,15 +109,25 @@ def _write(obj, out: list[str], level: int) -> None:
         raise TypeError(f"cannot serialize {type(obj)}")
 
 
+def make_dir(path: str | Path) -> Path:
+    """Make directory ``path`` and its parents; an ``OSError`` raises ``ConfigError``."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    return path
+
+
 @contextmanager
 def open_output(path: str | Path, mode: str = "w"):
     """Open ``path`` for writing (``"w"``: UTF-8 text, ``"wb"``: binary), making
-    its directory first.  An ``OSError`` while making, opening or writing
-    raises ``ConfigError`` naming the path."""
+    its directory first with ``make_dir``.  An ``OSError`` while opening or
+    writing raises ``ConfigError`` naming the path."""
     path = Path(path)
     text = "b" not in mode
+    make_dir(path.parent)
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, mode, encoding="utf-8" if text else None,
                   newline="" if text else None) as fh:
             yield fh

@@ -5,13 +5,16 @@ import csv
 import hashlib
 import io
 import json
+import logging
+import re
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from credit_stack import cv_stack, features, gbdt, ingest
+from credit_stack import cli, cv_stack, features, gbdt, ingest
 from credit_stack.blend import write_predictions
 from credit_stack.cli import build_parser, main
 from credit_stack.features import load_matrix
@@ -771,7 +774,9 @@ def _fuzz_pipeline(work, out_dir):
 
 
 @pytest.mark.parametrize("command", ["prep", "features", "run"])
-def test_an_output_path_that_cannot_be_written_exits_2_naming_it(work, tmp_path, capsys, command):
+def test_an_output_path_that_cannot_be_written_exits_2_naming_it(
+    work, tmp_path, capsys, monkeypatch, command
+):
     # prep and features aim --out at a directory; run's out_dir is a file
     target = tmp_path / "taken"
     if command == "run":
@@ -779,6 +784,11 @@ def test_an_output_path_that_cannot_be_written_exits_2_naming_it(work, tmp_path,
         config = tmp_path / "pipe.json"
         config.write_text(json.dumps(_fuzz_pipeline(work, target)), encoding="utf-8")
         argv = ["--config", str(config)]
+
+        # run makes its directory before any stage reads the statements
+        def parse_csv(*_):
+            raise AssertionError("the statement file was parsed")
+        monkeypatch.setattr(ingest, "parse_csv", parse_csv)
     else:
         target.mkdir()
         argv = {
@@ -790,6 +800,7 @@ def test_an_output_path_that_cannot_be_written_exits_2_naming_it(work, tmp_path,
     assert run(command, *argv) == 2
     err = capsys.readouterr().err
     assert f"cannot write {target}" in err and "Traceback" not in err
+    assert "[stage" not in err
 
 
 def test_features_reads_the_cleaned_csv_a_run_writes(work, tmp_path):
@@ -805,6 +816,73 @@ def test_features_reads_the_cleaned_csv_a_run_writes(work, tmp_path):
     assert run("features", "--input", str(out_dir / "clean" / "clean.csv"),
                "--spec", str(work / "spec.json"), "--out", str(tmp_path / "matrix.bin")) == 0
     assert (tmp_path / "matrix.bin").read_bytes() == (work / "matrix.bin").read_bytes()
+
+
+def test_eval_and_importance_write_the_bytes_of_a_runs_reports(work, tmp_path):
+    # eval and importance run the run's own report code on the run's files
+    out_dir = tmp_path / "run"
+    config = tmp_path / "pipe.json"
+    config.write_text(json.dumps(_fuzz_pipeline(work, out_dir)), encoding="utf-8")
+    assert run("run", "--config", str(config)) == 0
+    cfg = config_from_json(config)
+    members = [out_dir / "members" / m.name for m in cfg.members]
+    preds = [mdir / "holdout_pred.csv" for mdir in members]
+    for pred in preds + [out_dir / "ensemble" / "prediction.csv"]:
+        report = tmp_path / "metrics.json"
+        assert run("eval", "--labels", str(work / "labels.csv"), "--pred", str(pred),
+                   "--report", str(report)) == 0
+        assert report.read_bytes() == (pred.parent / "metrics.json").read_bytes()
+    for mdir in members:
+        models = [arg for f in range(cfg.folds)
+                  for arg in ("--model", str(mdir / f"fold_{f}.model.json"))]
+        assert run("importance", *models, "--kind", cfg.importance_kind,
+                   "--top-n", str(cfg.report_top_n), "--out-json", str(tmp_path / "imp.json"),
+                   "--out-svg", str(tmp_path / "imp.svg")) == 0
+        for name in ("json", "svg"):
+            got = (tmp_path / f"imp.{name}").read_bytes()
+            assert got == (mdir / f"importance.{name}").read_bytes()
+
+
+@pytest.mark.parametrize("outliers", [0, 1])
+def test_run_and_prep_log_one_record_per_column_with_masked_cells(
+    work, tmp_path, caplog, outliers
+):
+    # the fixture holds no cell outside the schema's [-8, 8] ranges; the
+    # copy moves one cont_00 cell past it
+    data = work / "data.csv"
+    if outliers:
+        header, *rows = csv.reader(io.StringIO(data.read_text(encoding="utf-8")))
+        at = header.index("cont_00")
+        next(row for row in rows if row[at])[at] = "9.5"
+        data = tmp_path / "data.csv"
+        with data.open("w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+    config = tmp_path / "pipe.json"
+    config.write_text(json.dumps({**_fuzz_pipeline(work, tmp_path / "run"), "data": str(data)}),
+                      encoding="utf-8")
+    caplog.set_level(logging.INFO, logger="credit_stack")
+    for argv in (["run", "--config", str(config)],
+                 ["prep", "--input", str(data), "--schema", str(work / "schema.json"),
+                  "--out", str(tmp_path / "clean.csv")]):
+        caplog.clear()
+        assert run(*argv) == 0
+        masked = [r.getMessage() for r in caplog.records if "masked" in r.getMessage()]
+        assert masked == ["masked 1 outlier cells in cont_00"] * outliers
+
+
+def test_subcommands_reach_the_shared_stages_only_through_pipeline():
+    # prep, eval and importance run the run's own stage code, so cli.py
+    # names none of the layer calls inside it and logs no masked counts
+    pattern = re.compile(
+        r"composite_metric|build_importance_report|save_report|save_box_plot|masked"
+    )
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    offenders = [
+        f"cli.py:{i}: {line.strip()}"
+        for i, line in enumerate(source.splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert offenders == []
 
 
 @pytest.mark.parametrize(
