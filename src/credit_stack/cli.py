@@ -4,7 +4,8 @@ Subcommands: synth, prep, features, train, stack, blend, eval,
 importance, run.  Every subcommand accepts --threads (checked to be
 >= 1, and without effect: the pipeline runs in one thread) and --quiet
 (errors only); synth, train, stack and run, the ones that draw random
-numbers, also accept --seed (override the configured seed).
+numbers, also accept --seed (override the configured seed).  stack
+writes its base/ and meta/ learners as run members (pipeline.train_member).
 
 Exit codes: 0 success, 2 configuration error, 3 data error,
 4 training error.
@@ -197,15 +198,11 @@ def _cmd_stack(args) -> int:
     out = Path(args.out)
     cv_stack.save_plan(plan, out / "folds.csv")
     # the meta learner trains out-of-fold on the same plan, like a `run`
-    # member with `meta_from`
-    base = cv_stack.train_oof(matrix, y, plan, base_cfg)
-    meta = cv_stack.train_oof(cv_stack.append_meta(matrix, [base.prediction]), y, plan, meta_cfg)
-    for stage, result in (("base", base), ("meta", meta)):
-        for f, model in enumerate(result.models):
-            gbdt.save_model(model, out / f"{stage}_fold_{f}.model.json")
-    cv_stack.save_oof(matrix.customer_ids, plan, base.prediction, out / "oof.csv")
-    cv_stack.save_oof(matrix.customer_ids, plan, meta.prediction, out / "meta_oof.csv")
-    log.info("stacked into %s (OOF scores in oof.csv and meta_oof.csv)", out)
+    # member with `meta_from`, and each learner is written like a member
+    base, _ = pipeline_mod.train_member(matrix, y, plan, base_cfg, out / "base")
+    stacked = cv_stack.append_meta(matrix, [base.prediction])
+    pipeline_mod.train_member(stacked, y, plan, meta_cfg, out / "meta")
+    log.info("stacked into %s (base and meta learners in base/ and meta/)", out)
     return 0
 
 

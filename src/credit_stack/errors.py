@@ -120,7 +120,3 @@ class NoSignalError(ConfigError):
 # reporting
 class ColumnSetMismatchError(DataError):
     pass
-
-
-class EmptyReportError(DataError):
-    pass

@@ -8,9 +8,9 @@ blend weights on the holdout, and writes every artifact plus a
 manifest of content digests.  Rerunning the same configuration and
 seed reproduces every file byte for byte.
 
-``prep``, ``eval`` and ``importance`` run the run's own stage code:
-``ingest.clean``, ``write_metrics`` and ``write_importance``.  The run
-directory is made before the first stage reads any input.
+``prep``, ``eval``, ``importance`` and ``stack`` run the run's stage code
+(``ingest.clean``, ``write_metrics``, ``write_importance``, ``train_member``).
+The run directory is made before the first stage reads any input.
 
 Run directory layout::
 
@@ -164,6 +164,20 @@ def _write_split(path, customers: np.ndarray, holdout: np.ndarray) -> None:
     )
 
 
+def train_member(matrix, labels, plan, config, out_dir) -> tuple[cv_stack.OofResult, list[Path]]:
+    """Train ``config`` out-of-fold on ``plan`` and write one learner's files
+    into ``out_dir``: ``fold_<i>.model.json`` per fold, then ``oof.csv``.
+    Return the result and the paths written."""
+    out_dir = Path(out_dir)
+    result = cv_stack.train_oof(matrix, labels, plan, config)
+    paths = [out_dir / f"fold_{f}.model.json" for f in range(plan.k)]
+    for model, path in zip(result.models, paths):
+        gbdt.save_model(model, path)
+    paths.append(out_dir / "oof.csv")
+    cv_stack.save_oof(matrix.customer_ids, plan, result.prediction, paths[-1])
+    return result, paths
+
+
 def write_metrics(path, labels, preds) -> MetricReport:
     """Score ``preds`` against ``labels`` and write the report to ``path``."""
     rep = composite_metric(labels, preds)
@@ -245,10 +259,8 @@ def run_pipeline(config: PipelineConfig) -> Path:
             features_mod.save_matrix(matrix, emit(mdir / "matrix.bin"))
             features_mod.save_matrix(hold_matrix, emit(mdir / "matrix_holdout.bin"))
 
-            result = cv_stack.train_oof(matrix, y_train, plan, member.train)
-            for f, model in enumerate(result.models):
-                gbdt.save_model(model, emit(mdir / f"fold_{f}.model.json"))
-            cv_stack.save_oof(matrix.customer_ids, plan, result.prediction, emit(mdir / "oof.csv"))
+            result, paths = train_member(matrix, y_train, plan, member.train, mdir)
+            written.extend(paths)
 
             hold_pred = cv_stack.predict_with_fold_models(result.models, hold_matrix)
             write_predictions(

@@ -4,7 +4,8 @@ Each fold model contributes one column→gain mapping; columns a fold
 never split on count as zero gain for that fold.  The report carries
 the raw per-fold values, five-number box statistics per column, and a
 cumulative contribution curve over the fold-summed total gains, so
-"how many features carry 90% of the gain" can be read directly.
+"how many features carry 90% of the gain" can be read directly.  Models
+that never split (``rounds: 0``) give an empty report, drawn as an axis.
 
 The SVG renderer is deliberately dependency-free and writes fixed
 two-decimal coordinates, making report bytes stable across runs.
@@ -12,16 +13,13 @@ two-decimal coordinates, making report bytes stable across runs.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ColumnSetMismatchError, ConfigError, EmptyReportError
-from .gbdt import BoostedModel, importance
+from .errors import ColumnSetMismatchError, ConfigError
+from .gbdt import importance
 from .serialize import open_output, write_json
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -68,8 +66,6 @@ def build_importance_report(
             raise ColumnSetMismatchError(
                 f"models split on columns outside the shared set: {sorted(stray)}"
             )
-    if not used:
-        raise EmptyReportError("no split was recorded by any fold model")
 
     box: dict = {}
     totals: dict = {}
@@ -132,11 +128,9 @@ def render_box_plot(report: ImportanceReport, top_n: int = 20) -> str:
     """
     if top_n < 1:
         raise ConfigError(f"top_n must be >= 1, got {top_n}")
-    if not report.box:
-        raise EmptyReportError("importance report has no columns to draw")
 
     chosen = sorted(report.box, key=lambda c: (-report.box[c].median, c))[:top_n]
-    scale_max = max(report.box[c].max for c in chosen)
+    scale_max = max((report.box[c].max for c in chosen), default=0.0)
     if scale_max <= 0:
         scale_max = 1.0
     width = _LABEL_W + _PLOT_W + _PAD_RIGHT

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from credit_stack import cli, cv_stack, features, gbdt, ingest
+from credit_stack import cli, features, ingest
 from credit_stack.blend import write_predictions
 from credit_stack.cli import build_parser, main
 from credit_stack.features import load_matrix
@@ -127,43 +127,61 @@ def test_train_and_eval_chain(work):
     assert rep["n_rows"] == matrix.n_rows
 
 
-def test_stack_writes_fold_artifacts(work, tmp_path):
+@pytest.fixture(scope="module")
+def stacked(work):
+    """``stack`` run once over the module's matrix, three folds."""
     out = work / "stacked"
-    assert (
-        run(
-            "stack", "--features", str(work / "matrix.bin"),
-            "--labels", str(work / "labels.csv"),
-            "--folds", "3",
-            "--base-config", str(work / "train.json"),
-            "--meta-config", str(work / "train.json"),
-            "--out", str(out),
-        )
-        == 0
-    )
-    assert (out / "folds.csv").exists()
-    for f in range(3):
-        assert (out / f"base_fold_{f}.model.json").exists()
-    assert (out / "oof.csv").read_text(encoding="utf-8").startswith(
-        "customer_id,fold,probability\n"
-    )
-    assert not (out / "meta.model.json").exists()
+    assert run("stack", "--features", str(work / "matrix.bin"),
+               "--labels", str(work / "labels.csv"), "--folds", "3",
+               "--base-config", str(work / "train.json"),
+               "--meta-config", str(work / "train.json"), "--out", str(out)) == 0
+    return out
 
+
+def test_stack_writes_fold_artifacts(work, stacked, tmp_path):
+    # each learner is written in a run member's layout
+    assert sorted(p.name for p in stacked.iterdir()) == ["base", "folds.csv", "meta"]
+    for learner in ("base", "meta"):
+        names = sorted(p.name for p in (stacked / learner).iterdir())
+        assert names == [f"fold_{f}.model.json" for f in range(3)] + ["oof.csv"]
+        assert (stacked / learner / "oof.csv").read_text(encoding="utf-8").startswith(
+            "customer_id,fold,probability\n"
+        )
+    assert run("eval", "--labels", str(work / "labels.csv"),
+               "--pred", str(stacked / "meta" / "oof.csv"),
+               "--report", str(tmp_path / "meta_metrics.json")) == 0
+
+
+def test_stack_writes_the_bytes_of_a_two_member_run(work, tmp_path):
     # the meta learner is the one `run` ships for a `meta_from` member:
     # trained out-of-fold on the same plan and the base OOF column
-    matrix = load_matrix(work / "matrix.bin")
-    y = ingest.align_labels(matrix.customer_ids, read_labels(work / "labels.csv"))
-    config = gbdt.config_from_json(work / "train.json")
-    plan = cv_stack.make_folds(y, 3, config.seed)
-    base = cv_stack.train_oof(matrix, y, plan, config)
-    meta = cv_stack.train_oof(cv_stack.append_meta(matrix, [base.prediction]), y, plan, config)
-    for f, model in enumerate(meta.models):
-        gbdt.save_model(model, tmp_path / f"meta_fold_{f}.model.json")
-    cv_stack.save_oof(matrix.customer_ids, plan, meta.prediction, tmp_path / "meta_oof.csv")
-    assert len(meta.models) == 3
-    for name in [f"meta_fold_{f}.model.json" for f in range(3)] + ["meta_oof.csv"]:
-        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
-    assert run("eval", "--labels", str(work / "labels.csv"), "--pred", str(out / "meta_oof.csv"),
-               "--report", str(tmp_path / "meta_metrics.json")) == 0
+    members = [
+        {"name": "base", "features": {"encode": "ordinal"},
+         "train": {"rounds": 4, "max_leaves": 4, "seed": 3}},
+        {"name": "meta", "features": {"encode": "ordinal"},
+         "train": {"rounds": 4, "max_leaves": 4, "goss_a": 0.3, "goss_b": 0.4, "seed": 4},
+         "meta_from": ["base"]},
+    ]
+    out_dir = tmp_path / "run"
+    config = pipeline_config(work, tmp_path / "run.json", out_dir, members, folds=3)
+    assert run("run", "--config", str(config)) == 0
+    for member in members:
+        (tmp_path / f"{member['name']}.json").write_text(json.dumps(member["train"]),
+                                                         encoding="utf-8")
+    seed = config_from_json(config).seed + 1  # the run deals its folds with this seed
+    out = tmp_path / "stack"
+    assert run("stack", "--features", str(out_dir / "members" / "base" / "matrix.bin"),
+               "--labels", str(work / "labels.csv"), "--folds", "3", "--seed", str(seed),
+               "--base-config", str(tmp_path / "base.json"),
+               "--meta-config", str(tmp_path / "meta.json"), "--out", str(out)) == 0
+
+    assert (out / "folds.csv").read_bytes() == (out_dir / "folds.csv").read_bytes()
+    for learner in ("base", "meta"):
+        files = sorted((out / learner).iterdir())
+        assert len(files) == 4
+        for path in files:
+            twin = out_dir / "members" / learner / path.name
+            assert path.read_bytes() == twin.read_bytes(), twin
 
 
 def test_blend_two_members(work):
@@ -219,14 +237,13 @@ def test_eval_and_blend_score_a_run_oof_file_like_its_two_column_copy(work, tmp_
     assert json.loads(reports[0])["M"] > 0.3
 
 
-def test_importance_report_and_plot(work):
-    out = work / "stacked"
+def test_importance_report_and_plot(work, stacked):
     assert (
         run(
             "importance",
-            "--model", str(out / "base_fold_0.model.json"),
-            "--model", str(out / "base_fold_1.model.json"),
-            "--model", str(out / "base_fold_2.model.json"),
+            "--model", str(stacked / "base" / "fold_0.model.json"),
+            "--model", str(stacked / "base" / "fold_1.model.json"),
+            "--model", str(stacked / "base" / "fold_2.model.json"),
             "--kind", "total_gain",
             "--out-json", str(work / "importance.json"),
             "--out-svg", str(work / "importance.svg"),
@@ -239,14 +256,30 @@ def test_importance_report_and_plot(work):
     assert svg.startswith("<svg ") and "lightsteelblue" in svg
 
 
-def test_importance_top_n_below_1_exits_2_and_writes_no_file(work, tmp_path, capsys):
-    out = work / "stacked"
-    models = [arg for f in range(3) for arg in ("--model", str(out / f"base_fold_{f}.model.json"))]
+def test_importance_top_n_below_1_exits_2_and_writes_no_file(stacked, tmp_path, capsys):
+    models = [arg for f in range(3)
+              for arg in ("--model", str(stacked / "base" / f"fold_{f}.model.json"))]
     code = run("importance", *models, "--top-n", "0", "--out-json", str(tmp_path / "imp.json"),
                "--out-svg", str(tmp_path / "plots" / "imp.svg"))
     assert code == 2
     assert "error: top_n must be >= 1, got 0" in capsys.readouterr().err
     assert not (tmp_path / "imp.json").exists() and not (tmp_path / "plots").exists()
+
+
+def test_run_with_a_constant_member_and_importance_on_its_models_exit_0(work, tmp_path):
+    # a `rounds: 0` member never splits: its importance report is empty
+    members = [THREE_MEMBERS[0], {"name": "const", "train": {"rounds": 0}}]
+    out_dir = tmp_path / "run"
+    config = pipeline_config(work, tmp_path / "run.json", out_dir, members)
+    assert run("run", "--config", str(config)) == 0
+    mdir = out_dir / "members" / "const"
+    doc = json.loads((mdir / "importance.json").read_text(encoding="utf-8"))
+    assert doc == {"kind": "average_gain", "per_fold": [{}, {}], "box": {}, "cumulative": []}
+    models = [arg for f in range(2) for arg in ("--model", str(mdir / f"fold_{f}.model.json"))]
+    assert run("importance", *models, "--out-json", str(tmp_path / "imp.json"),
+               "--out-svg", str(tmp_path / "imp.svg")) == 0
+    for name in ("json", "svg"):
+        assert (tmp_path / f"imp.{name}").read_bytes() == (mdir / f"importance.{name}").read_bytes()
 
 
 def test_run_produces_manifest_covering_everything(work, tmp_path):
@@ -871,10 +904,12 @@ def test_run_and_prep_log_one_record_per_column_with_masked_cells(
 
 
 def test_subcommands_reach_the_shared_stages_only_through_pipeline():
-    # prep, eval and importance run the run's own stage code, so cli.py
-    # names none of the layer calls inside it and logs no masked counts
+    # prep, eval, importance and stack run the run's own stage code, so
+    # cli.py names none of the layer calls inside it, logs no masked counts
+    # and names no learner artifact
     pattern = re.compile(
         r"composite_metric|build_importance_report|save_report|save_box_plot|masked"
+        r"|train_oof|save_oof|fold_|oof\.csv"
     )
     source = Path(cli.__file__).read_text(encoding="utf-8")
     offenders = [

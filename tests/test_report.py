@@ -8,7 +8,6 @@ from credit_stack.errors import (
     ColumnSetMismatchError,
     ConfigError,
     DataError,
-    EmptyReportError,
 )
 from credit_stack.gbdt import BoostedModel
 from credit_stack.report import (
@@ -84,9 +83,10 @@ def test_report_rejects_stray_columns():
     assert "delta" not in report.box
 
 
-def test_report_rejects_splitless_and_single_model():
-    with pytest.raises(EmptyReportError):
-        build_importance_report([fold_model([]), fold_model([])])
+def test_report_of_splitless_models_is_empty_and_single_model_is_rejected():
+    # fold models of a `rounds: 0` member never split
+    report = build_importance_report([fold_model([]), fold_model([])])
+    assert (report.per_fold, report.box, report.cumulative) == ([{}, {}], {}, [])
     with pytest.raises(ConfigError):
         build_importance_report([fold_model([("a", 1.0)])])
 
@@ -157,12 +157,18 @@ def test_render_is_valid_xml_and_escapes_names():
 
 
 def test_render_rejects_bad_inputs(tmp_path):
+    import xml.etree.ElementTree as ET
+
     report = build_importance_report(three_folds())
     with pytest.raises(ConfigError):
         render_box_plot(report, top_n=0)
+    # an empty report draws the axis with no rows, and top_n still applies
     report.box.clear()
-    with pytest.raises(EmptyReportError):
-        render_box_plot(report)
+    with pytest.raises(ConfigError):
+        render_box_plot(report, top_n=0)
+    root = ET.fromstring(render_box_plot(report))
+    assert not [el for el in root.iter() if el.tag.endswith("rect") and el.get("fill") != "white"]
+    assert [el.text for el in root.iter() if el.tag.endswith("text")][1:] == ["0", "0.5", "1"]
 
 
 def test_save_box_plot_writes_the_svg(tmp_path):
