@@ -21,13 +21,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DataError,
-    InvalidWeightsError,
-    LengthMismatchError,
-    SingleMemberError,
-)
+from .errors import ConfigError, DataError
 from .metric import Labels, composite_metric
 from .serialize import format_float, read_keyed_column, write_csv_rows, write_json
 
@@ -45,7 +39,7 @@ class EnsembleSpec:
 
     def __post_init__(self):
         if len(self.member_names) != len(self.weights):
-            raise InvalidWeightsError(
+            raise ConfigError(
                 f"{len(self.member_names)} members but {len(self.weights)} weights"
             )
         _check_unique(self.member_names)
@@ -54,19 +48,19 @@ class EnsembleSpec:
 
 def _check_unique(names) -> None:
     if len(set(names)) != len(names):
-        raise InvalidWeightsError("member names must be unique")
+        raise ConfigError("member names must be unique")
 
 
 def _checked_weights(weights) -> np.ndarray:
     """The weights as a float vector; each must be finite and
-    non-negative, and they must sum to 1, else ``InvalidWeightsError``."""
+    non-negative, and they must sum to 1, else ``ConfigError``."""
     w = np.asarray(weights, dtype=np.float64).ravel()
     if not np.isfinite(w).all():
-        raise InvalidWeightsError(f"weights must be finite: {w.tolist()}")
+        raise ConfigError(f"weights must be finite: {w.tolist()}")
     if (w < 0).any():
-        raise InvalidWeightsError(f"weights must be non-negative: {w.tolist()}")
+        raise ConfigError(f"weights must be non-negative: {w.tolist()}")
     if abs(float(w.sum()) - 1.0) > _WEIGHT_SUM_TOL:
-        raise InvalidWeightsError(f"weights must sum to 1: {w.tolist()}")
+        raise ConfigError(f"weights must sum to 1: {w.tolist()}")
     return w
 
 
@@ -77,7 +71,7 @@ def _stacked(predictions) -> np.ndarray:
     n = vectors[0].size
     for i, v in enumerate(vectors):
         if v.size != n:
-            raise LengthMismatchError(
+            raise DataError(
                 f"member {i} has {v.size} predictions, member 0 has {n}"
             )
     return np.vstack(vectors)
@@ -92,7 +86,7 @@ def blend(predictions, weights) -> np.ndarray:
     stacked = _stacked(predictions)
     w = _checked_weights(weights)
     if w.size != stacked.shape[0]:
-        raise InvalidWeightsError(
+        raise ConfigError(
             f"{w.size} weights for {stacked.shape[0]} members"
         )
     return w @ stacked
@@ -139,7 +133,7 @@ def optimize_weights(predictions, labels, step: float = 0.01, member_names=None)
     stacked = _stacked(predictions)
     m = stacked.shape[0]
     if m < 2:
-        raise SingleMemberError("weight search needs at least two members")
+        raise ConfigError("weight search needs at least two members")
     ticks = lattice_ticks(step)
     names = tuple(member_names) if member_names else tuple(f"member_{i}" for i in range(m))
     if len(names) != m:
@@ -202,7 +196,7 @@ def write_predictions(customer_ids, probabilities, path) -> None:
     """Write the (customer_id, probability) exchange CSV, full precision."""
     probs = np.asarray(probabilities, dtype=np.float64).ravel()
     if len(customer_ids) != probs.size:
-        raise LengthMismatchError(
+        raise DataError(
             f"{len(customer_ids)} ids for {probs.size} probabilities"
         )
     write_csv_rows(

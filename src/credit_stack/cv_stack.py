@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DataError,
-    FoldTrainingError,
-    LengthMismatchError,
-    TooFewPerClassError,
-)
+from .errors import ConfigError, CreditStackError, DataError, FoldTrainingError
 from .features import FeatureMatrix
 from .gbdt import BoostedModel, TrainConfig, predict, train
 from .ingest import check_labels
@@ -69,7 +63,7 @@ def make_folds(labels, k: int, seed) -> FoldPlan:
     neg = np.flatnonzero(y == 0)
     for name, idx in (("positive", pos), ("negative", neg)):
         if idx.size < k:
-            raise TooFewPerClassError(
+            raise DataError(
                 f"{name} class has {idx.size} rows, need at least {k} for {k} folds"
             )
 
@@ -85,7 +79,7 @@ def make_folds(labels, k: int, seed) -> FoldPlan:
 
 def _check_plan(plan: FoldPlan, n_rows: int) -> None:
     if plan.n_rows != n_rows:
-        raise LengthMismatchError(
+        raise DataError(
             f"fold plan covers {plan.n_rows} rows, matrix has {n_rows}"
         )
     if plan.assignment.min() < 0 or plan.assignment.max() >= plan.k:
@@ -102,13 +96,14 @@ def train_oof(matrix: FeatureMatrix, labels, plan: FoldPlan, config: TrainConfig
     """Train one model per fold complement and predict the held-out fold.
 
     Row i's OOF prediction always comes from the model whose training
-    rows exclude fold(i).  Failures surface as FoldTrainingError naming
-    the fold.
+    rows exclude fold(i).  A CreditStackError in a fold surfaces as
+    FoldTrainingError naming the fold; any other exception is a bug and
+    propagates unwrapped.
     """
     y = check_labels(labels)
     _check_plan(plan, matrix.n_rows)
     if y.size != matrix.n_rows:
-        raise LengthMismatchError(f"{y.size} labels for {matrix.n_rows} rows")
+        raise DataError(f"{y.size} labels for {matrix.n_rows} rows")
 
     oof_pred = np.empty(matrix.n_rows, dtype=np.float64)
     models: list[BoostedModel] = []
@@ -118,7 +113,7 @@ def train_oof(matrix: FeatureMatrix, labels, plan: FoldPlan, config: TrainConfig
         try:
             model = train(_submatrix(matrix, used), y[used], config)
             oof_pred[held] = predict(model, _submatrix(matrix, held))
-        except Exception as exc:  # noqa: BLE001 - re-raised with fold context
+        except CreditStackError as exc:
             raise FoldTrainingError(f, exc) from exc
         models.append(model)
         log.debug("fold %d: trained on %d rows, predicted %d", f, used.size, held.size)
@@ -143,7 +138,7 @@ def append_meta(matrix: FeatureMatrix, predictions) -> FeatureMatrix:
     for j, column in enumerate(predictions):
         pred = np.asarray(column, dtype=np.float64).ravel()
         if pred.size != matrix.n_rows:
-            raise LengthMismatchError(
+            raise DataError(
                 f"meta column {j} has {pred.size} rows, matrix has {matrix.n_rows}"
             )
         names.append(f"meta_{start + j}")
@@ -166,7 +161,7 @@ def save_oof(customer_ids, plan: FoldPlan, prediction, path) -> None:
     fold), full precision."""
     n_ids, n_folds, n_probs = len(customer_ids), plan.n_rows, len(prediction)
     if not n_ids == n_folds == n_probs:
-        raise LengthMismatchError(f"{n_ids} ids for {n_folds} folds and {n_probs} probabilities")
+        raise DataError(f"{n_ids} ids for {n_folds} folds and {n_probs} probabilities")
     rows = zip(customer_ids, plan.assignment, prediction)
     write_csv_rows(path, ["customer_id", "fold", "probability"],
                    ([cid, int(f), format_float(float(p))] for cid, f, p in rows))

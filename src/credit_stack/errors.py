@@ -1,7 +1,9 @@
-"""Exception hierarchy.
+"""Exception hierarchy: one class per CLI exit code.
 
-Three tiers map onto CLI exit codes: ConfigError -> 2, DataError -> 3,
-TrainError -> 4. Every concrete error belongs to exactly one tier.
+ConfigError -> 2, DataError -> 3, TrainError -> 4.  Every failure raises
+its tier class with a message naming what is wrong; FoldTrainingError is
+the one TrainError that carries data, the failing ``.fold`` and the
+``.cause`` it wraps.
 """
 
 
@@ -29,66 +31,6 @@ class TrainError(CreditStackError):
     exit_code = 4
 
 
-# ingest
-class MissingColumnError(DataError):
-    pass
-
-
-class DuplicateStatementError(DataError):
-    pass
-
-
-class EmptyFileError(DataError):
-    pass
-
-
-class NonPositivePrecisionError(ConfigError):
-    pass
-
-
-class CodeOverflowError(DataError):
-    pass
-
-
-class MissingLabelError(DataError):
-    pass
-
-
-# features
-class EmptySpecError(ConfigError):
-    pass
-
-
-class VocabularyMissingError(ConfigError):
-    pass
-
-
-# gbdt
-class SingleClassError(DataError):
-    pass
-
-
-class EmptyMatrixError(DataError):
-    pass
-
-
-class MissingFeatureColumnError(DataError):
-    pass
-
-
-class DegenerateSamplingError(ConfigError):
-    pass
-
-
-# cv_stack
-class TooFewPerClassError(DataError):
-    pass
-
-
-class LengthMismatchError(DataError):
-    pass
-
-
 class FoldTrainingError(TrainError):
     """Wraps a training failure inside one cross-validation fold."""
 
@@ -96,27 +38,3 @@ class FoldTrainingError(TrainError):
         super().__init__(f"training failed in fold {fold}: {cause}")
         self.fold = fold
         self.cause = cause
-
-
-# blend
-class InvalidWeightsError(ConfigError):
-    pass
-
-
-class SingleMemberError(ConfigError):
-    pass
-
-
-# metric
-class NoPositivesError(DataError):
-    pass
-
-
-# synth
-class NoSignalError(ConfigError):
-    pass
-
-
-# reporting
-class ColumnSetMismatchError(DataError):
-    pass

@@ -31,13 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DataError,
-    EmptyMatrixError,
-    EmptySpecError,
-    VocabularyMissingError,
-)
+from .errors import ConfigError, DataError
 from .ingest import MISSING_CODE, StatementTable
 from .serialize import load_config_doc, open_output, read_json_doc
 
@@ -69,7 +63,7 @@ class AggregationSpec:
             if stat not in CATEGORICAL_STATS:
                 raise ConfigError(f"unknown categorical stat {stat!r}")
         if not self.continuous_stats and not self.categorical_stats and not self.lag_enabled:
-            raise EmptySpecError("aggregation spec selects no statistics at all")
+            raise ConfigError("aggregation spec selects no statistics at all")
         if self.recent_window is not None and self.recent_window < 1:
             raise ConfigError(f"recent_window must be >= 1, got {self.recent_window}")
         if self.encode is not None and self.encode not in ENCODINGS:
@@ -166,7 +160,7 @@ def encode_categorical(last_codes: dict, mode: str, vocab: dict | None):
     if mode not in ENCODINGS:
         raise ConfigError(f"encode must be one of {ENCODINGS}, got {mode!r}")
     if mode == "one-hot" and vocab is None:
-        raise VocabularyMissingError(
+        raise ConfigError(
             "one-hot encoding needs a fitted code vocabulary; "
             "fit on training data first or pass the saved vocabulary"
         )
@@ -295,11 +289,11 @@ def build_matrix(table: StatementTable, spec: AggregationSpec, vocab: dict | Non
     columns.  Returns (matrix, vocabulary-or-None); one-hot encoding
     without a ``vocab`` fits one here, so a holdout or scoring table
     must be given the vocabulary fitted on its training table.  A spec
-    that leaves no engineered column raises EmptySpecError, and a
+    that leaves no engineered column raises ConfigError, and a
     statistic past float32 range raises DataError.
     """
     if table.n_rows == 0:
-        raise EmptyMatrixError("statement table has no rows")
+        raise DataError("statement table has no rows")
     customers = table.customers()
     ids, blocks = np.unique(customers, return_counts=True)
     if ids.size != customers.size:
@@ -312,7 +306,7 @@ def build_matrix(table: StatementTable, spec: AggregationSpec, vocab: dict | Non
 
     cont, cat = _feature_columns(table, spec)
     if not cont and not cat:
-        raise EmptySpecError("no raw feature columns left to aggregate")
+        raise ConfigError("no raw feature columns left to aggregate")
 
     n = customers.size
     owner = np.repeat(np.arange(n), table.row_counts())
@@ -356,7 +350,7 @@ def build_matrix(table: StatementTable, spec: AggregationSpec, vocab: dict | Non
         cols.extend(enc_cols)
 
     if not names:
-        raise EmptySpecError(
+        raise ConfigError(
             f"aggregation spec yields no engineered columns from {cont + cat}"
         )
     with np.errstate(over="ignore"):  # FeatureMatrix names an infinite column

@@ -59,15 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DataError,
-    DegenerateSamplingError,
-    EmptyMatrixError,
-    MissingFeatureColumnError,
-    SingleClassError,
-    TrainError,
-)
+from .errors import ConfigError, DataError
 from .features import FeatureMatrix
 from .ingest import check_labels
 from .serialize import is_finite_number, load_config_doc, read_json_doc, write_json
@@ -108,7 +100,7 @@ class TrainConfig:
         if self.goss_a + self.goss_b > 1.0 + 1e-12:
             raise ConfigError("goss_a + goss_b must not exceed 1")
         if self.goss_a < 1.0 and self.goss_b == 0.0:
-            raise DegenerateSamplingError(
+            raise ConfigError(
                 "goss_a < 1 with goss_b = 0 keeps no small-gradient rows"
             )
         if not 2 <= self.max_bins <= 255:
@@ -183,7 +175,7 @@ def build_bins(matrix: FeatureMatrix, max_bins: int = 255) -> BinMapper:
     alike.
     """
     if matrix.n_rows == 0 or matrix.n_cols == 0:
-        raise EmptyMatrixError("cannot bin an empty matrix")
+        raise DataError("cannot bin an empty matrix")
     if not 2 <= max_bins <= 255:
         raise ConfigError(f"max_bins must be in 2..255, got {max_bins}")
     qs = np.arange(1, max_bins) / max_bins
@@ -264,7 +256,7 @@ def goss_sample(grads, a: float, b: float, seed):
     if a >= 1.0:
         return np.arange(n, dtype=np.int64), np.ones(n, dtype=np.float64)
     if b == 0.0:
-        raise DegenerateSamplingError("a < 1 with b = 0 discards all small-gradient rows")
+        raise ConfigError("a < 1 with b = 0 discards all small-gradient rows")
 
     n_top = math.ceil(a * n)
     by_magnitude = np.argsort(-np.abs(g), kind="stable")
@@ -471,7 +463,7 @@ def _route_raw(nodes, values: np.ndarray, col_of: dict) -> np.ndarray:
 def train(matrix: FeatureMatrix, labels, config: TrainConfig) -> BoostedModel:
     """Boost ``config.rounds`` trees on the matrix (labels: ``ingest.check_labels``)."""
     if matrix.n_rows < 2 or matrix.n_cols == 0:
-        raise EmptyMatrixError(
+        raise DataError(
             f"training needs >= 2 rows and >= 1 column, got {matrix.n_rows}x{matrix.n_cols}"
         )
     y = check_labels(labels)
@@ -479,7 +471,7 @@ def train(matrix: FeatureMatrix, labels, config: TrainConfig) -> BoostedModel:
         raise DataError(f"{y.size} labels for {matrix.n_rows} rows")
     pos = float(np.count_nonzero(y == 1.0))
     if pos == 0.0 or pos == y.size:
-        raise SingleClassError("training labels contain a single class")
+        raise DataError("training labels contain a single class")
 
     mapper = build_bins(matrix, config.max_bins)
     binned = mapper.transform(matrix.values)
@@ -516,7 +508,7 @@ def predict_raw(model: BoostedModel, matrix: FeatureMatrix) -> np.ndarray:
         try:
             col_of[name] = matrix.column_names.index(name)
         except ValueError:
-            raise MissingFeatureColumnError(
+            raise DataError(
                 f"matrix lacks feature column {name!r} required by the model"
             ) from None
     scores = np.full(matrix.n_rows, model.base_score, dtype=np.float64)

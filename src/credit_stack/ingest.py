@@ -22,16 +22,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DataError,
-    DuplicateStatementError,
-    EmptyFileError,
-    CodeOverflowError,
-    MissingColumnError,
-    MissingLabelError,
-    NonPositivePrecisionError,
-)
+from .errors import ConfigError, DataError
 from .serialize import check_config_doc, read_csv_rows, read_json_doc, read_keyed_column
 from .serialize import write_csv_rows, write_json
 
@@ -177,8 +168,8 @@ def _parse_code(cell: str) -> int:
     return code if code >= 0 else MISSING_CODE
 
 
-def _code_overflow(name: str, code: int) -> CodeOverflowError:
-    return CodeOverflowError(f"column {name!r}: code {code} exceeds 16-bit storage")
+def _code_overflow(name: str, code: int) -> DataError:
+    return DataError(f"column {name!r}: code {code} exceeds 16-bit storage")
 
 
 def _float_column(cells) -> np.ndarray:
@@ -203,7 +194,7 @@ def _parse_ordinal(cell: str) -> int:
 def _int_column(col: ColumnSchema, cells) -> np.ndarray:
     """``_parse_code`` (categorical) or ``_parse_ordinal`` (date) of every
     cell as int64, each distinct cell parsed once.  A code past int64 is
-    a ``CodeOverflowError`` naming the column."""
+    a ``DataError`` naming the column."""
     parse = _parse_code if col.kind == "categorical" else _parse_ordinal
     value_of = {cell: parse(cell) for cell in set(cells)}
     top = max(value_of.values())  # an ordinal never is past int64
@@ -222,20 +213,20 @@ def parse_csv(path, schema: list[ColumnSchema]) -> StatementTable:
     The rows are transposed once.  Categorical and date cells are
     converted by ``_int_column``: ``_parse_code`` / ``_parse_ordinal``,
     the one definition of a cell, runs once per distinct cell, and a
-    code past int64 is a ``CodeOverflowError`` naming the column.
+    code past int64 is a ``DataError`` naming the column.
     Continuous columns keep one ``float()`` pass (``_float_column``),
     which gives ``_parse_float``'s bits and is their floor: sending every
     continuous cell through ``_parse_float`` was measured 15% slower.
     """
     header, records = read_csv_rows(path)
     if not records:
-        raise EmptyFileError(f"{path}: no data rows")
+        raise DataError(f"{path}: no data rows")
 
     want = [c.name for c in schema]
     if sorted(header) != sorted(want):
         missing = sorted(set(want) - set(header))
         extra = sorted(set(header) - set(want))
-        raise MissingColumnError(
+        raise DataError(
             f"{path}: header does not match schema"
             + (f"; missing {missing}" if missing else "")
             + (f"; unexpected {extra}" if extra else "")
@@ -277,7 +268,7 @@ def parse_csv(path, schema: list[ColumnSchema]) -> StatementTable:
         if dup.any():
             i = int(np.flatnonzero(dup)[0]) + 1
             when = "<missing>" if dates[i] < 0 else _date.fromordinal(int(dates[i])).isoformat()
-            raise DuplicateStatementError(
+            raise DataError(
                 f"customer {ids[i]!r} has two statements dated {when}"
             )
 
@@ -360,7 +351,7 @@ def denoise_round(table: StatementTable, precision: float = 0.01) -> StatementTa
     precision twice is an identity.  Overflow is a DataError.
     """
     if not (precision > 0 and math.isfinite(precision)):
-        raise NonPositivePrecisionError(f"precision must be finite and > 0, got {precision}")
+        raise ConfigError(f"precision must be finite and > 0, got {precision}")
     columns = dict(table.columns)
     for col in table.schema:
         if col.kind != "continuous":
@@ -427,13 +418,13 @@ def check_labels(labels) -> np.ndarray:
 def align_values(ids, keyed: Mapping, what: str) -> list:
     """``keyed[cid]`` for every id of ``ids``, in that order.
 
-    The first id with no entry is a ``MissingLabelError`` naming it
+    The first id with no entry is a ``DataError`` naming it
     (``no {what} for customer 'C1'``); entries for other ids are ignored.
     """
     try:
         return [keyed[cid] for cid in ids]
     except KeyError as exc:
-        raise MissingLabelError(f"no {what} for customer {str(exc.args[0])!r}") from None
+        raise DataError(f"no {what} for customer {str(exc.args[0])!r}") from None
 
 
 def align_labels(customer_ids, labels: Mapping[str, int]) -> np.ndarray:

@@ -43,7 +43,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DataError, LengthMismatchError, NoPositivesError, SingleClassError
+from .errors import DataError
 from .ingest import check_labels
 
 #: Row weight for the negative class; 20 = 1 / 0.05 subsample rate.
@@ -117,7 +117,7 @@ def _prepared(labels, preds) -> tuple[Labels, np.ndarray]:
         labels = Labels(labels)
     p = np.asarray(preds, dtype=np.float64).ravel()
     if p.size != len(labels):
-        raise LengthMismatchError(
+        raise DataError(
             f"labels ({len(labels)}) and predictions ({p.size}) differ in length"
         )
     if not np.isfinite(p).all():
@@ -133,7 +133,7 @@ def _pair_auc(p: np.ndarray, labels: Labels) -> float:
     """
     n_pos, n_neg = labels.n_pos, labels.neg.size
     if n_pos == 0 or n_neg == 0:
-        raise SingleClassError("weighted AUC needs both classes present")
+        raise DataError("weighted AUC needs both classes present")
     negatives = p[labels.neg]
     negatives.sort()
     positives = p[labels.pos]
@@ -176,7 +176,7 @@ def default_rate_at_4pct(labels, preds) -> float:
     """
     labels, p = _prepared(labels, preds)
     if labels.n_pos == 0:
-        raise NoPositivesError("capture rate needs at least one positive row")
+        raise DataError("capture rate needs at least one positive row")
     return _capture_rate(p, labels)
 
 

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ColumnSetMismatchError, ConfigError
+from .errors import ConfigError, DataError
 from .gbdt import importance
 from .serialize import open_output, write_json
 
@@ -63,7 +63,7 @@ def build_importance_report(
     if column_names is not None:
         stray = set(used) - set(column_names)
         if stray:
-            raise ColumnSetMismatchError(
+            raise DataError(
                 f"models split on columns outside the shared set: {sorted(stray)}"
             )
 

@@ -15,7 +15,7 @@ I/O rules, shared by every CSV and JSON file the package touches:
   field size limit), raises one typed error naming the path:
   ``DataError`` for CSVs, and the caller's chosen ``ConfigError`` or
   ``DataError`` for JSON documents.  A CSV without a header row raises
-  ``EmptyFileError``.  Per-customer files (labels, scores) are read by
+  ``DataError``.  Per-customer files (labels, scores) are read by
   ``read_keyed_column``, which finds its columns by header name and
   checks row widths and repeated ids for every caller; each caller
   passes only the rule for its value cells.
@@ -38,7 +38,7 @@ from contextlib import contextmanager
 from dataclasses import MISSING, fields
 from pathlib import Path
 
-from .errors import ConfigError, DataError, EmptyFileError, MissingColumnError
+from .errors import ConfigError, DataError
 
 
 def format_float(value: float) -> str:
@@ -162,7 +162,7 @@ def read_csv_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if header is None:
-        raise EmptyFileError(f"{path}: no header row")
+        raise DataError(f"{path}: no header row")
     return header, rows
 
 
@@ -171,14 +171,14 @@ def read_keyed_column(path: str | Path, column: str, parse, verb: str) -> tuple[
 
     Both columns are found by header name; others are ignored.  ``parse``
     turns a value cell into its value, raising ``ValueError`` for a bad one.
-    ``DataError`` naming the path: a missing column (``MissingColumnError``),
-    no data rows (``EmptyFileError``), or, naming the row, a short row, a
-    bad cell or an id on two rows (``rows 2 and 4 both {verb} customer 'C1'``).
+    ``DataError`` naming the path: a missing column, no data rows, or,
+    naming the row, a short row, a bad cell or an id on two rows
+    (``rows 2 and 4 both {verb} customer 'C1'``).
     """
     header, rows = read_csv_rows(path)
     for name in ("customer_id", column):
         if name not in header:
-            raise MissingColumnError(f"{path}: no {name!r} column in header {header}")
+            raise DataError(f"{path}: no {name!r} column in header {header}")
     at_id, at_value = header.index("customer_id"), header.index(column)
     width = max(at_id, at_value) + 1
     first_row: dict[str, int] = {}  # insertion order is the ids' order
@@ -195,7 +195,7 @@ def read_keyed_column(path: str | Path, column: str, parse, verb: str) -> tuple[
         except ValueError as exc:
             raise DataError(f"{path}: row {row}: {exc}") from None
     if not values:
-        raise EmptyFileError(f"{path}: no {verb} rows")
+        raise DataError(f"{path}: no {verb} rows")
     return list(first_row), values
 
 

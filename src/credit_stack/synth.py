@@ -23,7 +23,7 @@ from datetime import date as _date
 
 import numpy as np
 
-from .errors import ConfigError, NoSignalError
+from .errors import ConfigError
 from .ingest import MISSING_CODE, ColumnSchema, StatementTable, snap_to_grid
 from .serialize import load_config_doc
 
@@ -112,7 +112,7 @@ def generate(config: SynthConfig):
     while every positive is kept.
     """
     if not config.signal_features:
-        raise NoSignalError("signal_features is empty; labels would be pure coin flips")
+        raise ConfigError("signal_features is empty; labels would be pure coin flips")
 
     n = config.n_customers
     rng = np.random.default_rng(config.seed)
@@ -155,6 +155,11 @@ def generate(config: SynthConfig):
 
     # 9) negative thinning; positives always survive
     keep = (labels == 1) | (rng.random(n) < config.neg_keep_rate)
+    if not keep.any():
+        raise ConfigError(
+            f"no customer survives negative thinning; raise n_customers ({n}) "
+            f"or neg_keep_rate ({config.neg_keep_rate})"
+        )
 
     keep_row = keep[row_customer]
     row_customer = row_customer[keep_row]

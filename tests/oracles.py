@@ -29,14 +29,7 @@ from itertools import combinations
 import numpy as np
 
 from credit_stack import features
-from credit_stack.errors import (
-    ConfigError,
-    DataError,
-    EmptyMatrixError,
-    LengthMismatchError,
-    NoPositivesError,
-    SingleClassError,
-)
+from credit_stack.errors import ConfigError, DataError
 from credit_stack.gbdt import BinMapper, Node, _LeafCandidate, _TreeGrower
 from credit_stack.ingest import _format_value
 from credit_stack.metric import MetricReport
@@ -101,7 +94,7 @@ def _three_pass_validated(labels, preds):
     y = np.asarray(labels, dtype=np.float64).ravel()
     p = np.asarray(preds, dtype=np.float64).ravel()
     if y.shape != p.shape:
-        raise LengthMismatchError(
+        raise DataError(
             f"labels ({y.size}) and predictions ({p.size}) differ in length"
         )
     if y.size == 0:
@@ -135,7 +128,7 @@ def three_pass_weighted_auc(labels, preds):
     w_pos = wp.sum()
     w_neg = wn.sum()
     if w_pos == 0.0 or w_neg == 0.0:
-        raise SingleClassError("weighted AUC needs both classes present")
+        raise DataError("weighted AUC needs both classes present")
     below = np.concatenate(([0.0], np.cumsum(wn)[:-1]))
     return float(np.sum(wp * (below + 0.5 * wn)) / (w_pos * w_neg))
 
@@ -145,7 +138,7 @@ def three_pass_default_rate(labels, preds):
     y, p = _three_pass_validated(labels, preds)
     n_pos = int(np.count_nonzero(y == 1.0))
     if n_pos == 0:
-        raise NoPositivesError("capture rate needs at least one positive row")
+        raise DataError("capture rate needs at least one positive row")
     w = _three_pass_weights(y)
     order = np.argsort(-p, kind="stable")
     running = np.cumsum(w[order])
@@ -424,7 +417,7 @@ def build_bins_by_quantile(matrix, max_bins=255):
     gets no edges.
     """
     if matrix.n_rows == 0 or matrix.n_cols == 0:
-        raise EmptyMatrixError("cannot bin an empty matrix")
+        raise DataError("cannot bin an empty matrix")
     if not 2 <= max_bins <= 255:
         raise ConfigError(f"max_bins must be in 2..255, got {max_bins}")
     qs = np.arange(1, max_bins) / max_bins

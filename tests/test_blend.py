@@ -15,14 +15,7 @@ from credit_stack.blend import (
     save_ensemble,
     write_predictions,
 )
-from credit_stack.errors import (
-    ConfigError,
-    DataError,
-    InvalidWeightsError,
-    LengthMismatchError,
-    MissingColumnError,
-    SingleMemberError,
-)
+from credit_stack.errors import ConfigError, DataError
 from credit_stack.metric import composite_metric
 from credit_stack.pipeline import config_from_json
 from credit_stack.serialize import read_json_doc
@@ -61,13 +54,13 @@ def test_blend_convexity_bounds():
 
 
 def test_blend_rejects_bad_inputs():
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(DataError, match="member 1 has 1 predictions, member 0 has 2"):
         blend([[0.1, 0.2], [0.3]], [0.5, 0.5])
-    with pytest.raises(InvalidWeightsError):
+    with pytest.raises(ConfigError, match="weights must sum to 1"):
         blend([[0.1], [0.2]], [0.7, 0.7])
-    with pytest.raises(InvalidWeightsError):
+    with pytest.raises(ConfigError, match="weights must be non-negative"):
         blend([[0.1], [0.2]], [1.5, -0.5])
-    with pytest.raises(InvalidWeightsError):
+    with pytest.raises(ConfigError, match="1 weights for 2 members"):
         blend([[0.1], [0.2]], [1.0])
     with pytest.raises(DataError):
         blend([], [])
@@ -75,23 +68,23 @@ def test_blend_rejects_bad_inputs():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_weights_are_rejected(bad):
-    with pytest.raises(InvalidWeightsError, match="finite") as raised:
+    with pytest.raises(ConfigError, match="weights must be finite") as raised:
         EnsembleSpec(("a", "b"), (bad, 1.0))
     assert raised.value.exit_code == 2
-    with pytest.raises(InvalidWeightsError, match="finite") as raised:
+    with pytest.raises(ConfigError, match="weights must be finite") as raised:
         blend([[0.1, 0.2], [0.3, 0.4]], [bad, 1.0])
     assert raised.value.exit_code == 2
 
 
 def test_ensemble_spec_validation():
     EnsembleSpec(("a", "b"), (0.25, 0.75))
-    with pytest.raises(InvalidWeightsError):
+    with pytest.raises(ConfigError, match="member names must be unique"):
         EnsembleSpec(("a", "a"), (0.5, 0.5))
-    with pytest.raises(InvalidWeightsError):
+    with pytest.raises(ConfigError, match="2 members but 1 weights"):
         EnsembleSpec(("a", "b"), (0.5,))
-    with pytest.raises(InvalidWeightsError):
+    with pytest.raises(ConfigError, match="weights must be non-negative"):
         EnsembleSpec(("a", "b"), (-0.1, 1.1))
-    with pytest.raises(InvalidWeightsError):
+    with pytest.raises(ConfigError, match="weights must sum to 1"):
         EnsembleSpec(("a", "b"), (0.6, 0.6))
 
 
@@ -196,12 +189,12 @@ def test_search_custom_member_names(monkeypatch):
 
     monkeypatch.setattr(blend_mod, "composite_metric", counted)
     # bad names fail before the first candidate is scored
-    for names, error in (
-        (["only_one"], ConfigError),
-        (["a", "b", "c"], ConfigError),
-        (["same", "same"], InvalidWeightsError),
+    for names, message in (
+        (["only_one"], "1 member names for 2 members"),
+        (["a", "b", "c"], "3 member names for 2 members"),
+        (["same", "same"], "member names must be unique"),
     ):
-        with pytest.raises(error):
+        with pytest.raises(ConfigError, match=message):
             optimize_weights(two, y, step=0.5, member_names=names)
         assert calls == [], names
     optimize_weights(two, y, step=0.5, member_names=["wide", "recent"])
@@ -211,7 +204,7 @@ def test_search_custom_member_names(monkeypatch):
 def test_search_rejects_bad_steps_and_member_counts():
     y = np.array([1, 0, 1, 0])
     two = [[0.9, 0.1, 0.8, 0.2], [0.5, 0.4, 0.6, 0.3]]
-    with pytest.raises(SingleMemberError):
+    with pytest.raises(ConfigError, match="weight search needs at least two members"):
         optimize_weights([two[0]], y)
     with pytest.raises(ConfigError):
         optimize_weights(two, y, step=0.3)  # not a whole lattice
@@ -314,7 +307,7 @@ def test_predictions_round_trip(tmp_path):
     assert back_ids == ids
     np.testing.assert_array_equal(back, probs)  # full-precision round trip
 
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(DataError, match="3 ids for 2 probabilities"):
         write_predictions(ids, probs[:2], tmp_path / "x.csv")
 
 
@@ -326,7 +319,7 @@ def test_read_predictions_reads_the_probability_column_by_name(tmp_path):
     assert ids == ["C1", "C2"] and probs.tolist() == [0.25, 0.75]
     unnamed = tmp_path / "unnamed.csv"
     unnamed.write_text("customer_id,score\nC1,0.25\n", encoding="utf-8")
-    with pytest.raises(MissingColumnError, match="no 'probability' column"):
+    with pytest.raises(DataError, match="no 'probability' column"):
         read_predictions(unnamed)
 
 

@@ -1077,6 +1077,15 @@ def test_negative_seeds_are_configuration_errors(work, tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+def test_synth_that_thins_away_every_customer_exits_2_and_writes_no_file(tmp_path, capsys):
+    config = tmp_path / "synth.json"
+    config.write_text('{"n_customers": 10, "neg_keep_rate": 0.01, "seed": 0}', encoding="utf-8")
+    assert run("synth", "--config", str(config), "--out-data", str(tmp_path / "data.csv"),
+               "--out-labels", str(tmp_path / "labels.csv")) == 2
+    assert "error: no customer survives negative thinning" in capsys.readouterr().err
+    assert not (tmp_path / "data.csv").exists() and not (tmp_path / "labels.csv").exists()
+
+
 def test_files_without_their_named_column_exit_3(work, tmp_path, capsys):
     labels = read_labels(work / "labels.csv")
     good, unnamed = tmp_path / "good.csv", tmp_path / "unnamed.csv"

@@ -13,13 +13,7 @@ from credit_stack.cv_stack import (
     save_plan,
     train_oof,
 )
-from credit_stack.errors import (
-    ConfigError,
-    DataError,
-    FoldTrainingError,
-    LengthMismatchError,
-    TooFewPerClassError,
-)
+from credit_stack.errors import ConfigError, DataError, FoldTrainingError
 from credit_stack.features import FeatureMatrix
 from credit_stack.gbdt import TrainConfig, importance, train
 from credit_stack.serialize import read_csv_rows
@@ -90,7 +84,7 @@ def test_folds_deterministic_per_seed():
 
 def test_folds_too_few_per_class():
     y = np.array([1] * 4 + [0] * 20)
-    with pytest.raises(TooFewPerClassError):
+    with pytest.raises(DataError, match="positive class has 4 rows, need at least 5 for 5 folds"):
         make_folds(y, 5, seed=0)
 
 
@@ -150,6 +144,18 @@ def test_oof_failure_names_the_fold():
     assert "fold 1" in str(err.value)
 
 
+def test_oof_lets_a_bug_in_training_keep_its_type(monkeypatch):
+    m, y = toy_data(n=40, seed=0)
+    plan = make_folds(y, 2, seed=0)
+
+    def broken_train(matrix, labels, config):
+        raise RuntimeError("bug inside training")
+
+    monkeypatch.setattr(cv_stack, "train", broken_train)
+    with pytest.raises(RuntimeError, match="bug inside training"):
+        train_oof(m, y, plan, SMALL)
+
+
 @pytest.mark.parametrize("bad", [2, 0.5, np.nan])
 def test_folds_and_oof_reject_a_label_that_is_not_0_or_1(bad):
     # checked before any cast: an int64 cast used to turn 0.5 into 0
@@ -167,10 +173,10 @@ def test_folds_and_oof_reject_a_label_that_is_not_0_or_1(bad):
 def test_oof_length_mismatch():
     m, y = toy_data(n=50, seed=3)
     plan = make_folds(y, 2, seed=0)
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(DataError, match="49 labels for 50 rows"):
         train_oof(m, y[:-1], plan, SMALL)
     short_plan = FoldPlan(k=2, assignment=plan.assignment[:-1])
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(DataError, match="fold plan covers 49 rows, matrix has 50"):
         train_oof(m, y, short_plan, SMALL)
 
 
@@ -197,7 +203,7 @@ def test_append_meta_numbers_past_existing():
 
 def test_append_meta_length_mismatch():
     m, _ = toy_data(n=10, seed=6)
-    with pytest.raises(LengthMismatchError):
+    with pytest.raises(DataError, match="meta column 0 has 9 rows, matrix has 10"):
         append_meta(m, [np.zeros(9)])
 
 
@@ -270,7 +276,7 @@ def test_plan_round_trip(tmp_path):
 def test_save_oof_rejects_lengths_that_disagree(tmp_path, n_ids, n_folds, n_probs):
     plan = FoldPlan(k=2, assignment=np.zeros(n_folds, dtype=np.int32))
     path = tmp_path / "oof.csv"
-    with pytest.raises(LengthMismatchError,
+    with pytest.raises(DataError,
                        match=f"{n_ids} ids for {n_folds} folds and {n_probs} probabilities"):
         save_oof([f"C{i}" for i in range(n_ids)], plan, np.full(n_probs, 0.5), path)
     assert not path.exists()

@@ -1,11 +1,12 @@
 """Synthetic dataset generator tests."""
 
 import collections
+import dataclasses
 
 import numpy as np
 import pytest
 
-from credit_stack.errors import ConfigError, NoSignalError
+from credit_stack.errors import ConfigError
 from credit_stack.ingest import (
     MISSING_CODE,
     denoise_round,
@@ -175,8 +176,19 @@ def test_schema_matches_generated_columns():
 
 
 def test_empty_signal_raises():
-    with pytest.raises(NoSignalError):
+    with pytest.raises(ConfigError, match="signal_features is empty; labels would be pure coin flips"):
         generate(SynthConfig(n_customers=50, signal_features=(), seed=0))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_thinning_that_keeps_no_customer_is_a_configuration_error(seed):
+    # no positive drawn and every negative thinned away
+    config = SynthConfig(n_customers=10, neg_keep_rate=0.01, seed=seed)
+    with pytest.raises(ConfigError, match=r"raise n_customers \(10\) or neg_keep_rate \(0\.01\)"):
+        generate(config)
+    # seed 2 keeps one customer
+    table, labels = generate(dataclasses.replace(config, seed=2))
+    assert table.n_rows == 13 and len(labels) == 1
 
 
 def test_config_validation():
