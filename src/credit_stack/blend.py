@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .metric import Labels, composite_metric
-from .serialize import format_float, read_keyed_column, write_csv_rows, write_json
+from .serialize import format_float, read_keyed_column, write_csv_columns, write_json
 
 log = logging.getLogger(__name__)
 
@@ -199,10 +199,10 @@ def write_predictions(customer_ids, probabilities, path) -> None:
         raise DataError(
             f"{len(customer_ids)} ids for {probs.size} probabilities"
         )
-    write_csv_rows(
+    write_csv_columns(
         path,
         ["customer_id", "probability"],
-        ([cid, format_float(float(p))] for cid, p in zip(customer_ids, probs)),
+        [list(map(str, customer_ids)), [format_float(p) for p in probs.tolist()]],
     )
 
 

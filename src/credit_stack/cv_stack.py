@@ -24,7 +24,7 @@ from .errors import ConfigError, CreditStackError, DataError, FoldTrainingError
 from .features import FeatureMatrix
 from .gbdt import BoostedModel, TrainConfig, predict, train
 from .ingest import check_labels
-from .serialize import format_float, write_csv_rows
+from .serialize import format_float, write_csv_columns
 
 log = logging.getLogger(__name__)
 
@@ -151,9 +151,8 @@ def append_meta(matrix: FeatureMatrix, predictions) -> FeatureMatrix:
 
 
 def save_plan(plan: FoldPlan, path) -> None:
-    write_csv_rows(
-        path, ["row_index", "fold"], ([i, int(f)] for i, f in enumerate(plan.assignment))
-    )
+    folds = list(map(str, plan.assignment.tolist()))
+    write_csv_columns(path, ["row_index", "fold"], [list(map(str, range(len(folds)))), folds])
 
 
 def save_oof(customer_ids, plan: FoldPlan, prediction, path) -> None:
@@ -162,6 +161,8 @@ def save_oof(customer_ids, plan: FoldPlan, prediction, path) -> None:
     n_ids, n_folds, n_probs = len(customer_ids), plan.n_rows, len(prediction)
     if not n_ids == n_folds == n_probs:
         raise DataError(f"{n_ids} ids for {n_folds} folds and {n_probs} probabilities")
-    rows = zip(customer_ids, plan.assignment, prediction)
-    write_csv_rows(path, ["customer_id", "fold", "probability"],
-                   ([cid, int(f), format_float(float(p))] for cid, f, p in rows))
+    write_csv_columns(path, ["customer_id", "fold", "probability"], [
+        list(map(str, customer_ids)),
+        list(map(str, plan.assignment.tolist())),
+        [format_float(float(p)) for p in prediction],
+    ])

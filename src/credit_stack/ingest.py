@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .serialize import check_config_doc, read_csv_rows, read_json_doc, read_keyed_column
-from .serialize import write_csv_rows, write_json
+from .serialize import write_csv_columns, write_json
 
 log = logging.getLogger(__name__)
 
@@ -483,7 +483,7 @@ def write_csv(table: StatementTable, path) -> None:
         distinct = np.array([_format_value(col, values[i]) for i in first], dtype=object)
         texts.append(distinct[inverse].tolist())
 
-    write_csv_rows(path, [c.name for c in table.schema], zip(*texts))
+    write_csv_columns(path, [c.name for c in table.schema], texts)
 
 
 def _sidecar(path) -> Path:
@@ -526,8 +526,8 @@ def read_labels(path) -> dict[str, int]:
 
 def write_labels(labels: Mapping[str, int], path) -> None:
     """Write a (customer_id, target) CSV in the mapping's order."""
-    write_csv_rows(
+    write_csv_columns(
         path,
         ["customer_id", "target"],
-        ([cid, int(value)] for cid, value in labels.items()),
+        [list(map(str, labels)), [str(int(value)) for value in labels.values()]],
     )

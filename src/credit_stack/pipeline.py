@@ -41,7 +41,7 @@ from .blend import (EnsembleSpec, blend, lattice_ticks, optimize_weights, save_e
 from .errors import ConfigError, CreditStackError, DataError
 from .metric import MetricReport, composite_metric
 from .serialize import (check_config_doc, load_config_doc, make_dir, sha256_file,
-                        write_csv_rows, write_json)
+                        write_csv_columns, write_json)
 
 log = logging.getLogger(__name__)
 
@@ -157,10 +157,10 @@ def _holdout_split(labels: np.ndarray, fraction: float, seed: int) -> np.ndarray
 
 
 def _write_split(path, customers: np.ndarray, holdout: np.ndarray) -> None:
-    write_csv_rows(
+    write_csv_columns(
         path,
         ["customer_id", "split"],
-        ([cid, "holdout" if is_hold else "train"] for cid, is_hold in zip(customers, holdout)),
+        [list(map(str, customers)), ["holdout" if is_hold else "train" for is_hold in holdout]],
     )
 
 

@@ -10,6 +10,12 @@ I/O rules, shared by every CSV and JSON file the package touches:
 * Decode: files are read as ``utf-8-sig``, so a leading byte-order mark
   is dropped and a file with one reads like the plain file.  CSVs are
   opened with ``newline=""``, so LF and CRLF rows read alike.
+* CSV rows: ``read_csv_rows`` reads the whole text at once and returns
+  the rows ``csv.reader`` returns.  A text with no ``"``, no ``\r``, no
+  NUL and no line past the ``csv`` module's field size limit is split
+  on ``\n`` and then on ``,``: a blank line is a row of no cells, and
+  nothing after a final ``\n`` is a row.  Any other text goes through
+  ``csv.reader``, the only path that reads quoted cells.
 * Errors: a file that cannot be opened or decoded, or whose CSV or
   JSON syntax is broken (including a cell past the ``csv`` module's
   field size limit), raises one typed error naming the path:
@@ -20,7 +26,12 @@ I/O rules, shared by every CSV and JSON file the package touches:
   checks row widths and repeated ids for every caller; each caller
   passes only the rule for its value cells.
 * Encode: files are written as UTF-8; CSV rows end in a bare ``\n``
-  and JSON documents end in one newline.
+  and JSON documents end in one newline.  ``write_csv_columns`` quotes
+  a cell that holds ``,``, ``"``, ``\r`` or ``\n`` (its ``"`` doubled), and
+  the empty cell of a one-column file; every other cell is written as
+  is.  That is ``csv.writer``'s minimal quoting, except that
+  ``csv.writer`` with a ``\n`` line end leaves a lone ``\r`` unquoted,
+  which a reader then takes for a line end.
 * Write: every output file, text or binary, is opened by ``open_output``,
   which makes its directory with ``make_dir``, the one directory maker; a
   path that cannot be created or written raises
@@ -31,9 +42,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import sys
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -156,14 +169,27 @@ def read_csv_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
     """(header, data rows) of a CSV file, every cell a string."""
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            rows = list(reader)
+            rows = _csv_rows(fh.read())
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if header is None:
+    if not rows:
         raise DataError(f"{path}: no header row")
-    return header, rows
+    return rows[0], rows[1:]
+
+
+def _csv_rows(text: str) -> list[list[str]]:
+    """Every row of the CSV ``text``, as ``csv.reader`` reads it; the
+    module docstring says which texts are split instead."""
+    if '"' in text or "\r" in text or "\0" in text:
+        return list(csv.reader(io.StringIO(text, newline="")))
+    lines = text.split("\n")
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return list(csv.reader(io.StringIO(text, newline="")))
+    del text  # the rows below are built without the whole text held
+    if not lines[-1]:
+        lines.pop()
+    return [line.split(",") if line else [] for line in lines]
 
 
 def read_keyed_column(path: str | Path, column: str, parse, verb: str) -> tuple[list[str], list]:
@@ -199,12 +225,28 @@ def read_keyed_column(path: str | Path, column: str, parse, verb: str) -> tuple[
     return list(first_row), values
 
 
-def write_csv_rows(path: str | Path, header, rows) -> None:
-    """Write ``header`` then every row of the iterable ``rows``."""
+def _needs_quotes(text: str) -> bool:
+    return "," in text or '"' in text or "\r" in text or "\n" in text
+
+
+def _csv_fields(column: Sequence[str]) -> Sequence[str]:
+    """The cells of one column as CSV fields, a cell that needs quotes
+    quoted with its ``"`` doubled; the column is searched once, joined."""
+    if not _needs_quotes("".join(column)):
+        return column
+    return ['"' + cell.replace('"', '""') + '"' if _needs_quotes(cell) else cell
+            for cell in column]
+
+
+def write_csv_columns(path: str | Path, header: Sequence[str], columns) -> None:
+    """Write ``header`` then one row per cell index of ``columns``, each an
+    equally long sequence of ``str``, as one text in a single write."""
+    lines = [",".join(_csv_fields(header)), *map(",".join, zip(*map(_csv_fields, columns)))]
+    if len(header) == 1:  # a row of one empty cell is "", not a blank line
+        lines = [line or '""' for line in lines]
+    lines.append("")
     with open_output(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("\n".join(lines))
 
 
 def is_finite_number(value) -> bool:

@@ -3,17 +3,18 @@
 Everything here is written the slow, obvious way — explicit pairwise
 loops, direct textbook formulas, exhaustive enumeration, recursive tree
 walks — deliberately sharing no code with ``credit_stack`` so that a bug
-in the package cannot hide in its own test oracle.  Four exceptions
-stand in for a package function in whole-run tests and so speak its
-types: ``build_matrix_by_customer`` replaces ``features.build_matrix``
+in the package cannot hide in its own test oracle.  The exceptions
+stand in for a package function and so speak its types:
+``build_matrix_by_customer`` replaces ``features.build_matrix``
 and reuses the package's window, column selection, encoding and matrix
 type; ``three_pass_composite_metric`` replaces ``metric.composite_metric``
 and returns its ``MetricReport`` and raises its error types;
 ``build_bins_by_quantile`` replaces ``gbdt.build_bins`` and returns its
 ``BinMapper`` and raises its error types; ``write_csv_by_cell`` replaces
 ``ingest.write_csv`` and formats each cell with the package's
-``_format_value`` and writes through ``serialize.write_csv_rows``, so
-only the per-column deduplication is under test; ``SearchEveryLeafGrower``
+``_format_value``, so only the per-column deduplication is under test;
+``read_csv_by_reader`` stands in for ``serialize.read_csv_rows`` and
+raises its ``DataError`` messages; ``SearchEveryLeafGrower``
 replaces ``gbdt._TreeGrower``, inherits its partition, gain and heap
 code and reads the histogram layout (``stride``, ``offsets``,
 ``miss_pos``, ``is_cand``, ``first``) from the grower's ``BinMapper``,
@@ -22,7 +23,9 @@ so only the skipped split work is under test.
 
 from __future__ import annotations
 
+import csv
 import heapq
+import io
 import math
 from itertools import combinations
 
@@ -33,7 +36,6 @@ from credit_stack.errors import ConfigError, DataError
 from credit_stack.gbdt import BinMapper, Node, _LeafCandidate, _TreeGrower
 from credit_stack.ingest import _format_value
 from credit_stack.metric import MetricReport
-from credit_stack.serialize import write_csv_rows
 
 NEG_W = 20.0
 
@@ -479,7 +481,8 @@ def scan_best_split(binned, real_bins, g, h, rows, g_total, h_total, l2_lambda, 
 
 
 def write_csv_by_cell(table, path):
-    """``ingest.write_csv`` by one ``_format_value`` call per cell."""
+    """``ingest.write_csv`` by one ``_format_value`` call per cell, encoded
+    by ``csv.writer`` (``write_csv_by_writer``), not by the package's writer."""
     data_cols = []
     for col in table.schema:
         if col.kind == "identifier":
@@ -494,7 +497,35 @@ def write_csv_by_cell(table, path):
                 row.append(arr[i] if col.kind == "identifier" else _format_value(col, arr[i]))
             yield row
 
-    write_csv_rows(path, [c.name for c in table.schema], rows())
+    write_csv_by_writer(path, [c.name for c in table.schema], rows())
+
+
+def write_csv_by_writer(path, header, rows):
+    """``header`` then ``rows`` by ``csv.writer``, one row at a time, each
+    row ending in ``\n``.  Each row is written with a ``\r\n`` terminator,
+    which is then swapped for ``\n``: that way ``csv.writer`` quotes a cell
+    holding ``\r`` as well as one holding ``,``, ``"`` or ``\n``."""
+    lines = []
+    for row in [header, *rows]:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\r\n").writerow(row)
+        lines.append(buffer.getvalue()[:-2] + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("".join(lines))
+
+
+def read_csv_by_reader(path):
+    """(header, data rows) of a CSV by ``csv.reader`` over the open file."""
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if header is None:
+        raise DataError(f"{path}: no header row")
+    return header, rows
 
 
 class SearchEveryLeafGrower(_TreeGrower):

@@ -415,6 +415,24 @@ def test_prep_reads_a_utf8_bom_statement_file_like_the_plain_file(work, tmp_path
     assert (tmp_path / "clean.csv").read_bytes() == (work / "clean.csv").read_bytes()
 
 
+def test_features_reads_back_an_id_holding_a_lone_cr(work, tmp_path):
+    # prep quotes the id in clean.csv, so the \r is not read as a line end
+    raw = tmp_path / "raw.csv"
+    raw.write_text('customer_id,statement_date,balance\n"C\r1",2017-03-01,1.5\n'
+                   "C2,2017-03-01,2.5\n", encoding="utf-8", newline="")
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps([
+        {"name": "customer_id", "kind": "identifier"},
+        {"name": "statement_date", "kind": "date"},
+        {"name": "balance", "kind": "continuous"},
+    ]), encoding="utf-8")
+    assert run("prep", "--input", str(raw), "--schema", str(schema),
+               "--out", str(tmp_path / "clean.csv")) == 0
+    assert run("features", "--input", str(tmp_path / "clean.csv"),
+               "--spec", str(work / "spec.json"), "--out", str(tmp_path / "m.bin")) == 0
+    assert load_matrix(tmp_path / "m.bin").customer_ids.tolist() == ["C\r1", "C2"]
+
+
 def test_json_documents_with_a_utf8_bom_load_like_the_plain_file(work, tmp_path):
     pipe = tmp_path / "pipe.json"
     pipe.write_text(json.dumps(_fuzz_pipeline(work, tmp_path / "run")), encoding="utf-8")

@@ -1,20 +1,30 @@
 """Shared I/O layer tests: the CSV reader and writer, the JSON reader,
 and the rule that no other module reads or writes those formats itself."""
 
+import csv
+import io
 import json
+import random
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from credit_stack import serialize
+from credit_stack.cv_stack import FoldPlan, save_oof
 from credit_stack.errors import ConfigError, DataError
+from credit_stack.ingest import ColumnSchema, StatementTable, read_clean, write_clean
 from credit_stack.serialize import (
     dumps,
     read_csv_rows,
     read_json_doc,
     read_keyed_column,
-    write_csv_rows,
+    write_csv_columns,
 )
+
+from oracles import read_csv_by_reader, write_csv_by_writer
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "credit_stack"
 BOM = b"\xef\xbb\xbf"
@@ -24,9 +34,11 @@ OVERSIZED = "C" * 200_000  # past the csv module's default field size limit
 def test_only_serialize_reads_and_writes_csv_and_json():
     # features.py's binary matrix container reads its own files, but writes
     # through serialize.open_output like every other output; a write mode is
-    # a quoted mode string holding w, a or x
+    # a quoted mode string holding w, a or x; splitting or joining on a
+    # comma is CSV encoding done by hand
     pattern = re.compile(
         r"csv\.reader\(|csv\.writer\(|json\.loads\(|utf-8-sig"
+        r"""|\.split\(","\)|",".join\("""
         r"""|open\(.*["'][rbt+]*[wax][rwabxt+]*["']|\.write_text\(|\.write_bytes\("""
         r"|\.mkdir\(|makedirs\("
     )
@@ -96,6 +108,7 @@ def test_read_json_doc_rejects_garbage(tmp_path, error):
 
 
 ROWS = [["C1", "0.5"], ["C,2", "é"]]
+COLUMNS = [["C1", "C,2"], ["0.5", "é"]]
 DOC = {"members": ["a", "b"], "weights": [0.25, 0.75]}
 
 
@@ -113,7 +126,7 @@ def test_io_helpers_on_awkward_files(tmp_path, case):
                 read(tmp_path / "nope")
         # the writer creates missing parent directories
         deep = tmp_path / "x" / "y" / "a.csv"
-        write_csv_rows(deep, ["customer_id", "value"], ROWS)
+        write_csv_columns(deep, ["customer_id", "value"], COLUMNS)
         assert deep.read_bytes() == plain_csv
     elif case == "non-UTF-8":
         csv_path.write_bytes(plain_csv.replace("é".encode("utf-8"), b"\xe9"))
@@ -123,7 +136,7 @@ def test_io_helpers_on_awkward_files(tmp_path, case):
         with pytest.raises(ConfigError, match="codec can't decode"):
             read_json_doc(json_path, "doc", ConfigError)
         # the writer encodes every cell as UTF-8
-        write_csv_rows(csv_path, ["customer_id", "value"], ROWS)
+        write_csv_columns(csv_path, ["customer_id", "value"], COLUMNS)
         assert csv_path.read_bytes() == plain_csv
     elif case == "BOM":
         csv_path.write_bytes(BOM + plain_csv)
@@ -131,7 +144,7 @@ def test_io_helpers_on_awkward_files(tmp_path, case):
         assert read_csv_rows(csv_path) == (["customer_id", "value"], ROWS)
         assert read_json_doc(json_path, "doc", DataError) == DOC
         # the writer never emits one
-        write_csv_rows(csv_path, ["customer_id", "value"], ROWS)
+        write_csv_columns(csv_path, ["customer_id", "value"], COLUMNS)
         assert not csv_path.read_bytes().startswith(BOM)
     elif case == "CRLF":
         csv_path.write_bytes(plain_csv.replace(b"\n", b"\r\n"))
@@ -139,11 +152,11 @@ def test_io_helpers_on_awkward_files(tmp_path, case):
         assert read_csv_rows(csv_path) == (["customer_id", "value"], ROWS)
         assert read_json_doc(json_path, "doc", DataError) == DOC
         # the writer ends rows in a bare \n and quotes a cell holding \r\n
-        write_csv_rows(csv_path, ["customer_id", "value"], [["C1", "x\r\ny"]])
+        write_csv_columns(csv_path, ["customer_id", "value"], [["C1"], ["x\r\ny"]])
         assert csv_path.read_bytes() == b'customer_id,value\nC1,"x\r\ny"\n'
         assert read_csv_rows(csv_path) == (["customer_id", "value"], [["C1", "x\r\ny"]])
     elif case == "oversized cell":
-        write_csv_rows(csv_path, ["customer_id", "value"], [[OVERSIZED, "1"]])
+        write_csv_columns(csv_path, ["customer_id", "value"], [[OVERSIZED], ["1"]])
         assert csv_path.stat().st_size > len(OVERSIZED)
         with pytest.raises(DataError, match="field larger than field limit"):
             read_csv_rows(csv_path)
@@ -157,7 +170,7 @@ def test_io_helpers_on_awkward_files(tmp_path, case):
         with pytest.raises(DataError, match="Expecting value"):
             read_json_doc(json_path, "doc", DataError)
         # no rows still writes the header line
-        write_csv_rows(csv_path, ["customer_id", "value"], [])
+        write_csv_columns(csv_path, ["customer_id", "value"], [[], []])
         assert csv_path.read_bytes() == b"customer_id,value\n"
         assert read_csv_rows(csv_path) == (["customer_id", "value"], [])
 
@@ -170,3 +183,120 @@ def test_dumps_escapes_quotes_backslashes_and_control_characters():
     assert dumps({text: [text]}) == f'{{\n  "{want}": [\n    "{want}"\n  ]\n}}\n'
     assert dumps("\n\t\x1f\"\\") == '"\\u000a\\u0009\\u001f\\"\\\\"\n'
     assert json.loads(dumps(text)) == text
+
+
+# Cells of a file that the reader splits, and the cells that send a file
+# through csv.reader instead.  \x0c, \x85 and \u2028 end a line for
+# str.splitlines but never for CSV.
+PLAIN_CELLS = ["", "a", "1.5", " x ", "é", "\x0c", "\x85", "\u2028", "\ufeff", "\t"]
+QUOTED_CELLS = ['"a,b"', '"say ""hi"""', '"two\nlines"', '"cr\rin"', 'a"b', '""', '"open']
+FIELD_LIMIT = 64  # the test's csv.field_size_limit, so a long line stays short
+
+
+def _random_csv(rng: random.Random) -> tuple[bytes, bool]:
+    """The bytes of a random CSV, and whether they should be split rather
+    than read by csv.reader."""
+    quote, crlf, lone_cr, nul, long_line = (rng.random() < p for p in (0.15, 0.1, 0.1, 0.1, 0.15))
+    lines = []
+    for _ in range(rng.choice([0, 1, 2, 3, 6])):
+        cells = [rng.choice(PLAIN_CELLS) for _ in range(rng.choice([0, 0, 1, 2, 3, 4]))]
+        if cells and quote and rng.random() < 0.5:
+            cells[rng.randrange(len(cells))] = rng.choice(QUOTED_CELLS)
+        if cells and nul and rng.random() < 0.5:
+            cells[rng.randrange(len(cells))] = "a\x00b"
+        lines.append(",".join(cells))
+    if quote:
+        lines.append(rng.choice(QUOTED_CELLS))
+    if nul:
+        lines.append("\x00")
+    if long_line:  # one field past the limit, or only the line past it
+        wide = rng.choice([1, FIELD_LIMIT // 2])
+        lines.insert(rng.randrange(len(lines) + 1),
+                     ",".join(["L" * (FIELD_LIMIT + 4 - wide)] * wide))
+    ends = ["\r\n" if crlf else "\n" for _ in lines]
+    if ends and rng.random() < 0.3:
+        ends[-1] = ""  # no final line end
+    if ends and lone_cr:
+        ends[rng.randrange(len(ends))] = "\r"
+    text = "".join(line + end for line, end in zip(lines, ends))
+    bom = b"\xef\xbb\xbf" if rng.random() < 0.2 else b""
+    split = not any(c in text for c in '"\r\x00') and all(
+        len(line) <= FIELD_LIMIT for line in text.split("\n")
+    )
+    return bom + text.encode("utf-8"), split
+
+
+def test_read_csv_rows_matches_csv_reader(tmp_path, monkeypatch):
+    rng = random.Random(2024)
+    read_by_reader = []  # csv path: serialize hands csv.reader a StringIO
+    monkeypatch.setattr(serialize, "io", SimpleNamespace(
+        StringIO=lambda *args, **kw: read_by_reader.append(1) or io.StringIO(*args, **kw)
+    ))
+    old_limit = csv.field_size_limit(FIELD_LIMIT)
+    paths = {True: 0, False: 0}
+    try:
+        for case in range(400):
+            body, split = _random_csv(rng)
+            path = tmp_path / f"case_{case}.csv"
+            path.write_bytes(body)
+            results = []
+            for read in (read_csv_rows, read_csv_by_reader):
+                try:
+                    results.append(read(path))
+                except DataError as exc:
+                    results.append(str(exc))
+            assert results[0] == results[1], (case, body)
+            assert len(read_by_reader) == (not split), (case, body)
+            read_by_reader.clear()
+            paths[split] += 1
+    finally:
+        csv.field_size_limit(old_limit)
+    assert min(paths.values()) >= 50, paths
+
+
+WRITER_CELLS = ["", "a", "1.5", ",", '"', "\n", "\r", "\r\n", " lead", "é", "x,y",
+                'say "hi"', "\x00", "\x0c"]
+
+
+def test_write_csv_columns_matches_csv_writer(tmp_path):
+    rng = random.Random(7)
+    for case in range(300):
+        n_cols = rng.choice([0, 1, 1, 2, 3, 4])
+        n_rows = rng.choice([0, 0, 1, 2, 5]) if n_cols else 0  # 0 rows: header only
+        header = [rng.choice(WRITER_CELLS) for _ in range(n_cols)]
+        columns = [[rng.choice(WRITER_CELLS) for _ in range(n_rows)] for _ in range(n_cols)]
+        rows = [list(row) for row in zip(*columns)]
+        got, want = tmp_path / f"got_{case}.csv", tmp_path / f"want_{case}.csv"
+        write_csv_columns(got, header, columns)
+        write_csv_by_writer(want, header, rows)
+        assert got.read_bytes() == want.read_bytes(), (header, rows)
+        if not any("\r" in cell for cell in header + sum(columns, [])):
+            # the oracle's quoting is csv.writer's own with a bare \n ending
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
+            assert got.read_bytes() == buffer.getvalue().encode("utf-8"), (header, rows)
+        assert read_csv_rows(got) == (header, rows)
+
+
+AWKWARD_IDS = ["C\r1", "C\n2", "C\r\n3", "C,4", 'C"5', "C6"]
+
+
+def test_ids_holding_line_ends_commas_and_quotes_round_trip(tmp_path):
+    # a lone \r in a cell is quoted too, so it is not read as a line end
+    schema = [ColumnSchema("customer_id", "identifier"),
+              ColumnSchema("balance", "continuous", "float32")]
+    balance = np.arange(len(AWKWARD_IDS), dtype=np.float32) / 4
+    table = StatementTable(schema, np.array(AWKWARD_IDS, dtype=object), {"balance": balance})
+    path, _ = write_clean(table, tmp_path / "clean.csv")
+    back = read_clean(path)
+    assert back.customer_ids.tolist() == AWKWARD_IDS
+    assert back.columns["balance"].tolist() == balance.tolist()
+
+    plan = FoldPlan(2, np.array([0, 1] * 3))
+    save_oof(AWKWARD_IDS, plan, balance.astype(np.float64), tmp_path / "oof.csv")
+    assert read_keyed_column(tmp_path / "oof.csv", "probability", float, "score") == (
+        AWKWARD_IDS, balance.tolist()
+    )
+    assert read_keyed_column(tmp_path / "oof.csv", "fold", int, "score") == (
+        AWKWARD_IDS, [0, 1] * 3
+    )
