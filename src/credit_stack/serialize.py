@@ -10,12 +10,6 @@ I/O rules, shared by every CSV and JSON file the package touches:
 * Decode: files are read as ``utf-8-sig``, so a leading byte-order mark
   is dropped and a file with one reads like the plain file.  CSVs are
   opened with ``newline=""``, so LF and CRLF rows read alike.
-* CSV rows: ``read_csv_rows`` reads the whole text at once and returns
-  the rows ``csv.reader`` returns.  A text with no ``"``, no ``\r``, no
-  NUL and no line past the ``csv`` module's field size limit is split
-  on ``\n`` and then on ``,``: a blank line is a row of no cells, and
-  nothing after a final ``\n`` is a row.  Any other text goes through
-  ``csv.reader``, the only path that reads quoted cells.
 * Errors: a file that cannot be opened or decoded, or whose CSV or
   JSON syntax is broken (including a cell past the ``csv`` module's
   field size limit), raises one typed error naming the path:
@@ -42,7 +36,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import math
 import sys
@@ -169,27 +162,14 @@ def read_csv_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
     """(header, data rows) of a CSV file, every cell a string."""
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            rows = _csv_rows(fh.read())
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if not rows:
+    if header is None:
         raise DataError(f"{path}: no header row")
-    return rows[0], rows[1:]
-
-
-def _csv_rows(text: str) -> list[list[str]]:
-    """Every row of the CSV ``text``, as ``csv.reader`` reads it; the
-    module docstring says which texts are split instead."""
-    if '"' in text or "\r" in text or "\0" in text:
-        return list(csv.reader(io.StringIO(text, newline="")))
-    lines = text.split("\n")
-    limit = csv.field_size_limit()
-    if len(text) > limit and max(map(len, lines)) > limit:
-        return list(csv.reader(io.StringIO(text, newline="")))
-    del text  # the rows below are built without the whole text held
-    if not lines[-1]:
-        lines.pop()
-    return [line.split(",") if line else [] for line in lines]
+    return header, rows
 
 
 def read_keyed_column(path: str | Path, column: str, parse, verb: str) -> tuple[list[str], list]:
