@@ -6,17 +6,20 @@ statistics per continuous column, a lag column (last minus mean), count
 optional encoding of the final categorical codes.  Missing cells stay
 missing (NaN) so the tree learner can route them natively.
 
-Aggregation works one raw column at a time over whole arrays.  A
-customer's valid cells (non-NaN values, real codes) are left-packed
-into one row of a customers x max-count block.  Customers with the same
-count k then form a dense group ``block[rows, :k]``, and each statistic
-is the NumPy call a single customer's series would get (``mean``,
-``std(ddof=1)``, ``min``, ``max``, ``np.median``), taken along axis 1.
-A row of exactly k contiguous values is summed in the same order as the
-1-D series, so every float64 result has the same bits as the
-per-customer computation (kept as the test oracle in
+Aggregation is one grouped pass over whole arrays.  Every valid cell
+(non-NaN value) of every continuous column the spec aggregates is
+left-packed into one block, with one row per (column, customer) series
+holding that customer's cells of that column in row order.  Series with
+the same count k then form a dense group ``block[rows, :k]`` whatever
+their column, and each statistic is the NumPy call a single customer's
+series would get (``mean``, ``std(ddof=1)``, ``min``, ``max``,
+``np.median``), taken along axis 1: one call per count and statistic
+for all columns at once.  A row of exactly k contiguous values is summed
+in the same order as the 1-D series, so every float64 result has the
+same bits as the per-customer computation (kept as the test oracle in
 ``tests/oracles.py``).  NaN padding with ``nan*`` reductions would
-regroup the pairwise sums and move those bits.  Categorical ``nunique``
+regroup the pairwise sums and move those bits.  Categorical columns are
+packed one at a time the same way (real codes only), and ``nunique``
 counts value changes along each sorted row, skipping the pad code.
 
 The engineered matrix persists to a small binary container ("CSFM") so
@@ -154,8 +157,10 @@ def encode_categorical(last_codes: dict, mode: str, vocab: dict | None):
     ``last_codes`` maps column name to an int64 array (missing sentinel
     allowed).  Ordinal mode emits one ``<col>_code`` column; one-hot
     emits ``<col>_is_<v>`` indicators over the fitted vocabulary, with
-    unseen or missing codes leaving every indicator at zero.  Returns
-    (names, column arrays, vocabulary used).
+    unseen or missing codes leaving every indicator at zero.  A
+    vocabulary without an entry for one of the columns is a
+    ``DataError`` naming it.  Returns (names, column arrays, vocabulary
+    used).
     """
     if mode not in ENCODINGS:
         raise ConfigError(f"encode must be one of {ENCODINGS}, got {mode!r}")
@@ -174,7 +179,9 @@ def encode_categorical(last_codes: dict, mode: str, vocab: dict | None):
             names.append(f"{raw}_code")
             cols.append(values)
         else:
-            for v in vocab.get(raw, ()):
+            if raw not in vocab:
+                raise DataError(f"one-hot vocabulary has no entry for column {raw!r}")
+            for v in vocab[raw]:
                 names.append(f"{raw}_is_{v}")
                 cols.append((codes == v).astype(np.float64))
     return names, cols, vocab
@@ -192,7 +199,8 @@ def load_vocabulary(path) -> dict:
     """Read a saved one-hot vocabulary: raw column name -> code list.
 
     A file that cannot be read or parsed, or that does not map names to
-    lists of non-negative integer codes, is a ``DataError`` naming it.
+    lists of distinct non-negative integer codes, is a ``DataError``
+    naming it.
     """
     doc = read_json_doc(path, "vocabulary", DataError)
     if not isinstance(doc, dict):
@@ -205,6 +213,9 @@ def load_vocabulary(path) -> dict:
                 f"vocabulary {path}: {raw!r} must list non-negative integer codes, "
                 f"got {codes!r}"
             )
+        if len(set(codes)) != len(codes):
+            twice = next(c for i, c in enumerate(codes) if c in codes[:i])
+            raise DataError(f"vocabulary {path}: {raw!r} lists code {twice} twice")
     return doc
 
 
@@ -212,18 +223,22 @@ def load_vocabulary(path) -> dict:
 # grouped aggregation
 
 
-def _left_pack(owner: np.ndarray, values: np.ndarray, n: int, fill):
-    """Each customer's values side by side, in row order, from slot 0.
+def _slots(owner: np.ndarray) -> int:
+    """Slots a block row needs: the most rows any customer has (at least 1)."""
+    return max(int(np.bincount(owner).max(initial=0)), 1)
 
-    ``owner`` gives the customer index of every value and never
-    decreases.  Returns (count per customer, ``(n, max count)`` block);
-    slots past a customer's count hold ``fill``.
+
+def _left_pack(owner: np.ndarray, values: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Write each customer's values side by side, in row order, from slot 0.
+
+    ``owner`` gives the customer (block row) of every value and never
+    decreases.  Slots past a customer's count keep the fill ``block``
+    was made with.  Returns the count per customer.
     """
-    count = np.bincount(owner, minlength=n)
+    count = np.bincount(owner, minlength=block.shape[0])
     first = np.cumsum(count) - count
-    block = np.full((n, max(int(count.max(initial=0)), 1)), fill, dtype=values.dtype)
     block[owner, np.arange(owner.size) - first[owner]] = values
-    return count, block
+    return count
 
 
 # Statistics along axis 1 of a group of customers with exactly k valid
@@ -238,21 +253,31 @@ _ROW_STATS = {
 }
 
 
-def _continuous_stats(column: np.ndarray, owner: np.ndarray, n: int, stats) -> dict:
-    """``stats`` of each customer's non-NaN cells, as float64 arrays.
+def _continuous_stats(columns, owner: np.ndarray, n: int, stats) -> dict:
+    """``stats`` of each customer's non-NaN cells in each of ``columns``.
 
-    Customers with no valid cell get NaN everywhere, and customers with
-    one get NaN for ``std`` (sample deviation needs two observations).
-    A sum past float64 range gives ``inf``, which ``FeatureMatrix``
-    reports as a DataError naming the column; so does a sum that
-    overflows both ways, which NumPy leaves NaN.
+    Returns one float64 ``(len(columns), n)`` array per statistic, row j
+    for ``columns[j]``.  Each column's valid cells are left-packed into
+    its own slab of one block, so block row ``j * n + customer`` is one
+    (column, customer) series.  Each statistic is then one call per
+    series length over all columns.  The block is the only float64 copy
+    of the cells; no column is widened whole.  A series with no valid
+    cell gets NaN everywhere, and one with a single cell gets NaN for
+    ``std`` (sample deviation needs two observations).  A sum past
+    float64 range gives ``inf``, which ``FeatureMatrix`` reports as a
+    DataError naming the column; so does a sum that overflows both ways,
+    which NumPy leaves NaN.
     """
-    x = np.asarray(column, dtype=np.float64)
-    valid = ~np.isnan(x)
-    count, block = _left_pack(owner[valid], x[valid], n, 0.0)
-    out = {stat: np.full(n, np.nan) for stat in stats}
+    size, slots = len(columns) * n, _slots(owner)
+    block = np.zeros((len(columns), n, slots))
+    count = np.empty((len(columns), n), dtype=np.intp)
+    for j, column in enumerate(columns):
+        valid = ~np.isnan(column)
+        count[j] = _left_pack(owner[valid], column[valid], block[j])
+    count, block = count.reshape(size), block.reshape(size, slots)
+    out = {stat: np.full(size, np.nan) for stat in stats}
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in np.unique(count[count > 0]):
+        for k in np.flatnonzero(np.bincount(count)[1:]) + 1:
             rows = np.flatnonzero(count == k)
             group = block[rows, :k]
             for stat in stats:
@@ -262,14 +287,15 @@ def _continuous_stats(column: np.ndarray, owner: np.ndarray, n: int, stats) -> d
     for stat in ("mean", "std"):
         if stat in out:
             out[stat][np.isnan(out[stat]) & (count > 1)] = np.inf
-    return out
+    return {stat: values.reshape(len(columns), n) for stat, values in out.items()}
 
 
 def _categorical_stats(column: np.ndarray, owner: np.ndarray, n: int):
     """count, last real code (or MISSING_CODE) and distinct count per customer."""
     codes = np.asarray(column, dtype=np.int64)
     real = codes != MISSING_CODE
-    count, block = _left_pack(owner[real], codes[real], n, MISSING_CODE)
+    block = np.full((n, _slots(owner)), MISSING_CODE, dtype=np.int64)
+    count = _left_pack(owner[real], codes[real], block)
     last = block[np.arange(n), np.maximum(count - 1, 0)]
     # slot 0 of a customer without real codes holds the pad, MISSING_CODE
     ordered = np.sort(block, axis=1)
@@ -295,8 +321,8 @@ def build_matrix(table: StatementTable, spec: AggregationSpec, vocab: dict | Non
     if table.n_rows == 0:
         raise DataError("statement table has no rows")
     customers = table.customers()
-    ids, blocks = np.unique(customers, return_counts=True)
-    if ids.size != customers.size:
+    if len(set(customers.tolist())) != customers.size:
+        ids, blocks = np.unique(customers, return_counts=True)
         raise DataError(
             f"customer {ids[blocks > 1][0]!r} has statement rows in more than one "
             "block; each customer's rows must be contiguous"
@@ -315,21 +341,23 @@ def build_matrix(table: StatementTable, spec: AggregationSpec, vocab: dict | Non
 
     names: list[str] = []
     cols: list[np.ndarray] = []
-    for raw in cont:
-        stats = _continuous_stats(table.columns[raw], owner, n, need)
-        names.extend(f"{raw}_{stat}" for stat in cont_stats)
-        cols.extend(stats[stat] for stat in cont_stats)
+    if cont:
+        stats = _continuous_stats([table.columns[raw] for raw in cont], owner, n, need)
         if spec.lag_enabled:
             # subtract at storage precision so the emitted lag column
             # equals the emitted last/mean columns' difference exactly
-            names.append(f"{raw}_lag")
             with np.errstate(over="ignore", invalid="ignore"):
                 last, mean = stats["last"].astype(np.float32), stats["mean"].astype(np.float32)
                 lag = last - mean
             # inf - inf would read as missing: keep the overflow infinite, so
             # FeatureMatrix names the column
             lag[np.isnan(lag) & np.isinf(last)] = np.inf
-            cols.append(lag)
+    for j, raw in enumerate(cont):
+        names.extend(f"{raw}_{stat}" for stat in cont_stats)
+        cols.extend(stats[stat][j] for stat in cont_stats)
+        if spec.lag_enabled:
+            names.append(f"{raw}_lag")
+            cols.append(lag[j])
     last_codes = {}
     for raw in cat:
         count, last, nunique = _categorical_stats(table.columns[raw], owner, n)

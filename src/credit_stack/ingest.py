@@ -17,6 +17,7 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from datetime import date as _date
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
@@ -53,7 +54,9 @@ class StatementTable:
     Rows are grouped by customer in first-appearance order and sorted by
     statement date within each customer.  ``columns`` maps each
     non-identifier schema name to a per-row array (dates stored as
-    proleptic ordinals).
+    proleptic ordinals).  Tables are never mutated in place (every step
+    returns a new table), so the customers' row blocks are found once, on
+    first use, and kept read-only.
     """
 
     schema: list[ColumnSchema]
@@ -78,16 +81,24 @@ class StatementTable:
         """Unique customer ids in first-appearance order."""
         return self.customer_ids[self.row_starts()]
 
-    def row_starts(self) -> np.ndarray:
-        """Start offsets of each customer's contiguous row block."""
+    @cached_property
+    def _row_blocks(self) -> tuple[np.ndarray, np.ndarray]:
         ids = self.customer_ids
         if ids.size == 0:
-            return np.empty(0, dtype=np.intp)
-        return np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+            starts = np.empty(0, dtype=np.intp)
+        else:
+            starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+        counts = np.diff(np.append(starts, self.n_rows))
+        starts.flags.writeable = counts.flags.writeable = False
+        return starts, counts
+
+    def row_starts(self) -> np.ndarray:
+        """Start offsets of each customer's contiguous row block."""
+        return self._row_blocks[0]
 
     def row_counts(self) -> np.ndarray:
         """Number of rows in each customer's contiguous row block."""
-        return np.diff(np.append(self.row_starts(), self.n_rows))
+        return self._row_blocks[1]
 
 
 # ---------------------------------------------------------------------------

@@ -549,10 +549,12 @@ def test_exit_codes(work, tmp_path, capsys):
                "--config", str(zero),
                "--model-out", str(tmp_path / "m.json")) == 2
 
-    # 3: a vocabulary that is not JSON, not an object, or not integer codes
+    # 3: a vocabulary that is not JSON, not an object, not integer codes,
+    # lists a code twice or has no entry for the spec's categorical column
     onehot = tmp_path / "onehot_spec.json"
     onehot.write_text(json.dumps({"encode": "one-hot"}), encoding="utf-8")
-    for i, body in enumerate(("{not json", '["x"]', '{"cat_0": ["a"]}')):
+    for i, body in enumerate(("{not json", '["x"]', '{"cat_0": ["a"]}', '{"cat_0": [1, 1]}',
+                              '{"cat_9": [1]}')):
         vocab = tmp_path / f"vocab_{i}.json"
         vocab.write_text(body, encoding="utf-8")
         assert run("features", "--input", str(work / "clean.csv"), "--spec", str(onehot),

@@ -1,12 +1,13 @@
 """Feature engineering tests: aggregation, lag, window, encoding, container."""
 
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from credit_stack import synth
+from credit_stack import features, synth
 from credit_stack.errors import ConfigError, DataError
 from credit_stack.features import (
     CATEGORICAL_STATS,
@@ -18,6 +19,7 @@ from credit_stack.features import (
     encode_categorical,
     fit_vocabulary,
     load_matrix,
+    load_vocabulary,
     save_matrix,
     select_recent_window,
     spec_from_json,
@@ -163,6 +165,28 @@ def test_encode_one_hot_needs_vocabulary():
     codes = {"region": np.asarray([1], dtype=np.int64)}
     with pytest.raises(ConfigError, match="one-hot encoding needs a fitted code vocabulary"):
         encode_categorical(codes, "one-hot", None)
+
+
+def test_one_hot_vocabulary_without_a_column_is_an_error():
+    table = random_statement_table(np.random.default_rng(3), 10)
+    spec = AggregationSpec(encode="one-hot")
+    with pytest.raises(DataError, match="one-hot vocabulary has no entry for column 'product'"):
+        build_matrix(table, spec, vocab={"region": [1, 2]})
+    # an entry listing no codes is a choice, not a gap
+    matrix, _ = build_matrix(table, spec, vocab={"region": [1, 2], "product": []})
+    assert [name for name in matrix.column_names if "_is_" in name] == [
+        "region_is_1", "region_is_2"
+    ]
+
+
+def test_load_vocabulary_rejects_a_code_listed_twice(tmp_path):
+    path = tmp_path / "vocab.json"
+    path.write_text(json.dumps({"region": [1, 2], "product": [3, 7, 3]}), encoding="utf-8")
+    with pytest.raises(DataError, match="'product' lists code 3 twice") as err:
+        load_vocabulary(path)
+    assert str(path) in str(err.value)
+    path.write_text(json.dumps({"region": [1, 2], "product": [3, 7]}), encoding="utf-8")
+    assert load_vocabulary(path) == {"region": [1, 2], "product": [3, 7]}
 
 
 def test_build_matrix_column_arithmetic():
@@ -405,15 +429,36 @@ def test_grouped_reductions_match_per_customer_helper_in_float64():
         starts = table.row_starts()
         counts = np.diff(np.append(starts, table.n_rows))
         owner = np.repeat(np.arange(counts.size), counts)
-        for raw in ("bal", "spend", "tenure"):
+        raws = ("bal", "spend", "tenure")
+        got = _continuous_stats(
+            [table.columns[raw] for raw in raws], owner, counts.size, CONTINUOUS_STATS
+        )
+        for j, raw in enumerate(raws):
             column = table.columns[raw]
-            got = _continuous_stats(column, owner, counts.size, CONTINUOUS_STATS)
             helper = [aggregate_continuous(column[lo:lo + k]) for lo, k in zip(starts, counts)]
             for stat in CONTINUOUS_STATS:
                 want = np.asarray([row[stat] for row in helper])
                 np.testing.assert_array_equal(
-                    got[stat].view(np.uint64), want.view(np.uint64), err_msg=f"{raw}_{stat}"
+                    got[stat][j].view(np.uint64), want.view(np.uint64), err_msg=f"{raw}_{stat}"
                 )
+
+
+def test_build_matrix_aggregates_every_continuous_column_in_one_call(monkeypatch):
+    calls = []
+    grouped = features._continuous_stats
+
+    def counting(columns, *args):
+        calls.append(len(columns))
+        return grouped(columns, *args)
+
+    monkeypatch.setattr(features, "_continuous_stats", counting)
+    table = random_statement_table(np.random.default_rng(14), 30)
+    build_matrix(table, AggregationSpec())
+    assert calls == [3]  # bal, spend and tenure together
+    build_matrix(table, AggregationSpec(columns=("region", "product")))
+    assert calls == [3]  # no continuous column, no call
+    build_matrix(table, AggregationSpec(continuous_stats=(), recent_window=3, columns=("bal",)))
+    assert calls == [3, 1]
 
 
 def test_build_matrix_rejects_non_contiguous_customer():
@@ -526,7 +571,8 @@ def test_a_sum_that_overflows_both_ways_is_an_error_not_missing():
     owner = np.repeat([0, 1], [8, 2])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning on the way
-        got = _continuous_stats(column, owner, 2, CONTINUOUS_STATS)
+        stats = _continuous_stats([column], owner, 2, CONTINUOUS_STATS)
+    got = {stat: rows[0] for stat, rows in stats.items()}  # the one column's row
     assert got["mean"][0] == got["std"][0] == np.inf
     assert got["mean"][1] == 1.5 and got["median"][0] == 0.0
     table = tiny_table({"A": [(1.0, 1.0, 1)], "B": [(0.0, 1.0, 1)] * 8})
@@ -560,8 +606,6 @@ def test_spec_from_json_round_trip(tmp_path):
         "recent_window": 6,
         "encode": "one-hot",
     }
-    import json
-
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     spec = spec_from_json(path)

@@ -275,6 +275,16 @@ def test_take_keeps_each_customers_rows_and_renumbers_them(tmp_path):
     picked = table.take(np.array([2, 4]))
     assert picked.customer_ids.tolist() == ["A", "A"] and picked.statement_index.tolist() == [1, 2]
     assert table.take(np.zeros(5, dtype=bool)).statement_index.size == 0
+    # each taken table finds its own row blocks; the source keeps its
+    # blocks, found once and read-only
+    assert later.row_starts().tolist() == [0, 1] and later.row_counts().tolist() == [1, 2]
+    assert later.customers().tolist() == ["B", "A"]
+    assert picked.row_starts().tolist() == [0] and picked.row_counts().tolist() == [2]
+    assert picked.customers().tolist() == ["A"]
+    assert table.row_starts().tolist() == [0, 2] and table.row_counts().tolist() == [2, 3]
+    assert table.row_starts() is table.row_starts()
+    with pytest.raises(ValueError):
+        table.row_counts()[0] = 9
 
 
 def test_clean_file_pair_round_trip(tmp_path):
