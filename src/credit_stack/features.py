@@ -213,9 +213,11 @@ def load_vocabulary(path) -> dict:
                 f"vocabulary {path}: {raw!r} must list non-negative integer codes, "
                 f"got {codes!r}"
             )
-        if len(set(codes)) != len(codes):
-            twice = next(c for i, c in enumerate(codes) if c in codes[:i])
-            raise DataError(f"vocabulary {path}: {raw!r} lists code {twice} twice")
+        seen = set()
+        for code in codes:
+            if code in seen:
+                raise DataError(f"vocabulary {path}: {raw!r} lists code {code} twice")
+            seen.add(code)
     return doc
 
 
@@ -352,12 +354,12 @@ def build_matrix(table: StatementTable, spec: AggregationSpec, vocab: dict | Non
             # inf - inf would read as missing: keep the overflow infinite, so
             # FeatureMatrix names the column
             lag[np.isnan(lag) & np.isinf(last)] = np.inf
-    for j, raw in enumerate(cont):
-        names.extend(f"{raw}_{stat}" for stat in cont_stats)
-        cols.extend(stats[stat][j] for stat in cont_stats)
-        if spec.lag_enabled:
-            names.append(f"{raw}_lag")
-            cols.append(lag[j])
+        for j, raw in enumerate(cont):
+            names.extend(f"{raw}_{stat}" for stat in cont_stats)
+            cols.extend(stats[stat][j] for stat in cont_stats)
+            if spec.lag_enabled:
+                names.append(f"{raw}_lag")
+                cols.append(lag[j])
     last_codes = {}
     for raw in cat:
         count, last, nunique = _categorical_stats(table.columns[raw], owner, n)
