@@ -77,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--encode", choices=features_mod.ENCODINGS, default=None,
                    help="override the categorical encoding mode")
     p.add_argument("--vocab", default=None,
-                   help="one-hot vocabulary JSON: read when present, written after fitting")
+                   help="one-hot vocabulary JSON: read when present, written after fitting "
+                        "(one-hot encoding only)")
     p.add_argument("--out", required=True, help="feature matrix container to write")
 
     p = sub.add_parser("train", parents=[seeded],
@@ -154,7 +155,6 @@ def _cmd_prep(args) -> int:
 
 
 def _cmd_features(args) -> int:
-    table = ingest.read_clean(args.input)
     spec = features_mod.spec_from_json(args.spec)
     overrides = {}
     if args.window is not None:
@@ -163,7 +163,12 @@ def _cmd_features(args) -> int:
         overrides["encode"] = args.encode
     if overrides:
         spec = dataclasses.replace(spec, **overrides)
+    if args.vocab and spec.encode != "one-hot":
+        raise ConfigError(
+            f"--vocab applies only to one-hot encoding, not encode={spec.encode!r}"
+        )
 
+    table = ingest.read_clean(args.input)
     vocab = None
     if args.vocab and Path(args.vocab).exists():
         vocab = features_mod.load_vocabulary(args.vocab)

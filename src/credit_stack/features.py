@@ -3,8 +3,11 @@
 Each customer's 1..13 statements collapse into a single row: selected
 statistics per continuous column, a lag column (last minus mean), count
 / last / distinct-count statistics per categorical column, and an
-optional encoding of the final categorical codes.  Missing cells stay
-missing (NaN) so the tree learner can route them natively.
+optional encoding of the final categorical codes: ``ordinal`` is the
+``last`` statistic itself (added when the spec does not select it),
+``one-hot`` adds ``<col>_is_<v>`` indicators over a fitted vocabulary.
+Missing cells stay missing (NaN) so the tree learner can route them
+natively.
 
 Aggregation is one grouped pass over whole arrays.  Every valid cell
 (non-NaN value) of every continuous column the spec aggregates is
@@ -12,15 +15,16 @@ left-packed into one block, with one row per (column, customer) series
 holding that customer's cells of that column in row order.  Series with
 the same count k then form a dense group ``block[rows, :k]`` whatever
 their column, and each statistic is the NumPy call a single customer's
-series would get (``mean``, ``std(ddof=1)``, ``min``, ``max``,
-``np.median``), taken along axis 1: one call per count and statistic
-for all columns at once.  A row of exactly k contiguous values is summed
-in the same order as the 1-D series, so every float64 result has the
-same bits as the per-customer computation (kept as the test oracle in
-``tests/oracles.py``).  NaN padding with ``nan*`` reductions would
-regroup the pairwise sums and move those bits.  Categorical columns are
-packed one at a time the same way (real codes only), and ``nunique``
-counts value changes along each sorted row, skipping the pad code.
+series would get (``mean``, ``std(ddof=1)``, ``min``, ``max``, and
+``np.median``'s own formula on sorted rows), taken along axis 1: one
+call per count and statistic for all columns at once.  A row of exactly
+k contiguous values is summed in the same order as the 1-D series, so
+every float64 result has the same bits as the per-customer computation
+(kept as the test oracle in ``tests/oracles.py``).  NaN padding with
+``nan*`` reductions would regroup the pairwise sums and move those bits.
+Categorical columns are packed one at a time the same way (real codes
+only), and ``nunique`` counts value changes along each sorted row,
+skipping the pad code.
 
 The engineered matrix persists to a small binary container ("CSFM") so
 repeated pipeline stages never re-parse CSVs.
@@ -47,8 +51,12 @@ ENCODINGS = ("ordinal", "one-hot")
 class AggregationSpec:
     """Which statistics to compute and how to treat categorical codes.
 
-    ``columns`` optionally restricts aggregation to a subset of the raw
-    feature columns (identifier and date columns are never aggregated).
+    ``encode`` is ``None``, ``"ordinal"`` (each categorical column's
+    ``last`` statistic, which ``build_matrix`` adds when
+    ``categorical_stats`` omits it) or ``"one-hot"`` (``<col>_is_<v>``
+    indicators).  ``columns`` optionally restricts aggregation to a
+    subset of the raw feature columns (identifier and date columns are
+    never aggregated).
     """
 
     continuous_stats: tuple[str, ...] = CONTINUOUS_STATS
@@ -151,46 +159,36 @@ def _feature_columns(table: StatementTable, spec: AggregationSpec):
     return cont, cat
 
 
-def encode_categorical(last_codes: dict, mode: str, vocab: dict | None):
-    """Turn per-customer final codes into model columns.
+def encode_categorical(last_codes: dict, vocab: dict | None):
+    """One-hot columns of per-customer final codes.
 
     ``last_codes`` maps column name to an int64 array (missing sentinel
-    allowed).  Ordinal mode emits one ``<col>_code`` column; one-hot
-    emits ``<col>_is_<v>`` indicators over the fitted vocabulary, with
-    unseen or missing codes leaving every indicator at zero.  A
-    vocabulary without an entry for one of the columns is a
-    ``DataError`` naming it.  Returns (names, column arrays, vocabulary
-    used).
+    allowed).  Each column gets ``<col>_is_<v>`` indicators over the
+    fitted vocabulary, with unseen or missing codes leaving every
+    indicator at zero.  A vocabulary without an entry for one of the
+    columns is a ``DataError`` naming it.  Returns (names, column
+    arrays).
     """
-    if mode not in ENCODINGS:
-        raise ConfigError(f"encode must be one of {ENCODINGS}, got {mode!r}")
-    if mode == "one-hot" and vocab is None:
+    if vocab is None:
         raise ConfigError(
             "one-hot encoding needs a fitted code vocabulary; "
             "fit on training data first or pass the saved vocabulary"
         )
     names: list[str] = []
     cols: list[np.ndarray] = []
-    for raw in last_codes:
-        codes = last_codes[raw]
-        if mode == "ordinal":
-            values = codes.astype(np.float64)
-            values[codes == MISSING_CODE] = np.nan
-            names.append(f"{raw}_code")
-            cols.append(values)
-        else:
-            if raw not in vocab:
-                raise DataError(f"one-hot vocabulary has no entry for column {raw!r}")
-            for v in vocab[raw]:
-                names.append(f"{raw}_is_{v}")
-                cols.append((codes == v).astype(np.float64))
-    return names, cols, vocab
+    for raw, codes in last_codes.items():
+        if raw not in vocab:
+            raise DataError(f"one-hot vocabulary has no entry for column {raw!r}")
+        for v in vocab[raw]:
+            names.append(f"{raw}_is_{v}")
+            cols.append((codes == v).astype(np.float64))
+    return names, cols
 
 
 def fit_vocabulary(last_codes: dict) -> dict:
     """Sorted observed code list per categorical column (missing excluded)."""
     return {
-        raw: [int(v) for v in np.unique(codes[codes != MISSING_CODE])]
+        raw: sorted(set(codes[codes != MISSING_CODE].tolist()))
         for raw, codes in last_codes.items()
     }
 
@@ -243,6 +241,22 @@ def _left_pack(owner: np.ndarray, values: np.ndarray, block: np.ndarray) -> np.n
     return count
 
 
+def _row_median(group: np.ndarray) -> np.ndarray:
+    """``np.median(group, axis=1)`` by its own formula on sorted rows.
+
+    The middle value of an odd row, ``(a + b) / 2`` of the middle two of
+    an even one: the same bits, without the ``numpy.ma`` import that
+    ``np.median`` makes on first use.  ``np.median`` takes the mean of
+    the middle values, a sum that starts from +0.0, so ``+ 0.0`` makes a
+    -0.0 median +0.0 as it does.
+    """
+    ordered = np.sort(group, axis=1)
+    mid = group.shape[1] // 2
+    if group.shape[1] % 2:
+        return ordered[:, mid] + 0.0
+    return (ordered[:, mid - 1] + ordered[:, mid] + 0.0) / 2
+
+
 # Statistics along axis 1 of a group of customers with exactly k valid
 # values each; the module docstring says why they match the 1-D calls.
 _ROW_STATS = {
@@ -251,7 +265,7 @@ _ROW_STATS = {
     "min": lambda group: group.min(axis=1),
     "max": lambda group: group.max(axis=1),
     "last": lambda group: group[:, -1],
-    "median": lambda group: np.median(group, axis=1),
+    "median": _row_median,
 }
 
 
@@ -313,7 +327,9 @@ def build_matrix(table: StatementTable, spec: AggregationSpec, vocab: dict | Non
     ``table.customers()``, the order ``ingest.join_labels`` gives the
     labels in.  Column order is fixed: per continuous raw column in
     schema order, the selected stats in spec order then the lag column;
-    per categorical raw column, the selected stats; finally the encoded
+    per categorical raw column, the selected stats, followed by ``last``
+    when an ordinal spec does not select it (the ordinal encoding is the
+    last code, so it never adds a second copy); finally the one-hot
     columns.  Returns (matrix, vocabulary-or-None); one-hot encoding
     without a ``vocab`` fits one here, so a holdout or scoring table
     must be given the vocabulary fitted on its training table.  A spec
@@ -360,6 +376,9 @@ def build_matrix(table: StatementTable, spec: AggregationSpec, vocab: dict | Non
             if spec.lag_enabled:
                 names.append(f"{raw}_lag")
                 cols.append(lag[j])
+    cat_stats = list(spec.categorical_stats)
+    if spec.encode == "ordinal" and "last" not in cat_stats:
+        cat_stats.append("last")  # the ordinal encoding is the last code
     last_codes = {}
     for raw in cat:
         count, last, nunique = _categorical_stats(table.columns[raw], owner, n)
@@ -368,14 +387,14 @@ def build_matrix(table: StatementTable, spec: AggregationSpec, vocab: dict | Non
             "last": np.where(count > 0, last, np.nan),
             "nunique": nunique.astype(np.float64),
         }
-        names.extend(f"{raw}_{stat}" for stat in spec.categorical_stats)
-        cols.extend(stats[stat] for stat in spec.categorical_stats)
+        names.extend(f"{raw}_{stat}" for stat in cat_stats)
+        cols.extend(stats[stat] for stat in cat_stats)
         last_codes[raw] = last
 
-    if spec.encode is not None and cat:
-        if spec.encode == "one-hot" and vocab is None:
+    if spec.encode == "one-hot" and cat:
+        if vocab is None:
             vocab = fit_vocabulary(last_codes)
-        enc_names, enc_cols, vocab = encode_categorical(last_codes, spec.encode, vocab)
+        enc_names, enc_cols = encode_categorical(last_codes, vocab)
         names.extend(enc_names)
         cols.extend(enc_cols)
 

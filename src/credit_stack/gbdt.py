@@ -184,7 +184,7 @@ def build_bins(matrix: FeatureMatrix, max_bins: int = 255) -> BinMapper:
     ordered = np.sort(values, axis=0)  # NaN sorts last
     counts = np.count_nonzero(~np.isnan(values), axis=0)
     cuts = np.empty((qs.size, matrix.n_cols))
-    for n in np.unique(counts[counts > 1]):
+    for n in sorted(set(counts[counts > 1].tolist())):
         cols = np.flatnonzero(counts == n)
         cuts[:, cols] = _linear_quantiles(ordered[:n, cols], qs)
     # np.unique per column: sort, then keep each value unlike the one before

@@ -18,8 +18,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .gbdt import importance
+from .gbdt import _linear_quantiles, importance
 from .serialize import open_output, write_json
+
+
+# np.percentile's 25, 50 and 75, divided by 100 as it divides them
+_QUARTILES = np.array([25.0, 50.0, 75.0]) / 100
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,8 @@ def build_importance_report(
     totals: dict = {}
     for col in used:
         values = np.array([fold.get(col, 0.0) for fold in per_fold], dtype=np.float64)
-        q1, med, q3 = np.percentile(values, [25.0, 50.0, 75.0])
+        values.sort()
+        q1, med, q3 = _linear_quantiles(values[:, None], _QUARTILES)[:, 0]
         box[col] = BoxStats(float(med), float(q1), float(q3),
                             float(values.min()), float(values.max()))
         totals[col] = float(sum(fold.get(col, 0.0) for fold in per_fold_total))

@@ -281,6 +281,9 @@ def build_matrix_by_customer(table, spec, vocab=None):
     bounds = np.concatenate((table.row_starts(), [table.n_rows]))
     cont_stats = list(spec.continuous_stats)
     need = set(cont_stats) | ({"last", "mean"} if spec.lag_enabled else set())
+    cat_stats = list(spec.categorical_stats)
+    if spec.encode == "ordinal" and "last" not in cat_stats:
+        cat_stats.append("last")
 
     names: list[str] = []
     for raw in cont:
@@ -288,7 +291,7 @@ def build_matrix_by_customer(table, spec, vocab=None):
         if spec.lag_enabled:
             names.append(f"{raw}_lag")
     for raw in cat:
-        names.extend(f"{raw}_{stat}" for stat in spec.categorical_stats)
+        names.extend(f"{raw}_{stat}" for stat in cat_stats)
 
     n = customers.size
     base = np.empty((n, len(names)), dtype=np.float64)
@@ -303,15 +306,15 @@ def build_matrix_by_customer(table, spec, vocab=None):
                 row.append(float(np.float32(stats["last"]) - np.float32(stats["mean"])))
         for raw in cat:
             stats = aggregate_categorical(table.columns[raw][lo:hi])
-            row.extend(stats[s] for s in spec.categorical_stats)
+            row.extend(stats[s] for s in cat_stats)
             last_codes[raw][i] = -1 if math.isnan(stats["last"]) else int(stats["last"])
         base[i] = row
 
     blocks = [base]
-    if spec.encode is not None and cat:
-        if spec.encode == "one-hot" and vocab is None:
+    if spec.encode == "one-hot" and cat:
+        if vocab is None:
             vocab = features.fit_vocabulary(last_codes)
-        enc_names, enc_cols, vocab = features.encode_categorical(last_codes, spec.encode, vocab)
+        enc_names, enc_cols = features.encode_categorical(last_codes, vocab)
         names.extend(enc_names)
         if enc_cols:
             blocks.append(np.column_stack(enc_cols))

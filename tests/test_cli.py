@@ -6,8 +6,11 @@ import hashlib
 import io
 import json
 import logging
+import os
 import re
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -91,7 +94,8 @@ def test_features_matrix_aligns_with_labels(work):
     assert matrix.n_rows == len(labels)
     assert set(matrix.customer_ids) == set(labels)
     assert any(name.endswith("_mean") for name in matrix.column_names)
-    assert "cat_0_code" in matrix.column_names
+    assert "cat_0_last" in matrix.column_names  # the ordinal encoding
+    assert not any(name.endswith("_code") for name in matrix.column_names)
 
 
 def test_train_and_eval_chain(work):
@@ -674,6 +678,47 @@ def test_features_vocab_is_written_then_read(work, tmp_path):
                    "--vocab", str(vocab), "--out", str(tmp_path / out)) == 0
     assert features.load_vocabulary(vocab) == json.loads(vocab.read_text(encoding="utf-8"))
     assert (tmp_path / "fit.bin").read_bytes() == (tmp_path / "reuse.bin").read_bytes()
+
+
+@pytest.mark.parametrize("spec_encode, override", [
+    (None, None), ("ordinal", None), ("one-hot", "ordinal"),
+], ids=["no_encoding", "ordinal", "ordinal_override"])
+def test_features_vocab_without_one_hot_encoding_exits_2_naming_it(
+    work, tmp_path, capsys, spec_encode, override
+):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"encode": spec_encode}), encoding="utf-8")
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{not json", encoding="utf-8")
+    missing, out = tmp_path / "missing.json", tmp_path / "out.bin"
+    encode = ["--encode", override] if override else []
+    for vocab in (missing, malformed):
+        capsys.readouterr()
+        assert run("features", "--input", str(work / "clean.csv"), "--spec", str(spec),
+                   *encode, "--vocab", str(vocab), "--out", str(out)) == 2
+        assert "--vocab applies only to one-hot encoding" in capsys.readouterr().err
+        assert not out.exists() and not missing.exists()
+    # found before the cleaned file is read
+    assert run("features", "--input", str(tmp_path / "absent.csv"), "--spec", str(spec),
+               *encode, "--vocab", str(missing), "--out", str(out)) == 2
+
+
+def test_run_never_imports_numpy_ma(work, tmp_path):
+    # numpy.ma costs a run 12-16 ms of import; np.median, np.percentile and
+    # a bare np.unique load it on first use
+    config = pipeline_config(work, tmp_path / "run.json", tmp_path / "run", THREE_MEMBERS)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))
+    ))
+    probe = (
+        "import sys; from credit_stack.cli import main; "
+        "code = main(['run', '--quiet', '--config', sys.argv[1]]); "
+        "print(code, 'numpy.ma' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", probe, str(config)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.stdout.split() == ["0", "False"], done.stderr
 
 
 def test_seed_override_changes_output(work, tmp_path):

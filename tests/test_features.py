@@ -137,7 +137,7 @@ def test_select_recent_window_degenerate():
 def test_encode_one_hot_columns():
     codes = {"region": np.asarray([0, 1, 2, 1], dtype=np.int64)}
     vocab = fit_vocabulary(codes)
-    names, cols, _ = encode_categorical(codes, "one-hot", vocab)
+    names, cols = encode_categorical(codes, vocab)
     assert names == ["region_is_0", "region_is_1", "region_is_2"]
     got = np.stack(cols, axis=1)
     np.testing.assert_array_equal(
@@ -149,22 +149,15 @@ def test_encode_one_hot_unseen_is_all_zeros():
     train = {"region": np.asarray([0, 1, 2], dtype=np.int64)}
     vocab = fit_vocabulary(train)
     test = {"region": np.asarray([9, MISSING_CODE], dtype=np.int64)}
-    _, cols, _ = encode_categorical(test, "one-hot", vocab)
+    _, cols = encode_categorical(test, vocab)
     got = np.stack(cols, axis=1)
     np.testing.assert_array_equal(got, [[0, 0, 0], [0, 0, 0]])
-
-
-def test_encode_ordinal_cast():
-    codes = {"region": np.asarray([1, MISSING_CODE], dtype=np.int64)}
-    names, cols, _ = encode_categorical(codes, "ordinal", None)
-    assert names == ["region_code"]
-    assert cols[0][0] == 1.0 and math.isnan(cols[0][1])
 
 
 def test_encode_one_hot_needs_vocabulary():
     codes = {"region": np.asarray([1], dtype=np.int64)}
     with pytest.raises(ConfigError, match="one-hot encoding needs a fitted code vocabulary"):
-        encode_categorical(codes, "one-hot", None)
+        encode_categorical(codes, None)
 
 
 def test_one_hot_vocabulary_without_a_column_is_an_error():
@@ -221,10 +214,27 @@ def test_build_matrix_full_spec_names():
         "spend_mean", "spend_std", "spend_min", "spend_max", "spend_last",
         "spend_median", "spend_lag",
         "region_count", "region_last", "region_nunique",
-        "region_code",
     ]
     assert matrix.column_names == expected
     assert vocab is None  # ordinal codes need no vocabulary
+
+
+def test_ordinal_encoding_is_the_last_statistic_never_a_copy():
+    table = random_statement_table(np.random.default_rng(4), 12)
+    plain, _ = build_matrix(table, AggregationSpec())
+    ordinal, vocab = build_matrix(table, AggregationSpec(encode="ordinal"))
+    assert vocab is None
+    assert ordinal.column_names == plain.column_names
+    assert ordinal.values.tobytes() == plain.values.tobytes()
+    # a spec that omits `last` gets it after its categorical stats
+    spec = AggregationSpec(continuous_stats=(), lag_enabled=False,
+                           categorical_stats=("nunique", "count"), encode="ordinal")
+    matrix, _ = build_matrix(table, spec)
+    assert matrix.column_names == [
+        "region_nunique", "region_count", "region_last",
+        "product_nunique", "product_count", "product_last",
+    ]
+    np.testing.assert_array_equal(matrix.column("region_last"), plain.column("region_last"))
 
 
 def test_build_matrix_respects_column_subset():
@@ -491,7 +501,7 @@ def test_build_matrix_encoding_alone_is_enough():
         continuous_stats=(), categorical_stats=(), columns=("region",), encode="ordinal"
     )
     matrix, _ = build_matrix(table, spec)
-    assert matrix.column_names == ["region_code"]
+    assert matrix.column_names == ["region_last"]
 
 
 def test_matrix_container_round_trip(tmp_path):

@@ -454,6 +454,32 @@ def test_split_search_ties_go_to_lower_column_and_missing_left():
 @pytest.mark.parametrize(
     "cfg",
     [
+        TrainConfig(rounds=6, max_leaves=9, min_child_weight=0.0, seed=2),
+        TrainConfig(rounds=6, max_leaves=7, max_bins=16, goss_a=0.2, goss_b=0.3, seed=5),
+    ],
+    ids=["plain", "goss"],
+)
+def test_exact_copies_appended_after_their_columns_leave_the_model_unchanged(cfg):
+    # every candidate of a copy ties its original, and ties keep the lower
+    # column, so a matrix's duplicate columns never reach a model
+    rng = np.random.default_rng(27)
+    x = rng.normal(size=(240, 4))
+    x[:, 2] = rng.integers(0, 5, size=240)  # a categorical code
+    x[rng.random(x.shape) < 0.15] = np.nan
+    y = (np.nan_to_num(x[:, 0]) + np.nan_to_num(x[:, 2]) / 2 + rng.normal(size=240) > 1)
+    y = y.astype(np.int8)
+    model = model_to_dict(train(matrix_of(x), y, cfg))
+    assert {"f0", "f2"} <= {feature for feature, _ in model["split_records"]}
+    copies = matrix_of(
+        np.column_stack((x, x[:, [2, 0, 2]])),
+        names=["f0", "f1", "f2", "f3", "f2_copy", "f0_copy", "f2_copy2"],
+    )
+    assert model_to_dict(train(copies, y, cfg)) == model
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
         TrainConfig(rounds=6, max_leaves=9, seed=2),
         TrainConfig(rounds=6, max_leaves=7, max_bins=16, goss_a=0.2, goss_b=0.3,
                     l2_lambda=0.0, min_child_weight=0.5, seed=5),

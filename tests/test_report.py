@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from credit_stack.errors import ConfigError, DataError
@@ -41,6 +42,18 @@ def test_report_box_statistics():
     gamma = report.box["gamma"]  # 0, 1, 0: absent folds count as zero
     assert gamma.min == gamma.median == 0.0
     assert gamma.max == 1.0
+
+
+def test_report_quartiles_have_np_percentile_bits():
+    rng = np.random.default_rng(27)
+    for _ in range(200):
+        k = int(rng.integers(2, 11))
+        gains = rng.exponential(size=k) * 10.0 ** rng.integers(-3, 4)
+        gains[rng.random(k) < 0.3] = gains[0]  # ties
+        folds = [fold_model([("alpha", float(g))]) for g in gains]
+        box = build_importance_report(folds, kind="total_gain").box["alpha"]
+        want = np.percentile(gains, [25.0, 50.0, 75.0])
+        assert np.array([box.q1, box.median, box.q3]).tobytes() == want.tobytes()
 
 
 def test_report_cumulative_curve():
