@@ -3,11 +3,12 @@
 The ensemble prediction is a weighted sum of member probability
 vectors with non-negative weights summing to one.  Because the target
 score is a pure rank statistic (piecewise constant in the weights),
-the weight search is derivative-free: the simplex is scanned on a
-fixed lattice — exhaustively for up to three members, by steepest
-single-step ascent from the best vertex beyond that.  Ties keep the
-first candidate in scan order, so two identical members resolve to
-weight (1, 0).
+the weight search is derivative-free: one scan scores lists of
+candidates on a fixed lattice — every lattice point for up to three
+members, and beyond that the vertices, then each step's single-step
+moves from the incumbent until none improves it.  Ties keep the first
+candidate in scan order, so two identical members resolve to weight
+(1, 0).
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from itertools import groupby
 from numbers import Real
-from operator import itemgetter
 
 import numpy as np
 
@@ -118,17 +117,32 @@ def lattice_ticks(step, name: str = "step") -> int:
     return ticks
 
 
+def _scan(candidates, ticks, stacked, labels, incumbent):
+    """The best (integer weights, M) of ``incumbent`` and ``candidates``.
+
+    The list is divided by ``ticks`` as one array and each candidate
+    scored with one ``composite_metric`` call; only a strict improvement
+    replaces the incumbent, so the earliest candidate wins a tie.
+    """
+    best_w, best_m = incumbent
+    for candidate, w in zip(candidates, np.array(candidates, dtype=np.float64) / ticks):
+        value = composite_metric(labels, w @ stacked).M
+        if value > best_m:
+            best_w, best_m = candidate, value
+    return best_w, best_m
+
+
 def optimize_weights(predictions, labels, step: float = 0.01, member_names=None):
     """Search the weight simplex for the best composite metric M.
 
-    Scans the full lattice at the given resolution for two or three
-    members; with more members, starts at the best single-member vertex
-    and repeatedly applies the best mass move of one step between any
-    pair of members until no move improves M.  Returns (EnsembleSpec,
-    best M); only strict improvements replace the incumbent, so the
-    earliest candidate wins all ties.  The member names and the labels
-    are checked, and the labels prepared, once before the first
-    candidate is scored.
+    Every candidate goes through one scan.  For two or three members it
+    is the full lattice at the given resolution, one block per leading
+    weight; with more, the single-member vertices first, then each
+    step's moves of one tick between any pair of members, in (from, to)
+    order, until a step leaves the incumbent in place.  Returns
+    (EnsembleSpec, best M); the earliest candidate wins all ties.  The
+    member names and the labels are checked, and the labels prepared,
+    once before the first candidate is scored.
     """
     stacked = _stacked(predictions)
     m = stacked.shape[0]
@@ -141,44 +155,25 @@ def optimize_weights(predictions, labels, step: float = 0.01, member_names=None)
     _check_unique(names)
     prepared = Labels(labels)
 
-    def score(int_weights) -> float:
-        w = np.asarray(int_weights, dtype=np.float64) / ticks
-        return composite_metric(prepared, w @ stacked).M
-
-    best_w, best_m = None, -np.inf
+    best = (None, -np.inf)
     if m <= 3:
-        # one division per block of candidates that share a leading weight
-        for _, block in groupby(_lattice(ticks, m), key=itemgetter(0)):
-            block = list(block)
-            for candidate, w in zip(block, np.array(block, dtype=np.float64) / ticks):
-                value = composite_metric(prepared, w @ stacked).M
-                if value > best_m:
-                    best_w, best_m = candidate, value
+        for head in range(ticks, -1, -1):
+            block = [(head,) + tail for tail in _lattice(ticks - head, m - 1)]
+            best = _scan(block, ticks, stacked, prepared, best)
     else:
-        for i in range(m):  # vertices, leading member first
-            vertex = tuple(ticks if j == i else 0 for j in range(m))
-            value = score(vertex)
-            if value > best_m:
-                best_w, best_m = vertex, value
-        improved = True
-        while improved:
-            improved = False
-            move_best_w, move_best_m = None, best_m
-            for i in range(m):
-                if best_w[i] == 0:
-                    continue
-                for j in range(m):
-                    if j == i:
-                        continue
-                    trial = list(best_w)
-                    trial[i] -= 1
-                    trial[j] += 1
-                    value = score(trial)
-                    if value > move_best_m:
-                        move_best_w, move_best_m = tuple(trial), value
-            if move_best_w is not None:
-                best_w, best_m, improved = move_best_w, move_best_m, True
+        vertices = [tuple(ticks if j == i else 0 for j in range(m)) for i in range(m)]
+        best = _scan(vertices, ticks, stacked, prepared, best)
+        while True:
+            w = best[0]
+            moves = [
+                tuple(w[k] - (k == i) + (k == j) for k in range(m))
+                for i in range(m) if w[i] for j in range(m) if j != i
+            ]
+            best = _scan(moves, ticks, stacked, prepared, best)
+            if best[0] == w:
+                break
 
+    best_w, best_m = best
     spec = EnsembleSpec(names, tuple(w / ticks for w in best_w))
     log.info("blend weights %s -> M %.6f", dict(zip(names, spec.weights)), best_m)
     return spec, float(best_m)

@@ -267,8 +267,9 @@ def check_config_doc(doc, what: str, config_class) -> dict:
     rules stay with it.  ConfigError, naming ``what``: a non-object (never
     read as a path), an unknown key, a missing key with no default, or a
     value unfit for its annotation: ``None`` only where allowed, an int or
-    float never a bool, a float a finite float64.  Lists come back as
-    tuples (the bounds of a ``tuple[float, float]`` as floats).
+    float never a bool, a float a finite float64, a list of names naming
+    each once.  Lists come back as tuples (the bounds of a
+    ``tuple[float, float]`` as floats).
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must be a JSON object")
@@ -288,6 +289,9 @@ def check_config_doc(doc, what: str, config_class) -> dict:
         valid, described = _FIELD_TYPES[kind]
         if not valid(value):
             raise ConfigError(f"{what} key {f.name!r} must be {described}, got {value!r}")
+        if kind == "tuple[str, ...]" and len(set(value)) != len(value):
+            twice = next(name for i, name in enumerate(value) if name in value[:i])
+            raise ConfigError(f"{what} key {f.name!r} names {twice!r} more than once")
         if kind.startswith("tuple"):
             doc[f.name] = tuple(map(float, value) if "float" in kind else value)
     return doc

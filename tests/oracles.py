@@ -18,7 +18,10 @@ raises its ``DataError`` messages; ``SearchEveryLeafGrower``
 replaces ``gbdt._TreeGrower``, inherits its partition, gain and heap
 code and reads the histogram layout (``stride``, ``offsets``,
 ``miss_pos``, ``is_cand``, ``first``) from the grower's ``BinMapper``,
-so only the skipped split work is under test.
+so only the skipped split work is under test; ``two_loop_optimize_weights``
+replaces ``blend.optimize_weights``, reuses its argument checks, lattice
+and ``EnsembleSpec`` and scores through ``blend.composite_metric``, so
+only the order and count of the scored candidates are under test.
 """
 
 from __future__ import annotations
@@ -27,15 +30,16 @@ import csv
 import heapq
 import io
 import math
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 
 import numpy as np
 
-from credit_stack import features
+from credit_stack import blend, features
 from credit_stack.errors import ConfigError, DataError
 from credit_stack.gbdt import BinMapper, Node, _LeafCandidate, _TreeGrower
 from credit_stack.ingest import _format_value
-from credit_stack.metric import MetricReport
+from credit_stack.metric import Labels, MetricReport
 
 NEG_W = 20.0
 
@@ -367,6 +371,60 @@ def exhaustive_blend_best_m(vectors, labels, step):
         if m > best:
             best = m
     return best
+
+
+def two_loop_optimize_weights(predictions, labels, step=0.01, member_names=None):
+    """The weight search with one scoring loop per search: a block loop
+    over the lattice for up to three members, and a scoring closure for
+    the single-step ascent beyond that.  Returns (EnsembleSpec, best M)."""
+    stacked = blend._stacked(predictions)
+    m = stacked.shape[0]
+    if m < 2:
+        raise ConfigError("weight search needs at least two members")
+    ticks = blend.lattice_ticks(step)
+    names = tuple(member_names) if member_names else tuple(f"member_{i}" for i in range(m))
+    if len(names) != m:
+        raise ConfigError(f"{len(names)} member names for {m} members")
+    blend._check_unique(names)
+    prepared = Labels(labels)
+
+    def score(int_weights) -> float:
+        w = np.asarray(int_weights, dtype=np.float64) / ticks
+        return blend.composite_metric(prepared, w @ stacked).M
+
+    best_w, best_m = None, -np.inf
+    if m <= 3:
+        for _, block in groupby(blend._lattice(ticks, m), key=itemgetter(0)):
+            block = list(block)
+            for candidate, w in zip(block, np.array(block, dtype=np.float64) / ticks):
+                value = blend.composite_metric(prepared, w @ stacked).M
+                if value > best_m:
+                    best_w, best_m = candidate, value
+    else:
+        for i in range(m):
+            vertex = tuple(ticks if j == i else 0 for j in range(m))
+            value = score(vertex)
+            if value > best_m:
+                best_w, best_m = vertex, value
+        improved = True
+        while improved:
+            improved = False
+            move_best_w, move_best_m = None, best_m
+            for i in range(m):
+                if best_w[i] == 0:
+                    continue
+                for j in range(m):
+                    if j == i:
+                        continue
+                    trial = list(best_w)
+                    trial[i] -= 1
+                    trial[j] += 1
+                    value = score(trial)
+                    if value > move_best_m:
+                        move_best_w, move_best_m = tuple(trial), value
+            if move_best_w is not None:
+                best_w, best_m, improved = move_best_w, move_best_m, True
+    return blend.EnsembleSpec(names, tuple(w / ticks for w in best_w)), float(best_m)
 
 
 def tree_walk_probability(model_doc, row):

@@ -19,7 +19,11 @@ from credit_stack.errors import ConfigError, DataError
 from credit_stack.metric import composite_metric
 from credit_stack.pipeline import config_from_json
 from credit_stack.serialize import read_json_doc
-from oracles import exhaustive_blend_best_m, three_pass_composite_metric
+from oracles import (
+    exhaustive_blend_best_m,
+    three_pass_composite_metric,
+    two_loop_optimize_weights,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +243,46 @@ def test_search_with_three_pass_metric_gives_the_same_blend(m, monkeypatch):
         assert set(calls) == {y.size}  # every call's len() is the row count
         if m <= 3:  # one metric call per lattice point, no batching
             assert len(calls) == comb(20 + m - 1, m - 1)
+
+
+def noisy_members(n, seed, levels=None):
+    """Five equally weak, independent members and a copy of the second:
+    blends beat the vertices, and the copy ties its original.  With
+    ``levels``, each is rounded to that many levels, so scores tie too."""
+    rng = np.random.default_rng(seed)
+    y = (rng.random(n) < 0.3).astype(np.int64)
+    members = [np.clip(0.3 * y + 0.35 + rng.normal(scale=0.25, size=n), 0.0, 1.0)
+               for _ in range(5)]
+    if levels:
+        members = [np.round(v * levels) / levels for v in members]
+    return y, members + [members[1]]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_search_scans_what_the_two_loop_search_scans(m, monkeypatch):
+    scanned = []
+
+    def recorded(labels, preds):
+        scanned.append(preds.tobytes())
+        return composite_metric(labels, preds)
+
+    monkeypatch.setattr(blend_mod, "composite_metric", recorded)
+    moved = 0
+    for seed in range(4):
+        for levels in (None, 8):
+            y, members = noisy_members(80, seed, levels)
+            for step in (1.0, 0.5, 0.2, 0.1, 0.05):
+                case = (seed, levels, step)
+                scanned.clear()
+                spec, best = optimize_weights(members[:m], y, step=step)
+                ours = list(scanned)
+                scanned.clear()
+                want_spec, want_best = two_loop_optimize_weights(members[:m], y, step=step)
+                assert spec == want_spec, case
+                assert best.hex() == want_best.hex(), case
+                assert ours == scanned, case
+                moved += max(spec.weights) < 1.0
+    assert moved >= 30  # all but the one-tick searches leave the vertices
 
 
 @pytest.mark.parametrize("step", [0.03, 0, 2.0, -0.5, float("nan"), "0.05", True])

@@ -641,6 +641,22 @@ def test_exit_codes(work, tmp_path, capsys):
     assert "members" in capsys.readouterr().err
     assert not (tmp_path / "five_run").exists()
 
+    # 2: a list of names naming one twice, the error naming the key and
+    # the name; nothing is written
+    twice_spec = tmp_path / "twice_spec.json"
+    twice_spec.write_text(json.dumps({"continuous_stats": ["mean", "mean"]}), encoding="utf-8")
+    assert run("features", "--input", str(work / "clean.csv"), "--spec", str(twice_spec),
+               "--out", str(tmp_path / "twice.bin")) == 2
+    assert "'continuous_stats' names 'mean' more than once" in capsys.readouterr().err
+    assert not (tmp_path / "twice.bin").exists()
+    twice_meta = _fuzz_pipeline(work, tmp_path / "twice_meta_run")
+    twice_meta["members"][1]["meta_from"] = ["a", "a"]
+    twice_pipe = tmp_path / "twice_meta.json"
+    twice_pipe.write_text(json.dumps(twice_meta), encoding="utf-8")
+    assert run("run", "--config", str(twice_pipe)) == 2
+    assert "member 1 key 'meta_from' names 'a' more than once" in capsys.readouterr().err
+    assert not (tmp_path / "twice_meta_run").exists()
+
     # 3: a fold model whose numbers are not finite, whose feature is not a
     # name or whose tree walk could leave the tree; nothing is written
     def stump(**root):

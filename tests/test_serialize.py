@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from credit_stack import features, pipeline, synth
 from credit_stack.cv_stack import FoldPlan, save_oof
 from credit_stack.errors import ConfigError, DataError
 from credit_stack.ingest import ColumnSchema, StatementTable, read_clean, write_clean
@@ -49,6 +50,26 @@ def test_only_serialize_reads_and_writes_csv_and_json():
     ]
     assert len(list(SRC.glob("*.py"))) > 10
     assert offenders == []
+
+
+@pytest.mark.parametrize("load, doc, what", [
+    (features.spec_from_json, {"continuous_stats": ["mean", "max", "mean"]},
+     "aggregation spec key 'continuous_stats' names 'mean'"),
+    (features.spec_from_json, {"categorical_stats": ["last", "last"]},
+     "aggregation spec key 'categorical_stats' names 'last'"),
+    (features.spec_from_json, {"columns": ["cont_00", "cat_0", "cont_00"]},
+     "aggregation spec key 'columns' names 'cont_00'"),
+    (pipeline.config_from_json,
+     {"data": "d.csv", "labels": "l.csv", "schema": "s.json", "out_dir": "out",
+      "members": [{"name": "a"}, {"name": "b", "meta_from": ["a", "a"]}]},
+     "member 1 key 'meta_from' names 'a'"),
+    (synth.config_from_json, {"n_customers": 40, "signal_features": ["cont_01", "cont_01"]},
+     "synth config key 'signal_features' names 'cont_01'"),
+], ids=["continuous_stats", "categorical_stats", "columns", "meta_from", "signal_features"])
+def test_config_list_names_each_entry_once(load, doc, what):
+    with pytest.raises(ConfigError, match=f"^{what} more than once$") as raised:
+        load(doc)
+    assert raised.value.exit_code == 2
 
 
 def test_read_csv_rows_rejects_garbage(tmp_path):
