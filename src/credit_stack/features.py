@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .ingest import MISSING_CODE, StatementTable
-from .serialize import load_config_doc, open_output, read_json_doc
+from .serialize import check_config_doc, load_config_doc, open_output, read_json_doc
 
 CONTINUOUS_STATS = ("mean", "std", "min", "max", "last", "median")
 CATEGORICAL_STATS = ("count", "last", "nunique")
@@ -67,6 +67,7 @@ class AggregationSpec:
     columns: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        check_config_doc(vars(self), "aggregation spec", AggregationSpec)
         for stat in self.continuous_stats:
             if stat not in CONTINUOUS_STATS:
                 raise ConfigError(f"unknown continuous stat {stat!r}")
@@ -108,7 +109,9 @@ class FeatureMatrix:
                 f"{len(self.customer_ids)} ids x {len(self.column_names)} names"
             )
         if len(set(self.column_names)) != len(self.column_names):
-            raise DataError("duplicate engineered column names")
+            names = self.column_names
+            twice = next(name for i, name in enumerate(names) if name in names[:i])
+            raise DataError(f"duplicate engineered column names: {twice!r} appears more than once")
         infinite = np.isinf(self.values)
         if infinite.any():
             row, col = np.argwhere(infinite)[0]

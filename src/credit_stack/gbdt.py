@@ -62,7 +62,8 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .features import FeatureMatrix
 from .ingest import check_labels
-from .serialize import is_finite_number, load_config_doc, read_json_doc, write_json
+from .serialize import (check_config_doc, is_finite_number, load_config_doc, read_json_doc,
+                        write_json)
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_config_doc(vars(self), "train config", TrainConfig)
         if self.rounds < 0:
             raise ConfigError(f"rounds must be >= 0, got {self.rounds}")
         if not 0.0 < self.learning_rate <= 1.0:
@@ -242,37 +244,33 @@ def _sigmoid(s: np.ndarray) -> np.ndarray:
 def goss_sample(grads, a: float, b: float, seed):
     """One-side sample: keep the big-gradient rows, thin the rest.
 
-    The ceil(a*n) rows with largest |gradient| survive with multiplier
-    1; ceil(b*n) rows drawn uniformly without replacement from the
-    remainder survive with multiplier (1-a)/b, which keeps the sampled
-    small-gradient mass unbiased in expectation.  Returns ascending row
-    indices and their aligned multipliers.  ``seed`` may be an integer
-    or an existing numpy Generator.
+    Returns one float64 weight per row.  The ceil(a*n) rows with largest
+    |gradient| weigh 1; ceil(b*n) rows drawn uniformly without
+    replacement from the remainder weigh (1-a)/b, which keeps the
+    sampled small-gradient mass unbiased in expectation; every other row
+    weighs 0.  With a >= 1 every row weighs 1.  ``seed`` may be an
+    integer or an existing numpy Generator.
     """
     g = np.asarray(grads, dtype=np.float64)
     n = g.size
     if not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0 and a + b <= 1.0 + 1e-12):
         raise ConfigError(f"invalid sampling fractions a={a}, b={b}")
     if a >= 1.0:
-        return np.arange(n, dtype=np.int64), np.ones(n, dtype=np.float64)
+        return np.ones(n, dtype=np.float64)
     if b == 0.0:
         raise ConfigError("a < 1 with b = 0 discards all small-gradient rows")
 
     n_top = math.ceil(a * n)
     by_magnitude = np.argsort(-np.abs(g), kind="stable")
-    top = by_magnitude[:n_top]
     rest = np.sort(by_magnitude[n_top:])
     n_rest = min(math.ceil(b * n), rest.size)
 
     rng = np.random.default_rng(seed)
-    sampled = rng.choice(rest, size=n_rest, replace=False) if n_rest else rest[:0]
-
-    index = np.concatenate((top, sampled))
-    mult = np.concatenate(
-        (np.ones(top.size), np.full(sampled.size, (1.0 - a) / b))
-    )
-    order = np.argsort(index, kind="stable")
-    return index[order].astype(np.int64), mult[order]
+    weight = np.zeros(n, dtype=np.float64)
+    weight[by_magnitude[:n_top]] = 1.0
+    if n_rest:
+        weight[rng.choice(rest, size=n_rest, replace=False)] = (1.0 - a) / b
+    return weight
 
 
 # ---------------------------------------------------------------------------
@@ -485,14 +483,10 @@ def train(matrix: FeatureMatrix, labels, config: TrainConfig) -> BoostedModel:
     records: list = []
     for _ in range(config.rounds):
         g, h = logistic_grad_hess(y, scores)
-        # goss_a = 1 keeps every row with multiplier 1
-        rows, mult = goss_sample(g, config.goss_a, config.goss_b, rng)
-        gw, hw = g * 0.0, h * 0.0  # weighted copies, zero off-sample
-        gw[rows] = g[rows] * mult
-        hw[rows] = h[rows] * mult
-
-        grower = _TreeGrower(binned, mapper, gw, hw, config)
-        nodes = grower.grow(rows)
+        # goss_a = 1 weighs every row 1; a tree grows on the rows weighed above 0
+        weight = goss_sample(g, config.goss_a, config.goss_b, rng)
+        grower = _TreeGrower(binned, mapper, g * weight, h * weight, config)
+        nodes = grower.grow(np.flatnonzero(weight))
         trees.append(nodes)
         records.extend(grower.records)
         scores += _route_raw(nodes, matrix.values, col_of)

@@ -46,6 +46,9 @@ class ColumnSchema:
     storage: str = "float32"
     valid_range: tuple[float, float] | None = None
 
+    def __post_init__(self):
+        check_config_doc(vars(self), "column schema", ColumnSchema)
+
 
 @dataclass
 class StatementTable:

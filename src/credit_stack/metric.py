@@ -3,28 +3,28 @@
 The score M is the mean of two components computed on weighted rows
 (negatives count 20x, offsetting a 5% negative subsample):
 
-* G — normalized weighted Gini, equal to ``2 * weighted_auc - 1``;
+* G — normalized weighted Gini, equal to ``2 * auc_w - 1``, where
+  ``auc_w`` is the weighted pairwise AUC with ties scored half;
 * D — fraction of all defaulters captured in the top-ranked rows whose
   cumulative weight fits within 4% of the total weight.
 
 Both components depend only on the ordering of the predictions, never
 on their calibration.
 
-The label work is done once per ``Labels``: it checks the label vector
+``composite_metric`` is the one scorer: it returns every component in
+one ``MetricReport``.  It takes either a label array, which it prepares
+for that one call, or a ``Labels``, which checks the label vector once
 and keeps the positive and negative row indices, the row weights, their
-total and the capture cutoff.  The prediction checks (length and
-finiteness) are done once per call.  ``composite_metric``,
-``weighted_auc`` and ``default_rate_at_4pct`` take either a label array,
-which they prepare for that one call, or a ``Labels``; the blend search
-prepares its labels once and then pays only the per-call work for each
-candidate.  Both private kernels (``_pair_auc``, ``_capture_rate``) take
-the checked predictions and a ``Labels``.  They are called once per
-candidate, on a few hundred rows, so their cost is mostly per-call
-overhead: they use array methods rather than the ``np.*`` wrappers,
-sort the gathered negatives in place, and find the capture cutoff with
-one binary search of the running weight.  The capture rate keeps its
-full stable argsort: a top-k partition was measured slower at the blend
-search's row counts.
+total and the capture cutoff; the blend search prepares its labels once
+and then pays only the per-call work (the prediction's length and
+finiteness checks) for each candidate.  Both private kernels
+(``_pair_auc``, ``_capture_rate``) take the checked predictions and a
+``Labels``.  They are called once per candidate, on a few hundred rows,
+so their cost is mostly per-call overhead: they use array methods
+rather than the ``np.*`` wrappers, sort the gathered negatives in place,
+and find the capture cutoff with one binary search of the running
+weight.  The capture rate keeps its full stable argsort: a top-k
+partition was measured slower at the blend search's row counts.
 
 Exactness: every sum either component takes is a whole number (row
 weights 1 and 20, pair and row counts) or a half of one (tied pairs),
@@ -69,18 +69,6 @@ class MetricReport:
         return asdict(self)
 
 
-def weight_of(label):
-    """Row weight(s) for binary label(s): ``NEGATIVE_WEIGHT`` for 0, 1 for 1.
-
-    Accepts a scalar or an array; the return mirrors the input shape.
-    """
-    arr = np.asarray(label, dtype=np.float64)
-    w = np.where(arr == 0.0, NEGATIVE_WEIGHT, 1.0)
-    if arr.ndim == 0:
-        return float(w)
-    return w
-
-
 class Labels:
     """A 0/1 label vector, checked once and prepared for scoring.
 
@@ -101,7 +89,7 @@ class Labels:
         self.pos = np.flatnonzero(self.is_pos)
         self.neg = np.flatnonzero(~self.is_pos)
         self.n_pos = int(self.pos.size)
-        self.weights = weight_of(y)
+        self.weights = np.where(self.is_pos, 1.0, NEGATIVE_WEIGHT)
         # every weight is a whole number and the total stays far below
         # 2**53, so any running sum that reaches the last row equals it
         self.total_weight = float(self.weights.sum())
@@ -109,20 +97,6 @@ class Labels:
 
     def __len__(self) -> int:
         return self.is_pos.size
-
-
-def _prepared(labels, preds) -> tuple[Labels, np.ndarray]:
-    """``labels`` as a ``Labels`` and ``preds`` checked against them."""
-    if not isinstance(labels, Labels):
-        labels = Labels(labels)
-    p = np.asarray(preds, dtype=np.float64).ravel()
-    if p.size != len(labels):
-        raise DataError(
-            f"labels ({len(labels)}) and predictions ({p.size}) differ in length"
-        )
-    if not np.isfinite(p).all():
-        raise DataError(f"predictions must be finite, found {float(p[~np.isfinite(p)][0])}")
-    return labels, p
 
 
 def _pair_auc(p: np.ndarray, labels: Labels) -> float:
@@ -152,42 +126,28 @@ def _capture_rate(p: np.ndarray, labels: Labels) -> float:
     return int(np.count_nonzero(labels.is_pos[order[:taken]])) / labels.n_pos
 
 
-def weighted_auc(labels, preds) -> float:
-    """Weighted pairwise AUC with ties scored half.
-
-    Equals sum(w_i * w_j * s_ij) / (W_pos * W_neg) over all
-    positive/negative pairs, where s is 1 when the positive outranks the
-    negative, 0.5 on equal predictions, otherwise 0.  The weights are
-    constant within each class, so they cancel: the value is the pair
-    count sum(s_ij) over n_pos * n_neg, found in O(n log n) by sorting
-    the negatives once.
-    """
-    labels, p = _prepared(labels, preds)
-    return _pair_auc(p, labels)
-
-
-def default_rate_at_4pct(labels, preds) -> float:
-    """Share of positives captured within 4% of the total row weight.
-
-    Rows are ranked by prediction descending (ties keep ascending input
-    order) and admitted while the running weight stays within
-    0.04 * sum(weights); the result is captured positives over all
-    positives.
-    """
-    labels, p = _prepared(labels, preds)
-    if labels.n_pos == 0:
-        raise DataError("capture rate needs at least one positive row")
-    return _capture_rate(p, labels)
-
-
 def composite_metric(labels, preds) -> MetricReport:
     """Assemble G, D and M = 0.5 * (G + D) into one report.
 
     ``labels`` is a label array, prepared for this one call, or a
     ``Labels`` prepared once for many calls; the predictions are checked
-    on every call.
+    on every call.  ``auc_w`` is the weighted pairwise AUC: the sum of
+    w_i * w_j * s_ij over all positive/negative pairs, over
+    W_pos * W_neg, where s is 1 when the positive outranks the negative
+    and 0.5 on equal predictions.  D ranks rows by prediction descending
+    (ties keep ascending input order) and admits them while the running
+    weight stays within 0.04 * sum(weights).  A label set without both
+    classes is a ``DataError``.
     """
-    labels, p = _prepared(labels, preds)
+    if not isinstance(labels, Labels):
+        labels = Labels(labels)
+    p = np.asarray(preds, dtype=np.float64).ravel()
+    if p.size != len(labels):
+        raise DataError(
+            f"labels ({len(labels)}) and predictions ({p.size}) differ in length"
+        )
+    if not np.isfinite(p).all():
+        raise DataError(f"predictions must be finite, found {float(p[~np.isfinite(p)][0])}")
     auc_w = _pair_auc(p, labels)
     G = 2.0 * auc_w - 1.0
     D = _capture_rate(p, labels)

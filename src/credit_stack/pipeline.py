@@ -74,6 +74,9 @@ class PipelineConfig:
     importance_kind: str = "average_gain"
 
     def __post_init__(self):
+        check_config_doc(vars(self), "pipeline config", PipelineConfig)
+        for i, member in enumerate(self.members):
+            check_config_doc(vars(member), f"member {i}", MemberConfig)
         if not self.members:
             raise ConfigError("pipeline needs at least one member")
         names = [m.name for m in self.members]

@@ -26,7 +26,7 @@ from credit_stack.blend import blend, optimize_weights
 from credit_stack.features import AggregationSpec, FeatureMatrix, build_matrix
 from credit_stack.gbdt import TrainConfig, goss_sample, importance, predict, train
 from credit_stack.ingest import ColumnSchema, StatementTable, clean
-from credit_stack.metric import composite_metric, weighted_auc
+from credit_stack.metric import composite_metric
 from credit_stack.report import build_importance_report
 from credit_stack.synth import GRID, SynthConfig, generate
 from oracles import (
@@ -96,10 +96,9 @@ def test_criterion_01_metric_matches_pairwise_oracle():
     worst = 0.0
     for _ in range(1000):
         y, p = random_instance(rng)
-        fast = weighted_auc(y, p)
-        slow = pairwise_weighted_auc(y, p)
-        worst = max(worst, abs(fast - slow))
         rep = composite_metric(y, p)
+        slow = pairwise_weighted_auc(y, p)
+        worst = max(worst, abs(rep.auc_w - slow))
         assert rep.G == 2.0 * rep.auc_w - 1.0  # exact identity
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-12 and elapsed < 30.0
@@ -219,7 +218,7 @@ def test_criterion_05_learner_sanity():
     col = np.nan_to_num(matrix.column("cont_00_mean"))
     y_sep = (col > np.median(col)).astype(np.int8)
     sep_model = train(matrix, y_sep, TrainConfig(rounds=50, max_leaves=15, seed=5))
-    sep_auc = weighted_auc(y_sep, predict(sep_model, matrix))
+    sep_auc = composite_metric(y_sep, predict(sep_model, matrix)).auc_w
 
     hold = holdout_mask(y, 0.2, seed=11)
     tr, ho = np.flatnonzero(~hold), np.flatnonzero(hold)
@@ -243,8 +242,8 @@ def test_criterion_06_goss_fidelity():
     base = dict(rounds=60, max_leaves=15, seed=5)
     full = train(sub(matrix, tr), y[tr], TrainConfig(**base))
     sampled = train(sub(matrix, tr), y[tr], TrainConfig(goss_a=0.2, goss_b=0.1, **base))
-    auc_full = weighted_auc(y[ho], predict(full, sub(matrix, ho)))
-    auc_goss = weighted_auc(y[ho], predict(sampled, sub(matrix, ho)))
+    auc_full = composite_metric(y[ho], predict(full, sub(matrix, ho))).auc_w
+    auc_goss = composite_metric(y[ho], predict(sampled, sub(matrix, ho))).auc_w
     gap = abs(auc_full - auc_goss)
 
     # unbiasedness of the sampled small-gradient mass, a=0.2 b=0.1
@@ -255,9 +254,9 @@ def test_criterion_06_goss_fidelity():
     target = grads[rest].sum()
     estimates = []
     for trial in range(3000):
-        rows, mult = goss_sample(grads, 0.2, 0.1, seed=trial)
-        small = mult > 1.0
-        estimates.append(float((grads[rows[small]] * mult[small]).sum()))
+        w = goss_sample(grads, 0.2, 0.1, seed=trial)
+        small = w > 1.0
+        estimates.append(float((grads[small] * w[small]).sum()))
     rel_err = abs(float(np.mean(estimates)) - target) / abs(target)
 
     ok = gap <= 0.02 and rel_err <= 0.02
@@ -286,7 +285,7 @@ def test_criterion_07_no_leakage_under_label_permutation(monkeypatch):
         plan = make_folds(perm, 5, seed=trial)
         trained_ids.clear()
         result = train_oof(matrix, perm, plan, config)
-        aucs.append(weighted_auc(perm, result.prediction))
+        aucs.append(composite_metric(perm, result.prediction).auc_w)
         assert len(trained_ids) == plan.k
         for f, ids in enumerate(trained_ids):
             held = matrix.customer_ids[plan.rows_in(f)]

@@ -1304,6 +1304,23 @@ def test_train_on_a_matrix_with_an_infinite_cell_exits_3(work, tmp_path, capsys)
     assert not (tmp_path / "m.json").exists()
 
 
+def test_train_on_a_matrix_that_repeats_a_column_name_exits_3_naming_it(work, tmp_path, capsys):
+    blob = (work / "matrix.bin").read_bytes()
+    spans, _ = _container_spans(blob)
+    names = load_matrix(work / "matrix.bin").column_names
+    at, size = spans[3]  # column 3 takes column 1's name
+    raw = names[1].encode("utf-8")
+    bad = tmp_path / "twice.bin"
+    bad.write_bytes(blob[:at] + struct.pack("<I", len(raw)) + raw + blob[at + 4 + size :])
+    assert run("train", "--features", str(bad), "--labels", str(work / "labels.csv"),
+               "--config", str(work / "train.json"),
+               "--model-out", str(tmp_path / "m.json")) == 3
+    err = capsys.readouterr().err
+    assert f"duplicate engineered column names: {names[1]!r} appears more than once" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_features_on_statements_whose_spread_overflows_float32_exits_3(work, tmp_path, capsys):
     header, *rows = csv.reader(io.StringIO((work / "clean.csv").read_text(encoding="utf-8")))
     first = rows[0][0]

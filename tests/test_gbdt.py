@@ -28,7 +28,7 @@ from credit_stack.gbdt import (
     save_model,
     train,
 )
-from credit_stack.metric import weighted_auc
+from credit_stack.metric import composite_metric
 from credit_stack.serialize import dumps
 from oracles import (
     SearchEveryLeafGrower,
@@ -197,21 +197,19 @@ def test_grad_hess_saturation():
 
 def test_goss_hand_case():
     grads = np.array([0.9, 0.5, 0.4, 0.1, 0.05])
-    rows, mult = goss_sample(grads, 0.2, 0.2, seed=3)
-    assert rows.size == 2
-    assert 0 in rows  # the single top-|g| row survives
-    top_pos = int(np.flatnonzero(rows == 0)[0])
-    assert mult[top_pos] == 1.0
-    other = mult[1 - top_pos]
-    assert other == (1.0 - 0.2) / 0.2 == 4.0
-    assert np.all(np.diff(rows) > 0)  # ascending row order
+    w = goss_sample(grads, 0.2, 0.2, seed=3)
+    assert w.dtype == np.float64 and w.shape == grads.shape
+    assert np.count_nonzero(w) == 2
+    assert w[0] == 1.0  # the single top-|g| row survives
+    other = w[1:][w[1:] != 0.0]
+    assert other.tolist() == [(1.0 - 0.2) / 0.2] == [4.0]
 
 
 def test_goss_disabled_identity():
     grads = np.array([0.3, -0.2, 0.1])
-    rows, mult = goss_sample(grads, 1.0, 0.0, seed=0)
-    assert rows.tolist() == [0, 1, 2]
-    assert mult.tolist() == [1.0, 1.0, 1.0]
+    w = goss_sample(grads, 1.0, 0.0, seed=0)
+    assert w.dtype == np.float64
+    assert w.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_goss_degenerate_raises():
@@ -235,19 +233,18 @@ def test_goss_montecarlo_expectation():
     true_small_sum = grads[rest].sum()
     estimates = []
     for trial in range(2000):
-        rows, mult = goss_sample(grads, a, b, seed=trial)
-        sampled = mult > 1.0
-        estimates.append(float((grads[rows[sampled]] * mult[sampled]).sum()))
+        w = goss_sample(grads, a, b, seed=trial)
+        sampled = w > 1.0
+        estimates.append(float((grads[sampled] * w[sampled]).sum()))
     mean_est = float(np.mean(estimates))
     assert abs(mean_est - true_small_sum) <= 0.02 * abs(true_small_sum)
 
 
 def test_goss_deterministic_per_seed():
     grads = np.random.default_rng(1).normal(size=100)
-    r1, m1 = goss_sample(grads, 0.3, 0.2, seed=5)
-    r2, m2 = goss_sample(grads, 0.3, 0.2, seed=5)
-    np.testing.assert_array_equal(r1, r2)
-    np.testing.assert_array_equal(m1, m2)
+    w1 = goss_sample(grads, 0.3, 0.2, seed=5)
+    w2 = goss_sample(grads, 0.3, 0.2, seed=5)
+    np.testing.assert_array_equal(w1, w2)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +254,7 @@ def test_goss_deterministic_per_seed():
 def test_train_separable_reaches_high_auc():
     m, y = separable_matrix()
     model = train(m, y, TrainConfig(rounds=50, max_leaves=8, seed=1))
-    assert weighted_auc(y, predict(model, m)) >= 0.99
+    assert composite_metric(y, predict(model, m)).auc_w >= 0.99
 
 
 def test_train_zero_rounds_is_base_rate():
@@ -392,10 +389,8 @@ def random_leaf(rng):
         max_bins=int(rng.choice([2, 3, 4, 8, 255])), l2_lambda=l2_lambda, min_child_weight=mcw
     )
     if rng.random() < 0.3:  # GOSS-weighted, as train() weights a sampled round
-        rows, mult = goss_sample(g, 0.3, 0.4, rng)
-        gw, hw = g * 0.0, h * 0.0
-        gw[rows], hw[rows] = g[rows] * mult, h[rows] * mult
-        g, h = gw, hw
+        w = goss_sample(g, 0.3, 0.4, rng)
+        g, h, rows = g * w, h * w, np.flatnonzero(w)
     elif rng.random() < 0.5:  # a deeper leaf: an ascending row subset
         rows = np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
     else:

@@ -9,16 +9,11 @@ from credit_stack.metric import (
     NEGATIVE_WEIGHT,
     Labels,
     composite_metric,
-    default_rate_at_4pct,
-    weight_of,
-    weighted_auc,
 )
 from oracles import (
     capture_at_fraction,
     pairwise_weighted_auc,
     three_pass_composite_metric,
-    three_pass_default_rate,
-    three_pass_weighted_auc,
 )
 
 
@@ -27,13 +22,9 @@ def test_weight_constants():
     assert CAPTURE_FRACTION == 0.04
 
 
-def test_weight_of_scalar():
-    assert weight_of(0) == 20.0
-    assert weight_of(1) == 1.0
-
-
 def test_weight_of_vector_total():
-    w = weight_of(np.array([1, 0, 0]))
+    w = Labels(np.array([1, 0, 0])).weights
+    assert w.dtype == np.float64
     assert w.tolist() == [1.0, 20.0, 20.0]
     assert w.sum() == 41.0
 
@@ -41,23 +32,24 @@ def test_weight_of_vector_total():
 def test_auc_perfect_separation():
     labels = [1, 1, 0, 0]
     preds = [0.9, 0.8, 0.2, 0.1]
-    assert weighted_auc(labels, preds) == 1.0
+    assert composite_metric(labels, preds).auc_w == 1.0
 
 
 def test_auc_all_tied():
-    assert weighted_auc([1, 0, 1, 0], [0.3, 0.3, 0.3, 0.3]) == 0.5
+    assert composite_metric([1, 0, 1, 0], [0.3, 0.3, 0.3, 0.3]).auc_w == 0.5
 
 
 def test_auc_four_row_case():
     # three of the four positive/negative pairs rank correctly
-    assert weighted_auc([1, 0, 1, 0], [0.8, 0.7, 0.6, 0.5]) == 0.75
+    assert composite_metric([1, 0, 1, 0], [0.8, 0.7, 0.6, 0.5]).auc_w == 0.75
 
 
 def test_gini_is_two_auc_minus_one():
     labels = [1, 0, 1, 0]
     preds = [0.8, 0.7, 0.6, 0.5]
-    assert composite_metric(labels, preds).G == 2 * weighted_auc(labels, preds) - 1
-    assert composite_metric(labels, preds).G == 0.5
+    rep = composite_metric(labels, preds)
+    assert rep.G == 2 * rep.auc_w - 1
+    assert rep.G == 0.5
 
 
 def test_gini_reversal():
@@ -66,17 +58,17 @@ def test_gini_reversal():
 
 def test_capture_perfect_three_rows():
     # cutoff 0.04 * 41 = 1.64: only the positive (weight 1) fits
-    assert default_rate_at_4pct([1, 0, 0], [0.9, 0.5, 0.1]) == 1.0
+    assert composite_metric([1, 0, 0], [0.9, 0.5, 0.1]).D == 1.0
 
 
 def test_capture_reversed_three_rows():
     # the first-ranked row weighs 20 > 1.64, so nothing is captured
-    assert default_rate_at_4pct([1, 0, 0], [0.1, 0.5, 0.9]) == 0.0
+    assert composite_metric([1, 0, 0], [0.1, 0.5, 0.9]).D == 0.0
 
 
 def test_capture_four_row_case():
     # cutoff 0.04 * 42 = 1.68: only the top row (a positive) fits
-    assert default_rate_at_4pct([1, 0, 1, 0], [0.8, 0.7, 0.6, 0.5]) == 0.5
+    assert composite_metric([1, 0, 1, 0], [0.8, 0.7, 0.6, 0.5]).D == 0.5
 
 
 def test_composite_perfect():
@@ -114,7 +106,7 @@ def test_sweep_matches_pairwise_oracle_random():
         preds = rng.random(n)
         if rng.random() < 0.5:
             preds = np.round(preds, int(rng.integers(1, 3)))  # force tie clusters
-        got = weighted_auc(labels, preds)
+        got = composite_metric(labels, preds).auc_w
         want = pairwise_weighted_auc(labels, preds)
         assert abs(got - want) <= 1e-12
 
@@ -124,10 +116,10 @@ def test_capture_matches_hand_walk_oracle_random():
     for _ in range(200):
         n = int(rng.integers(2, 300))
         labels = rng.integers(0, 2, size=n)
-        if labels.sum() == 0:
-            labels[0] = 1
+        if labels.min() == labels.max():
+            labels[0] = 1 - labels[0]
         preds = np.round(rng.random(n), 2)
-        assert default_rate_at_4pct(labels, preds) == capture_at_fraction(labels, preds)
+        assert composite_metric(labels, preds).D == capture_at_fraction(labels, preds)
 
 
 def test_rank_invariance_under_monotone_transform():
@@ -147,7 +139,8 @@ def test_symmetry_without_ties():
     labels = rng.integers(0, 2, size=400)
     labels[:2] = [0, 1]
     preds = rng.random(400)  # continuous draws: ties have measure zero
-    assert abs(weighted_auc(labels, preds) + weighted_auc(labels, -preds) - 1.0) < 1e-12
+    auc, flipped = (composite_metric(labels, q).auc_w for q in (preds, -preds))
+    assert abs(auc + flipped - 1.0) < 1e-12
 
 
 def test_capture_monotone_in_positive_prediction():
@@ -156,10 +149,10 @@ def test_capture_monotone_in_positive_prediction():
     labels[:2] = [0, 1]
     preds = rng.random(120)
     pos_rows = np.flatnonzero(labels == 1)
-    before = default_rate_at_4pct(labels, preds)
+    before = composite_metric(labels, preds).D
     bumped = preds.copy()
     bumped[pos_rows[0]] = 1.5  # push one positive to the front
-    assert default_rate_at_4pct(labels, bumped) >= before
+    assert composite_metric(labels, bumped).D >= before
 
 
 def test_metric_bounds_random():
@@ -178,29 +171,24 @@ def test_metric_bounds_random():
 
 def test_single_class_raises():
     with pytest.raises(DataError, match="weighted AUC needs both classes present"):
-        weighted_auc([1, 1, 1], [0.1, 0.2, 0.3])
+        composite_metric([1, 1, 1], [0.1, 0.2, 0.3])
     with pytest.raises(DataError, match="weighted AUC needs both classes present"):
         composite_metric([0, 0], [0.1, 0.2])
 
 
-def test_no_positives_raises():
-    with pytest.raises(DataError, match="capture rate needs at least one positive row"):
-        default_rate_at_4pct([0, 0, 0], [0.1, 0.2, 0.3])
-
-
 def test_length_mismatch_raises():
     with pytest.raises(DataError, match=r"labels \(2\) and predictions \(3\) differ in length"):
-        weighted_auc([1, 0], [0.1, 0.2, 0.3])
+        composite_metric([1, 0], [0.1, 0.2, 0.3])
 
 
 def test_empty_input_raises():
     with pytest.raises(DataError):
-        weighted_auc([], [])
+        composite_metric([], [])
 
 
 def test_non_binary_labels_raise():
     with pytest.raises(DataError, match=r"labels must be 0 or 1, found 2\.0$"):
-        weighted_auc([1, 2, 0], [0.1, 0.2, 0.3])
+        composite_metric([1, 2, 0], [0.1, 0.2, 0.3])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -212,14 +200,13 @@ def test_non_finite_predictions_raise(bad):
 def test_labels_are_checked_before_the_prediction_length():
     # labels are prepared first, so labels that are wrong twice over fail
     # on their own content, not on the length; both errors exit 3
-    for fn in (composite_metric, weighted_auc, default_rate_at_4pct):
-        with pytest.raises(DataError, match="labels must be 0 or 1") as raised:
-            fn([1, 2, 0], [0.1, 0.2])
-        assert "differ in length" not in str(raised.value)
-        assert raised.value.exit_code == 3
-        with pytest.raises(DataError, match="at least one row") as raised:
-            fn([], [0.1, 0.2])
-        assert "differ in length" not in str(raised.value)
+    with pytest.raises(DataError, match="labels must be 0 or 1") as raised:
+        composite_metric([1, 2, 0], [0.1, 0.2])
+    assert "differ in length" not in str(raised.value)
+    assert raised.value.exit_code == 3
+    with pytest.raises(DataError, match="at least one row") as raised:
+        composite_metric([], [0.1, 0.2])
+    assert "differ in length" not in str(raised.value)
     for labels in ([1, 0, 0], Labels([1, 0, 0])):
         with pytest.raises(DataError, match=r"labels \(3\) and predictions \(2\)") as raised:
             composite_metric(labels, [0.1, 0.2])
@@ -236,13 +223,11 @@ def _bits(value):
 
 
 def _outcome(fn, labels, preds):
-    """Every field's exact bits, or the error type and message."""
+    """Every report field's exact bits, or the error type and message."""
     try:
         result = fn(labels, preds)
     except Exception as exc:  # the type itself is compared
         return type(exc), str(exc)
-    if isinstance(result, float):
-        return _bits(result)
     return {key: _bits(value) for key, value in result.as_dict().items()}
 
 
@@ -292,17 +277,11 @@ def _metric_preds(rng, n):
 def test_metric_matches_three_pass_oracle_bit_for_bit():
     rng = np.random.default_rng(2024)
     more = np.random.default_rng(2025)  # extra vectors; the cases stay as drawn
-    pairs = (
-        (composite_metric, three_pass_composite_metric),
-        (weighted_auc, three_pass_weighted_auc),
-        (default_rate_at_4pct, three_pass_default_rate),
-    )
     scored = reused = 0
     for _ in range(2500):
         labels, preds = _metric_case(rng)
-        for fn, oracle in pairs:
-            want = _outcome(oracle, labels, preds)
-            assert _outcome(fn, labels, preds) == want, (fn.__name__, labels, preds)
+        want = _outcome(three_pass_composite_metric, labels, preds)
+        assert _outcome(composite_metric, labels, preds) == want, (labels, preds)
         scored += not isinstance(want, tuple)
         try:
             prepared = Labels(labels)
@@ -313,10 +292,9 @@ def test_metric_matches_three_pass_oracle_bit_for_bit():
         vectors = [preds] + [_metric_preds(more, len(prepared)) for _ in range(3)]
         for i in more.permutation(len(vectors)):
             p = vectors[i]
-            for fn, oracle in pairs:
-                want = _outcome(oracle, labels, p)
-                assert _outcome(fn, labels, p) == want, (fn.__name__, labels, p)
-                assert _outcome(fn, prepared, p) == want, (fn.__name__, labels, p)
+            want = _outcome(three_pass_composite_metric, labels, p)
+            assert _outcome(composite_metric, labels, p) == want, (labels, p)
+            assert _outcome(composite_metric, prepared, p) == want, (labels, p)
             reused += not isinstance(want, tuple)
     assert 1200 < scored < 2300  # reports and errors are both well exercised
     assert reused > 4 * 1200  # and so are reused label sets

@@ -14,6 +14,7 @@ import pytest
 from credit_stack import features, pipeline, synth
 from credit_stack.cv_stack import FoldPlan, save_oof
 from credit_stack.errors import ConfigError, DataError
+from credit_stack.gbdt import TrainConfig
 from credit_stack.ingest import ColumnSchema, StatementTable, read_clean, write_clean
 from credit_stack.serialize import (
     dumps,
@@ -69,6 +70,44 @@ def test_only_serialize_reads_and_writes_csv_and_json():
 def test_config_list_names_each_entry_once(load, doc, what):
     with pytest.raises(ConfigError, match=f"^{what} more than once$") as raised:
         load(doc)
+    assert raised.value.exit_code == 2
+
+
+PATHS = {"data": "d.csv", "labels": "l.csv", "schema": "s.json", "out_dir": "out"}
+
+
+@pytest.mark.parametrize("build, what", [
+    (lambda: features.AggregationSpec(continuous_stats=("mean", "max", "mean")),
+     "aggregation spec key 'continuous_stats' names 'mean'"),
+    (lambda: features.AggregationSpec(categorical_stats=("last", "last")),
+     "aggregation spec key 'categorical_stats' names 'last'"),
+    (lambda: features.AggregationSpec(columns=("cont_00", "cat_0", "cont_00")),
+     "aggregation spec key 'columns' names 'cont_00'"),
+    (lambda: pipeline.PipelineConfig(**PATHS, members=(
+        pipeline.MemberConfig("a"), pipeline.MemberConfig("b", meta_from=("a", "a")))),
+     "member 1 key 'meta_from' names 'a'"),
+    (lambda: synth.SynthConfig(n_customers=40, signal_features=("cont_01", "cont_01")),
+     "synth config key 'signal_features' names 'cont_01'"),
+], ids=["continuous_stats", "categorical_stats", "columns", "meta_from", "signal_features"])
+def test_config_built_in_python_names_each_entry_once(build, what):
+    with pytest.raises(ConfigError, match=f"^{what} more than once$") as raised:
+        build()
+    assert raised.value.exit_code == 2
+
+
+@pytest.mark.parametrize("build, what", [
+    (lambda: TrainConfig(rounds=True), "train config key 'rounds' must be an integer, got True"),
+    (lambda: TrainConfig(learning_rate=float("nan")),
+     "train config key 'learning_rate' must be a finite number, got nan"),
+    (lambda: pipeline.PipelineConfig(**{**PATHS, "out_dir": Path("out")},
+                                     members=(pipeline.MemberConfig("a"),)),
+     "pipeline config key 'out_dir' must be a string, got "),
+    (lambda: ColumnSchema("x", "continuous", valid_range=(0.0, "1")),
+     "column schema key 'valid_range' must be a [low, high] pair of finite numbers"),
+], ids=["bool-int", "nan", "path-str", "valid_range"])
+def test_config_built_in_python_is_checked_like_json(build, what):
+    with pytest.raises(ConfigError, match=f"^{re.escape(what)}") as raised:
+        build()
     assert raised.value.exit_code == 2
 
 
