@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .ingest import MISSING_CODE, StatementTable
-from .serialize import check_config_doc, load_config_doc, open_output, read_json_doc
+from .serialize import check_config_object, load_config_doc, open_output, read_json_doc
 
 CONTINUOUS_STATS = ("mean", "std", "min", "max", "last", "median")
 CATEGORICAL_STATS = ("count", "last", "nunique")
@@ -67,7 +67,7 @@ class AggregationSpec:
     columns: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        check_config_doc(vars(self), "aggregation spec", AggregationSpec)
+        check_config_object(self, "aggregation spec")
         for stat in self.continuous_stats:
             if stat not in CONTINUOUS_STATS:
                 raise ConfigError(f"unknown continuous stat {stat!r}")

@@ -15,18 +15,23 @@ binning and works on any matrix that carries the trained columns.
 A leaf's split search builds one histogram over all columns at once: a
 single ``np.bincount`` each for g and h over the leaf's bin indices,
 every column shifted to its own block of slots.  Each bin still sums its
-rows in ascending row order, as a per-column histogram would.  The
-prefix sums of each block give every (column, bin) candidate, and the
-candidates are scored for both missing directions in whole-array
-operations.  The winner is the first maximum in the order column, then
-missing-left before missing-right, then bin, and only a gain above 0
-splits.  A column with fewer than 2 real bins offers no candidate, and
-one whose leaf rows carry no missing hessian mass offers no
-missing-right candidate, since that split is the missing-left one; the
-missing-right gains are computed only for the columns whose missing bin
-holds hessian mass in the leaf.  A candidate whose bin holds no g and
-no h in the leaf has the sums of the one before it in its column, so it
-is never the first maximum and is not scored.
+rows in ascending row order, as a per-column histogram would.  A
+candidate whose bin holds no g and no h in the leaf has the sums of the
+one before it in its column, so it is never the first maximum: only bin
+0 and the live bins are scored.  Each column's live slots are packed
+left into one row of a complex128 block, g real and h imaginary, as wide
+as the most any column has (a few slots in a small leaf, nearly the
+stride at the root), and one ``cumsum`` along the rows gives both prefix
+sums with every bit: complex addition is two float64 additions, and a
+skipped slot holds +0.0 in both histograms.  The candidates are scored
+for both missing directions in whole-array operations, in place.  The
+winner is the first maximum in the order column, then missing-left
+before missing-right, then bin, and only a gain above 0 splits.  A
+column with fewer than 2 real bins offers no candidate, and one whose
+leaf rows carry no missing hessian mass offers no missing-right
+candidate, since that split is the missing-left one; the missing-right
+gains are computed only for the columns whose missing bin holds hessian
+mass in the leaf.
 
 Only a leaf that can still split is searched.  The two children of the
 split that brings the tree to ``max_leaves`` are never popped, and a
@@ -62,7 +67,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .features import FeatureMatrix
 from .ingest import check_labels
-from .serialize import (check_config_doc, is_finite_number, load_config_doc, read_json_doc,
+from .serialize import (check_config_object, is_finite_number, load_config_doc, read_json_doc,
                         write_json)
 
 
@@ -81,7 +86,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_config_doc(vars(self), "train config", TrainConfig)
+        check_config_object(self, "train config")
         if self.rounds < 0:
             raise ConfigError(f"rounds must be >= 0, got {self.rounds}")
         if not 0.0 < self.learning_rate <= 1.0:
@@ -134,7 +139,8 @@ class BinMapper:
     bin at ``miss_pos[c]``.  A split candidate (c, b) sends bins 0..b
     left; a column with r >= 2 real bins offers b in 0..r-2 (the slots
     where ``is_cand`` is set), and ``first`` holds the bin-0 slot of
-    every column that offers any.
+    every column that offers any.  A leaf's prefix sums run over bin 0 and
+    the candidate slots it fills, packed left in one row per column.
     """
 
     column_names: list
@@ -383,8 +389,15 @@ class _TreeGrower:
         live[mapper.first] = True
         pos = np.flatnonzero(live)  # column-then-bin order
         col = pos // mapper.stride
-        gl = np.cumsum(hg.reshape(n_cols, mapper.stride), axis=1).ravel()[pos]
-        hl = np.cumsum(hh.reshape(n_cols, mapper.stride), axis=1).ravel()[pos]
+        # Each column's live slots packed left in a row, g real and h imaginary:
+        # one cumsum gives both prefix sums, and a skipped slot holds +0.0 in
+        # both histograms, so every prefix keeps the bits of the full column's.
+        count = np.bincount(col, minlength=n_cols)
+        packed = np.arange(int(count.max())) < count[:, None]  # row c: count[c] slots
+        block = np.zeros(packed.shape, dtype=np.complex128)
+        block.real[packed], block.imag[packed] = hg[pos], hh[pos]
+        prefix = np.cumsum(block, axis=1)[packed]
+        gl, hl = prefix.real, prefix.imag
         miss = mapper.miss_pos[col]
         miss_g, miss_h = hg[miss], hh[miss]
         parent = g_total * g_total / (h_total + self.cfg.l2_lambda)
@@ -393,7 +406,8 @@ class _TreeGrower:
         # score missing-right only where the column's missing bin holds h.
         right = np.full(pos.size, -np.inf)
         has_miss = np.flatnonzero(miss_h != 0.0)
-        right[has_miss] = self._gains(gl[has_miss], hl[has_miss], g_total, h_total, parent)
+        if has_miss.size:
+            right[has_miss] = self._gains(gl[has_miss], hl[has_miss], g_total, h_total, parent)
         # Each argmax is the first of its direction in column-then-bin order;
         # between the two, the lower column wins a tie, then missing-left.
         i, j = int(np.argmax(left)), int(np.argmax(right))
@@ -407,17 +421,18 @@ class _TreeGrower:
         return _LeafCandidate(node_id, rows, float(gain), c, b, missing_left)
 
     def _gains(self, GL, HL, g_total, h_total, parent):
-        """Split gains, -inf where a side falls below min_child_weight."""
-        cfg = self.cfg
+        """Split gains, into ``GL`` and spending ``HL``; -inf below min_child_weight."""
+        cfg, lam = self.cfg, self.cfg.l2_lambda
         GR, HR = g_total - GL, h_total - HL
-        with np.errstate(divide="ignore", invalid="ignore"):  # masked below
-            gain = 0.5 * (
-                GL * GL / (HL + cfg.l2_lambda)
-                + GR * GR / (HR + cfg.l2_lambda)
-                - parent
-            )
         ok = (HL >= cfg.min_child_weight) & (HR >= cfg.min_child_weight)
-        return np.where(ok, gain, -np.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):  # masked below
+            # 0.5 * (GL*GL/(HL+lam) + GR*GR/(HR+lam) - parent), in place
+            np.divide(np.square(GL, out=GL), np.add(HL, lam, out=HL), out=GL)
+            GL += np.divide(np.square(GR, out=GR), np.add(HR, lam, out=HR), out=GR)
+            GL -= parent
+            GL *= 0.5
+        GL[~ok] = -np.inf
+        return GL
 
     def _partition(self, cand: _LeafCandidate):
         bins = self.binned[cand.rows, cand.feature_idx]

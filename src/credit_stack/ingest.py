@@ -24,8 +24,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .serialize import check_config_doc, read_csv_rows, read_json_doc, read_keyed_column
-from .serialize import write_csv_columns, write_json
+from .serialize import check_config_doc, check_config_object, read_csv_rows, read_json_doc
+from .serialize import read_keyed_column, write_csv_columns, write_json
 
 log = logging.getLogger(__name__)
 
@@ -47,7 +47,7 @@ class ColumnSchema:
     valid_range: tuple[float, float] | None = None
 
     def __post_init__(self):
-        check_config_doc(vars(self), "column schema", ColumnSchema)
+        check_config_object(self, "column schema")
 
 
 @dataclass

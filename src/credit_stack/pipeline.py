@@ -40,8 +40,8 @@ from .blend import (EnsembleSpec, blend, lattice_ticks, optimize_weights, save_e
                     write_predictions)
 from .errors import ConfigError, CreditStackError, DataError
 from .metric import MetricReport, composite_metric
-from .serialize import (check_config_doc, load_config_doc, make_dir, sha256_file,
-                        write_csv_columns, write_json)
+from .serialize import (check_config_doc, check_config_object, load_config_doc, make_dir,
+                        sha256_file, write_csv_columns, write_json)
 
 log = logging.getLogger(__name__)
 
@@ -74,9 +74,10 @@ class PipelineConfig:
     importance_kind: str = "average_gain"
 
     def __post_init__(self):
-        check_config_doc(vars(self), "pipeline config", PipelineConfig)
+        check_config_object(self, "pipeline config")
+        object.__setattr__(self, "members", tuple(self.members))
         for i, member in enumerate(self.members):
-            check_config_doc(vars(member), f"member {i}", MemberConfig)
+            check_config_object(member, f"member {i}")
         if not self.members:
             raise ConfigError("pipeline needs at least one member")
         names = [m.name for m in self.members]

@@ -297,6 +297,17 @@ def check_config_doc(doc, what: str, config_class) -> dict:
     return doc
 
 
+def check_config_object(config, what: str) -> None:
+    """``check_config_doc`` of a config object's own fields, kept as checked.
+
+    The checked values are stored back on the (frozen) object, so one
+    built in Python with a list holds the tuple that loading the same
+    document gives: it hashes and equals the loaded object.
+    """
+    for key, value in check_config_doc(vars(config), what, type(config)).items():
+        object.__setattr__(config, key, value)
+
+
 def sha256_file(path: str | Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .ingest import MISSING_CODE, ColumnSchema, StatementTable, snap_to_grid
-from .serialize import check_config_doc, load_config_doc
+from .serialize import check_config_object, load_config_doc
 
 #: value grid for continuous columns; matches the default cleanup precision
 GRID = 0.01
@@ -55,7 +55,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_config_doc(vars(self), "synth config", SynthConfig)
+        check_config_object(self, "synth config")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_customers < 10:

@@ -15,10 +15,11 @@ and returns its ``MetricReport`` and raises its error types;
 ``_format_value``, so only the per-column deduplication is under test;
 ``read_csv_by_reader`` stands in for ``serialize.read_csv_rows`` and
 raises its ``DataError`` messages; ``SearchEveryLeafGrower``
-replaces ``gbdt._TreeGrower``, inherits its partition, gain and heap
-code and reads the histogram layout (``stride``, ``offsets``,
-``miss_pos``, ``is_cand``, ``first``) from the grower's ``BinMapper``,
-so only the skipped split work is under test; ``two_loop_optimize_weights``
+replaces ``gbdt._TreeGrower``, inherits its partition and heap code
+and reads the histogram layout (``stride``, ``offsets``, ``miss_pos``,
+``is_cand``, ``first``) from the grower's ``BinMapper``, so only the
+skipped split work and the packed prefix sums are under test;
+``two_loop_optimize_weights``
 replaces ``blend.optimize_weights``, reuses its argument checks, lattice
 and ``EnsembleSpec`` and scores through ``blend.composite_metric``, so
 only the order and count of the scored candidates are under test.
@@ -593,9 +594,12 @@ class SearchEveryLeafGrower(_TreeGrower):
     """``gbdt._TreeGrower`` as it searched every leaf it made.
 
     Each new leaf gets a split search, also the children of the split
-    that fills the tree and leaves of fewer than 2 rows, and the
+    that fills the tree and leaves of fewer than 2 rows, the prefix sums
+    are two float64 cumsums over every slot of the histogram, and the
     missing-right gains are scored for every candidate before those of
-    columns without missing rows are set to -inf.
+    columns without missing rows are set to -inf.  Its gains are the
+    textbook formula in fresh arrays, so an empty leaf's integer
+    histogram scores too.
     """
 
     def grow(self, rows: np.ndarray) -> list[Node]:
@@ -659,3 +663,10 @@ class SearchEveryLeafGrower(_TreeGrower):
             return None
         c, b = divmod(int(pos[k]), mapper.stride)
         return _LeafCandidate(node_id, rows, float(gain), c, b, missing_left)
+
+    def _gains(self, GL, HL, g_total, h_total, parent):
+        GR, HR = g_total - GL, h_total - HL
+        lam, mcw = self.cfg.l2_lambda, self.cfg.min_child_weight
+        with np.errstate(divide="ignore", invalid="ignore"):  # masked below
+            gain = 0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam) - parent)
+        return np.where((HL >= mcw) & (HR >= mcw), gain, -np.inf)

@@ -431,6 +431,76 @@ def test_split_search_matches_column_scan_oracle():
     assert splits >= 150
 
 
+def packed_width(grower, rows):
+    """Most live candidate slots one column has in the leaf: bin 0 and the
+    candidate bins its rows fill (every row here has h > 0)."""
+    width = 0
+    for c, miss in enumerate(grower.mapper.missing):
+        if miss >= 2:
+            filled = grower.binned[rows, c]
+            width = max(width, np.unique(np.append(filled[filled <= miss - 2], 0)).size)
+    return width
+
+
+@pytest.mark.parametrize("mcw", [0.0, 0.3])
+def test_split_search_on_wide_sparse_leaves_matches_column_scan_oracle(mcw):
+    # quickstart's shape: one 200-400-row fold of 40-70 columns at 255 bins,
+    # searched at its root (its widest packed row near the 256-slot stride)
+    # and at leaves of 2-9 rows, whose live slots pack into a few per column
+    rng = np.random.default_rng(31 + int(mcw * 10))
+    n, n_cols = int(rng.integers(200, 401)), int(rng.integers(40, 71))
+    x = rng.normal(size=(n, n_cols))
+    kind = rng.integers(0, 3, size=n_cols)  # one-hot, continuous, with missing cells
+    kind[:3] = (0, 1, 2)
+    x[:, kind == 0] = rng.integers(0, 2, size=(n, np.count_nonzero(kind == 0)))
+    x[(rng.random(x.shape) < 0.25) & (kind == 2)] = np.nan
+    y = (np.nan_to_num(x[:, 1]) + rng.normal(size=n) > 0.5).astype(np.float64)
+    g, h = logistic_grad_hess(y, rng.normal(size=n))
+    grower = leaf_grower(matrix_of(x), g, h, TrainConfig(min_child_weight=mcw))
+    assert grower.mapper.stride == 256
+
+    root = np.arange(n, dtype=np.int64)
+    leaves = [root] + [np.sort(rng.choice(n, size=int(rng.integers(2, 10)), replace=False))
+                       for _ in range(200)]
+    assert packed_width(grower, root) > 200
+    assert max(packed_width(grower, rows) for rows in leaves[1:]) <= 10
+    found = []
+    for rows in leaves:
+        g_total, h_total = float(g[rows].sum()), float(h[rows].sum())
+        got = grower._best_split(3, rows, g_total, h_total)
+        want = oracle_split(grower, rows, g_total, h_total)
+        if got is not None:
+            got = (got.feature_idx, got.split_bin, got.missing_left, got.gain)
+        assert got == want
+        found.append(want)
+    assert found[0] is not None
+    assert sum(want is not None for want in found) >= 100
+    assert {want[2] for want in found if want} == {True, False}  # both missing directions
+
+
+def test_complex_cumsum_is_two_float64_cumsums_bit_for_bit():
+    # the split search's packed prefix rests on this: complex addition adds
+    # the real parts and the imaginary parts as two float64 additions, and
+    # cumsum adds each row left to right
+    rng = np.random.default_rng(12)
+    shape = (40, 300)
+    parts = []
+    for _ in range(2):
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-320, 300, size=shape)
+        tiny = rng.random(shape) < 0.1  # subnormals and the smallest normal
+        x[tiny] = rng.choice([5e-324, -5e-324, 2.2e-308, -1e-310], size=tiny.sum())
+        x[rng.random(shape) < 0.2] = 0.0
+        x[rng.random(shape) < 0.2] = -0.0
+        x[:2] = rng.choice([0.0, -0.0], size=(2, shape[1]))  # all-zero rows keep -0.0
+        parts.append(x)
+    block = np.empty(shape, dtype=np.complex128)
+    block.real, block.imag = parts
+    prefix = np.cumsum(block, axis=1)
+    assert prefix.real.tobytes() == np.cumsum(parts[0], axis=1).tobytes()
+    assert prefix.imag.tobytes() == np.cumsum(parts[1], axis=1).tobytes()
+    assert np.signbit(prefix[:2].real).any() and (prefix.real[2:] != 0.0).any()
+
+
 def test_split_search_ties_go_to_lower_column_and_missing_left():
     # Two identical one-hot columns; with all scores 0 the missing-left and
     # missing-right splits of bin 0 are mirror images with equal gain.

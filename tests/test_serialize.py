@@ -111,6 +111,28 @@ def test_config_built_in_python_is_checked_like_json(build, what):
     assert raised.value.exit_code == 2
 
 
+MEMBER_DOCS = [{"name": "a", "meta_from": []}, {"name": "b", "meta_from": ["a"]}]
+
+
+@pytest.mark.parametrize("build, load, doc", [
+    (lambda: features.AggregationSpec(continuous_stats=["mean"], columns=["cont_00"]),
+     features.spec_from_json, {"continuous_stats": ["mean"], "columns": ["cont_00"]}),
+    (lambda: pipeline.PipelineConfig(**PATHS, members=[
+        pipeline.MemberConfig("a", meta_from=[]), pipeline.MemberConfig("b", meta_from=["a"])]),
+     pipeline.config_from_json, {**PATHS, "members": MEMBER_DOCS}),
+    (lambda: synth.SynthConfig(n_customers=40, signal_features=["cont_01"]),
+     synth.config_from_json, {"n_customers": 40, "signal_features": ["cont_01"]}),
+    (lambda: ColumnSchema("x", "continuous", valid_range=[0, 1]),
+     lambda doc: ColumnSchema(**doc), {"name": "x", "kind": "continuous",
+                                       "valid_range": (0.0, 1.0)}),
+], ids=["aggregation_spec", "pipeline_members", "synth", "column_schema"])
+def test_config_built_in_python_with_lists_holds_tuples_like_json(build, load, doc):
+    # a list anywhere, members' fields included, would make hash() raise
+    built = build()
+    assert built == load(doc)
+    assert hash(built) == hash(load(doc))
+
+
 def test_read_csv_rows_rejects_garbage(tmp_path):
     with pytest.raises(DataError, match="cannot read .*missing.csv"):
         read_csv_rows(tmp_path / "missing.csv")
