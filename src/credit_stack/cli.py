@@ -132,10 +132,13 @@ def build_parser() -> argparse.ArgumentParser:
 # subcommand bodies
 
 
+def _override(config, **values):
+    """``config`` with each of ``values`` that is not None put in its field."""
+    return dataclasses.replace(config, **{k: v for k, v in values.items() if v is not None})
+
+
 def _cmd_synth(args) -> int:
-    config = synth_mod.config_from_json(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+    config = _override(synth_mod.config_from_json(args.config), seed=args.seed)
     table, labels = synth_mod.generate(config)
     ingest.write_csv(table, args.out_data)
     ingest.write_labels(labels, args.out_labels)
@@ -155,18 +158,10 @@ def _cmd_prep(args) -> int:
 
 
 def _cmd_features(args) -> int:
-    spec = features_mod.spec_from_json(args.spec)
-    overrides = {}
-    if args.window is not None:
-        overrides["recent_window"] = args.window
-    if args.encode is not None:
-        overrides["encode"] = args.encode
-    if overrides:
-        spec = dataclasses.replace(spec, **overrides)
+    spec = _override(features_mod.spec_from_json(args.spec), recent_window=args.window,
+                     encode=args.encode)
     if args.vocab and spec.encode != "one-hot":
-        raise ConfigError(
-            f"--vocab applies only to one-hot encoding, not encode={spec.encode!r}"
-        )
+        raise ConfigError(f"--vocab applies only to one-hot encoding, not encode={spec.encode!r}")
 
     table = ingest.read_clean(args.input)
     vocab = None
@@ -183,9 +178,7 @@ def _cmd_features(args) -> int:
 def _cmd_train(args) -> int:
     matrix = features_mod.load_matrix(args.features)
     y = ingest.align_labels(matrix.customer_ids, ingest.read_labels(args.labels))
-    config = gbdt.config_from_json(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+    config = _override(gbdt.config_from_json(args.config), seed=args.seed)
     model = gbdt.train(matrix, y, config)
     gbdt.save_model(model, args.model_out)
     log.info("trained %d trees into %s", model.n_trees, args.model_out)
@@ -246,9 +239,7 @@ def _cmd_importance(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = pipeline_mod.config_from_json(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+    config = _override(pipeline_mod.config_from_json(args.config), seed=args.seed)
     out = pipeline_mod.run_pipeline(config)
     log.info("run complete: %s", out)
     return 0

@@ -59,6 +59,7 @@ class AggregationSpec:
     never aggregated).
     """
 
+    config_name = "aggregation spec"
     continuous_stats: tuple[str, ...] = CONTINUOUS_STATS
     categorical_stats: tuple[str, ...] = CATEGORICAL_STATS
     lag_enabled: bool = True
@@ -67,7 +68,7 @@ class AggregationSpec:
     columns: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        check_config_object(self, "aggregation spec")
+        check_config_object(self)
         for stat in self.continuous_stats:
             if stat not in CONTINUOUS_STATS:
                 raise ConfigError(f"unknown continuous stat {stat!r}")
@@ -84,7 +85,7 @@ class AggregationSpec:
 
 def spec_from_json(source) -> AggregationSpec:
     """Load an AggregationSpec from a JSON file, string path, or dict."""
-    return AggregationSpec(**load_config_doc(source, "aggregation spec", AggregationSpec))
+    return AggregationSpec(**load_config_doc(source, AggregationSpec))
 
 
 @dataclass

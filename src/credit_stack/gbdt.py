@@ -75,6 +75,7 @@ from .serialize import (check_config_object, is_finite_number, load_config_doc, 
 class TrainConfig:
     """Learner hyper-parameters; defaults suit small tabular problems."""
 
+    config_name = "train config"
     rounds: int = 100
     learning_rate: float = 0.1
     max_leaves: int = 31
@@ -86,7 +87,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_config_object(self, "train config")
+        check_config_object(self)
         if self.rounds < 0:
             raise ConfigError(f"rounds must be >= 0, got {self.rounds}")
         if not 0.0 < self.learning_rate <= 1.0:
@@ -118,7 +119,7 @@ class TrainConfig:
 
 def config_from_json(source) -> TrainConfig:
     """Load a TrainConfig from a JSON file path or a parsed dict."""
-    return TrainConfig(**load_config_doc(source, "train config", TrainConfig))
+    return TrainConfig(**load_config_doc(source, TrainConfig))
 
 
 # ---------------------------------------------------------------------------

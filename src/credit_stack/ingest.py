@@ -41,13 +41,14 @@ _STORAGE_DTYPES = {"int8": np.int8, "int16": np.int16, "float32": np.float32}
 class ColumnSchema:
     """Declared name, kind, storage width and valid range of one column."""
 
+    config_name = "column schema"
     name: str
     kind: str
     storage: str = "float32"
     valid_range: tuple[float, float] | None = None
 
     def __post_init__(self):
-        check_config_object(self, "column schema")
+        check_config_object(self)
 
 
 @dataclass

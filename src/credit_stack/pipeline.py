@@ -40,18 +40,18 @@ from .blend import (EnsembleSpec, blend, lattice_ticks, optimize_weights, save_e
                     write_predictions)
 from .errors import ConfigError, CreditStackError, DataError
 from .metric import MetricReport, composite_metric
-from .serialize import (check_config_doc, check_config_object, load_config_doc, make_dir,
-                        sha256_file, write_csv_columns, write_json)
+from .serialize import (check_config_object, load_config_doc, make_dir, sha256_file,
+                        write_csv_columns, write_json)
 
 log = logging.getLogger(__name__)
-
-_NAME_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 
 
 @dataclass(frozen=True)
 class MemberConfig:
-    """One ensemble member: its feature recipe, learner, and inputs."""
+    """One ensemble member: its feature recipe, learner, and inputs, checked
+    as ``member <i>`` by the ``PipelineConfig`` that holds it."""
 
+    config_name = "member"
     name: str
     features: features_mod.AggregationSpec = features_mod.AggregationSpec()
     train: gbdt.TrainConfig = gbdt.TrainConfig()
@@ -60,6 +60,7 @@ class MemberConfig:
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    config_name = "pipeline config"
     data: str
     labels: str
     schema: str
@@ -74,36 +75,25 @@ class PipelineConfig:
     importance_kind: str = "average_gain"
 
     def __post_init__(self):
-        check_config_object(self, "pipeline config")
-        object.__setattr__(self, "members", tuple(self.members))
-        for i, member in enumerate(self.members):
-            check_config_object(member, f"member {i}")
+        check_config_object(self)
         if not self.members:
             raise ConfigError("pipeline needs at least one member")
         names = [m.name for m in self.members]
         if len(set(names)) != len(names):
             raise ConfigError(f"member names must be unique: {names}")
-        seen: set = set()
-        for member in self.members:
-            if not _NAME_RE.match(member.name):
-                raise ConfigError(
-                    f"member name {member.name!r} must match {_NAME_RE.pattern}"
-                )
+        for i, member in enumerate(self.members):
+            if not re.fullmatch(r"[A-Za-z0-9_-]+", member.name):  # it names a directory
+                raise ConfigError(f"member name {member.name!r} must be letters, digits, _ or -")
             for ref in member.meta_from:
-                if ref not in seen:
-                    raise ConfigError(
-                        f"member {member.name!r} stacks on {ref!r}, which is not "
-                        "an earlier member"
-                    )
-            seen.add(member.name)
+                if ref not in names[:i]:
+                    raise ConfigError(f"member {member.name!r} stacks on {ref!r}, which is "
+                                      "not an earlier member")
         if self.folds < 2:
             raise ConfigError(f"folds must be >= 2, got {self.folds}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.holdout_fraction < 1.0:
-            raise ConfigError(
-                f"holdout_fraction must lie in (0, 1), got {self.holdout_fraction}"
-            )
+            raise ConfigError(f"holdout_fraction must lie in (0, 1), got {self.holdout_fraction}")
         if self.report_top_n < 1:
             raise ConfigError(f"report_top_n must be >= 1, got {self.report_top_n}")
         if self.importance_kind not in gbdt.IMPORTANCE_KINDS:
@@ -115,20 +105,7 @@ class PipelineConfig:
 
 def config_from_json(source) -> PipelineConfig:
     """Load and validate a pipeline configuration document."""
-    doc = load_config_doc(source, "pipeline config", PipelineConfig)
-    if not isinstance(doc["members"], list):
-        raise ConfigError("pipeline config 'members' must be a list of member objects")
-    members = []
-    for i, raw in enumerate(doc["members"]):
-        raw = check_config_doc(raw, f"member {i}", MemberConfig)
-        # nested documents are objects, never read as file paths
-        for key, cls, what in (("features", features_mod.AggregationSpec, "aggregation spec"),
-                               ("train", gbdt.TrainConfig, "train config")):
-            if key in raw:
-                raw[key] = cls(**check_config_doc(raw[key], f"member {i} {key!r} {what}", cls))
-        members.append(MemberConfig(**raw))
-    doc["members"] = tuple(members)
-    return PipelineConfig(**doc)
+    return PipelineConfig(**load_config_doc(source, PipelineConfig))
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,9 @@ import sys
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import MISSING, fields
+from functools import cache
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigError, DataError
 
@@ -251,13 +253,14 @@ _FIELD_TYPES = {
         "a [low, high] pair of finite numbers",
     ),
 }
+_type_hints = cache(get_type_hints)  # a nested config field's class, resolved once per class
 
 
-def load_config_doc(source, what: str, config_class) -> dict:
+def load_config_doc(source, config_class) -> dict:
     """``check_config_doc`` of a JSON file path (unreadable: ConfigError) or a parsed object."""
     if isinstance(source, (str, Path)):
-        source = read_json_doc(source, what, ConfigError)
-    return check_config_doc(source, what, config_class)
+        source = read_json_doc(source, config_class.config_name, ConfigError)
+    return check_config_doc(source, config_class.config_name, config_class)
 
 
 def check_config_doc(doc, what: str, config_class) -> dict:
@@ -269,7 +272,10 @@ def check_config_doc(doc, what: str, config_class) -> dict:
     value unfit for its annotation: ``None`` only where allowed, an int or
     float never a bool, a float a finite float64, a list of names naming
     each once.  Lists come back as tuples (the bounds of a
-    ``tuple[float, float]`` as floats).
+    ``tuple[float, float]`` as floats).  A field annotated with a config
+    class ``C`` or ``tuple[C, ...]`` takes a dict, checked as ``<what> '<key>'
+    <C.config_name>`` (an element as ``<C.config_name> <i>``) and built into
+    ``C``, or a ``C``, checked again in place.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must be a JSON object")
@@ -284,7 +290,19 @@ def check_config_doc(doc, what: str, config_class) -> dict:
             continue
         kind = f.type.removesuffix(" | None")
         value = doc[f.name]
-        if kind not in _FIELD_TYPES or (value is None and kind != f.type):
+        if kind not in _FIELD_TYPES:  # a config class C or tuple[C, ...]
+            cls = _type_hints(config_class)[f.name]
+            if get_origin(cls) is not tuple:
+                doc[f.name] = _nested_config(value, f"{what} {f.name!r} {cls.config_name}", cls)
+                continue
+            cls = get_args(cls)[0]
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{what} key {f.name!r} must be a list of "
+                                  f"{cls.config_name} objects, got {value!r}")
+            doc[f.name] = tuple(_nested_config(item, f"{cls.config_name} {i}", cls)
+                                for i, item in enumerate(value))
+            continue
+        if value is None and kind != f.type:
             continue
         valid, described = _FIELD_TYPES[kind]
         if not valid(value):
@@ -297,15 +315,23 @@ def check_config_doc(doc, what: str, config_class) -> dict:
     return doc
 
 
-def check_config_object(config, what: str) -> None:
-    """``check_config_doc`` of a config object's own fields, kept as checked.
+def _nested_config(value, what: str, cls):
+    return (check_config_object(value, what) if isinstance(value, cls)
+            else cls(**check_config_doc(value, what, cls)))
 
-    The checked values are stored back on the (frozen) object, so one
-    built in Python with a list holds the tuple that loading the same
-    document gives: it hashes and equals the loaded object.
+
+def check_config_object(config, what: str | None = None):
+    """``check_config_doc`` of a config object's own fields under ``what`` (by
+    default its class's ``config_name``), kept as checked; returns the object.
+
+    The checked values are stored back on the (frozen) object, so one built
+    in Python with a list or a nested config's dict holds what loading the
+    same document gives: it hashes and equals the loaded object.
     """
-    for key, value in check_config_doc(vars(config), what, type(config)).items():
+    for key, value in check_config_doc(vars(config), what or config.config_name,
+                                       type(config)).items():
         object.__setattr__(config, key, value)
+    return config
 
 
 def sha256_file(path: str | Path) -> str:

@@ -45,6 +45,7 @@ _FIRST_MONTH = (2017, 3)  # statements span 13 months ending 2018-03
 class SynthConfig:
     """Shape and signal knobs for one synthetic dataset."""
 
+    config_name = "synth config"
     n_customers: int
     frac_full: float = 0.8
     n_continuous: int = 8
@@ -55,7 +56,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_config_object(self, "synth config")
+        check_config_object(self)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_customers < 10:
@@ -76,7 +77,7 @@ class SynthConfig:
 
 def config_from_json(source) -> SynthConfig:
     """Load a SynthConfig from a JSON file path or a parsed dict."""
-    return SynthConfig(**load_config_doc(source, "synth config", SynthConfig))
+    return SynthConfig(**load_config_doc(source, SynthConfig))
 
 
 def synth_schema(config: SynthConfig) -> list:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from credit_stack import features, pipeline, synth
+from credit_stack import features, ingest, pipeline, synth
 from credit_stack.cv_stack import FoldPlan, save_oof
 from credit_stack.errors import ConfigError, DataError
 from credit_stack.gbdt import TrainConfig
@@ -22,6 +22,7 @@ from credit_stack.serialize import (
     read_json_doc,
     read_keyed_column,
     write_csv_columns,
+    write_json,
 )
 
 from oracles import read_csv_by_reader, write_csv_by_writer
@@ -104,7 +105,19 @@ def test_config_built_in_python_names_each_entry_once(build, what):
      "pipeline config key 'out_dir' must be a string, got "),
     (lambda: ColumnSchema("x", "continuous", valid_range=(0.0, "1")),
      "column schema key 'valid_range' must be a [low, high] pair of finite numbers"),
-], ids=["bool-int", "nan", "path-str", "valid_range"])
+    (lambda: pipeline.PipelineConfig(**PATHS, members=(pipeline.MemberConfig("a", train={
+        "rounds": "x"}),)), "member 0 'train' train config key 'rounds' must be an integer"),
+    (lambda: pipeline.PipelineConfig(**PATHS, members=(pipeline.MemberConfig("a", features={
+        "encode": "bits"}),)), "encode must be one of"),
+    (lambda: pipeline.PipelineConfig(**PATHS, members=(pipeline.MemberConfig(
+        "a", features=TrainConfig()),)), "member 0 'features' aggregation spec must be a JSON"),
+    (lambda: pipeline.PipelineConfig(**PATHS, members="ab"),
+     "pipeline config key 'members' must be a list of member objects, got 'ab'"),
+    (lambda: pipeline.PipelineConfig(**PATHS, members=(7,)), "member 0 must be a JSON object"),
+    (lambda: pipeline.PipelineConfig(**PATHS, members=({"name": "a", "train": []},)),
+     "member 0 'train' train config must be a JSON object"),
+], ids=["bool-int", "nan", "path-str", "valid_range", "member-train-dict", "member-features-dict",
+        "features-wrong-class", "members-str", "member-int", "member-dict-train-list"])
 def test_config_built_in_python_is_checked_like_json(build, what):
     with pytest.raises(ConfigError, match=f"^{re.escape(what)}") as raised:
         build()
@@ -125,12 +138,59 @@ MEMBER_DOCS = [{"name": "a", "meta_from": []}, {"name": "b", "meta_from": ["a"]}
     (lambda: ColumnSchema("x", "continuous", valid_range=[0, 1]),
      lambda doc: ColumnSchema(**doc), {"name": "x", "kind": "continuous",
                                        "valid_range": (0.0, 1.0)}),
-], ids=["aggregation_spec", "pipeline_members", "synth", "column_schema"])
+    (lambda: pipeline.PipelineConfig(**PATHS, members=(pipeline.MemberConfig(
+        "a", features={"continuous_stats": ["mean"], "encode": "one-hot"},
+        train={"rounds": 3}),)),
+     pipeline.config_from_json, {**PATHS, "members": [
+         {"name": "a", "features": {"continuous_stats": ["mean"], "encode": "one-hot"},
+          "train": {"rounds": 3}}]}),
+    (lambda: pipeline.PipelineConfig(**PATHS, members=[
+        {"name": "a", "meta_from": []}, pipeline.MemberConfig("b", meta_from=["a"])]),
+     pipeline.config_from_json, {**PATHS, "members": MEMBER_DOCS}),
+], ids=["aggregation_spec", "pipeline_members", "synth", "column_schema",
+        "member_dict_features_train", "member_dict"])
 def test_config_built_in_python_with_lists_holds_tuples_like_json(build, load, doc):
     # a list anywhere, members' fields included, would make hash() raise
     built = build()
     assert built == load(doc)
     assert hash(built) == hash(load(doc))
+
+
+@pytest.mark.parametrize("build", [
+    lambda name: pipeline.config_from_json({**PATHS, "members": [{"name": name}]}),
+    lambda name: pipeline.PipelineConfig(**PATHS, members=(pipeline.MemberConfig(name),)),
+], ids=["json", "python"])
+@pytest.mark.parametrize("name", ["a\n", "", "a b", "a/b", "\u00e9"])
+def test_member_name_is_letters_digits_underscore_and_dash(build, name):
+    # the name is a directory under members/; "$" would let a final "\n" through
+    with pytest.raises(ConfigError, match=f"^member name {re.escape(repr(name))} ") as raised:
+        build(name)
+    assert raised.value.exit_code == 2
+    assert build("Aa_0-9").members[0].name == "Aa_0-9"
+
+
+def test_run_of_a_python_built_config_with_dict_member_fields(tmp_path):
+    # dict features and train are built into their classes before any
+    # stage, so the run writes what the JSON-loaded config writes
+    table, labels = synth.generate(synth.SynthConfig(n_customers=200, n_continuous=2,
+                                                     neg_keep_rate=0.5, seed=3))
+    ingest.write_csv(table, tmp_path / "raw.csv")
+    ingest.write_labels(labels, tmp_path / "labels.csv")
+    write_json(tmp_path / "schema.json", ingest.schema_to_json(synth.synth_schema(
+        synth.SynthConfig(n_customers=200, n_continuous=2))))
+    members = [{"name": "a", "features": {"encode": "ordinal"},
+                "train": {"rounds": 2, "max_leaves": 3}},
+               {"name": "b", "train": {"rounds": 1, "max_leaves": 2}, "meta_from": ["a"]}]
+    paths = {"data": str(tmp_path / "raw.csv"), "labels": str(tmp_path / "labels.csv"),
+             "schema": str(tmp_path / "schema.json"), "folds": 2, "blend_step": 0.25}
+    built = pipeline.PipelineConfig(**paths, out_dir=str(tmp_path / "built"),
+                                    members=tuple(pipeline.MemberConfig(**m) for m in members))
+    loaded = pipeline.config_from_json({**paths, "out_dir": str(tmp_path / "loaded"),
+                                        "members": members})
+    manifests = [json.loads((pipeline.run_pipeline(config) / "manifest.json").read_text(
+        encoding="utf-8")) for config in (built, loaded)]
+    assert manifests[0] == manifests[1]
+    assert "members/b/fold_1.model.json" in manifests[0]["files"]
 
 
 def test_read_csv_rows_rejects_garbage(tmp_path):
