@@ -163,21 +163,17 @@ def _feature_columns(table: StatementTable, spec: AggregationSpec):
     return cont, cat
 
 
-def encode_categorical(last_codes: dict, vocab: dict | None):
+def encode_categorical(last_codes: dict, vocab: dict):
     """One-hot columns of per-customer final codes.
 
     ``last_codes`` maps column name to an int64 array (missing sentinel
-    allowed).  Each column gets ``<col>_is_<v>`` indicators over the
-    fitted vocabulary, with unseen or missing codes leaving every
+    allowed).  Each column gets ``<col>_is_<v>`` indicators over
+    ``vocab``, a fitted or loaded vocabulary (``build_matrix`` fits one
+    when given none), with unseen or missing codes leaving every
     indicator at zero.  A vocabulary without an entry for one of the
     columns is a ``DataError`` naming it.  Returns (names, column
     arrays).
     """
-    if vocab is None:
-        raise ConfigError(
-            "one-hot encoding needs a fitted code vocabulary; "
-            "fit on training data first or pass the saved vocabulary"
-        )
     names: list[str] = []
     cols: list[np.ndarray] = []
     for raw, codes in last_codes.items():
@@ -353,8 +349,6 @@ def build_matrix(table: StatementTable, spec: AggregationSpec, vocab: dict | Non
         table = select_recent_window(table, spec.recent_window)
 
     cont, cat = _feature_columns(table, spec)
-    if not cont and not cat:
-        raise ConfigError("no raw feature columns left to aggregate")
 
     n = customers.size
     owner = np.repeat(np.arange(n), table.row_counts())

@@ -49,13 +49,18 @@ log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class MemberConfig:
     """One ensemble member: its feature recipe, learner, and inputs, checked
-    as ``member <i>`` by the ``PipelineConfig`` that holds it."""
+    as ``member`` when built (a dict in a pipeline's ``members``: first as ``member <i>``)."""
 
     config_name = "member"
     name: str
     features: features_mod.AggregationSpec = features_mod.AggregationSpec()
     train: gbdt.TrainConfig = gbdt.TrainConfig()
     meta_from: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        check_config_object(self)
+        if not re.fullmatch(r"[A-Za-z0-9_-]+", self.name):  # it names a directory
+            raise ConfigError(f"member name {self.name!r} must be letters, digits, _ or -")
 
 
 @dataclass(frozen=True)
@@ -82,8 +87,6 @@ class PipelineConfig:
         if len(set(names)) != len(names):
             raise ConfigError(f"member names must be unique: {names}")
         for i, member in enumerate(self.members):
-            if not re.fullmatch(r"[A-Za-z0-9_-]+", member.name):  # it names a directory
-                raise ConfigError(f"member name {member.name!r} must be letters, digits, _ or -")
             for ref in member.meta_from:
                 if ref not in names[:i]:
                     raise ConfigError(f"member {member.name!r} stacks on {ref!r}, which is "
@@ -166,10 +169,10 @@ def write_metrics(path, labels, preds) -> MetricReport:
     return rep
 
 
-def write_importance(models, kind, json_path, svg_path, top_n, column_names=None) -> None:
+def write_importance(models, kind, json_path, svg_path, top_n) -> None:
     """Write the importance report of fold ``models`` and its box plot; the
     plot goes first, so a ``top_n`` below 1 writes neither file."""
-    rep = report_mod.build_importance_report(models, kind, column_names)
+    rep = report_mod.build_importance_report(models, kind)
     report_mod.save_box_plot(rep, svg_path, top_n)
     report_mod.save_report(rep, json_path)
 
@@ -248,10 +251,9 @@ def run_pipeline(config: PipelineConfig) -> Path:
                 hold_matrix.customer_ids, hold_pred, emit(mdir / "holdout_pred.csv")
             )
             rep = write_metrics(emit(mdir / "metrics.json"), y_hold, hold_pred)
-            write_importance(
-                result.models, config.importance_kind, emit(mdir / "importance.json"),
-                emit(mdir / "importance.svg"), config.report_top_n, matrix.column_names,
-            )
+            write_importance(result.models, config.importance_kind,
+                             emit(mdir / "importance.json"), emit(mdir / "importance.svg"),
+                             config.report_top_n)
 
             member_oof[member.name] = result.prediction
             member_holdout_preds[member.name] = hold_pred

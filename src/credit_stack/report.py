@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .gbdt import _linear_quantiles, importance
 from .serialize import open_output, write_json
 
@@ -46,16 +46,14 @@ class ImportanceReport:
     cumulative: list  # (column, cumulative fraction), descending totals
 
 
-def build_importance_report(
-    models, kind: str = "average_gain", column_names=None
-) -> ImportanceReport:
+def build_importance_report(models, kind: str = "average_gain") -> ImportanceReport:
     """Aggregate fold-model importances into one report.
 
-    ``column_names``, when given, is the shared training column set;
-    any model splitting on a column outside it means the models came
-    from different matrices and is rejected.  The box statistics use
-    the requested ``kind``; the cumulative curve always uses total
-    gain, since contribution shares only make sense additively.
+    The report covers every column some model splits on; the models are
+    taken to share one training matrix, as a run's fold models do.  The
+    box statistics use the requested ``kind``; the cumulative curve
+    always uses total gain, since contribution shares only make sense
+    additively.
     """
     models = list(models)
     if len(models) < 2:
@@ -64,12 +62,6 @@ def build_importance_report(
     per_fold_total = [importance(model, "total_gain") for model in models]
 
     used = sorted({col for fold in per_fold for col in fold})
-    if column_names is not None:
-        stray = set(used) - set(column_names)
-        if stray:
-            raise DataError(
-                f"models split on columns outside the shared set: {sorted(stray)}"
-            )
 
     box: dict = {}
     totals: dict = {}

@@ -275,7 +275,7 @@ def check_config_doc(doc, what: str, config_class) -> dict:
     ``tuple[float, float]`` as floats).  A field annotated with a config
     class ``C`` or ``tuple[C, ...]`` takes a dict, checked as ``<what> '<key>'
     <C.config_name>`` (an element as ``<C.config_name> <i>``) and built into
-    ``C``, or a ``C``, checked again in place.
+    ``C``, or a ``C``, kept as it is: it was checked when built.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must be a JSON object")
@@ -316,22 +316,21 @@ def check_config_doc(doc, what: str, config_class) -> dict:
 
 
 def _nested_config(value, what: str, cls):
-    return (check_config_object(value, what) if isinstance(value, cls)
-            else cls(**check_config_doc(value, what, cls)))
+    return value if isinstance(value, cls) else cls(**check_config_doc(value, what, cls))
 
 
-def check_config_object(config, what: str | None = None):
-    """``check_config_doc`` of a config object's own fields under ``what`` (by
-    default its class's ``config_name``), kept as checked; returns the object.
+def check_config_object(config) -> None:
+    """``check_config_doc`` of a config object's own fields under its class's
+    ``config_name``, kept as checked.
 
-    The checked values are stored back on the (frozen) object, so one built
-    in Python with a list or a nested config's dict holds what loading the
-    same document gives: it hashes and equals the loaded object.
+    Every config class runs this first in its ``__post_init__``, so an
+    instance is checked once, when built, and trusted wherever it is
+    nested.  The checked values are stored back on the (frozen) object, so
+    one built in Python with a list or a nested config's dict holds what
+    loading the same document gives: it hashes and equals the loaded object.
     """
-    for key, value in check_config_doc(vars(config), what or config.config_name,
-                                       type(config)).items():
+    for key, value in check_config_doc(vars(config), config.config_name, type(config)).items():
         object.__setattr__(config, key, value)
-    return config
 
 
 def sha256_file(path: str | Path) -> str:

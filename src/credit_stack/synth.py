@@ -69,6 +69,8 @@ class SynthConfig:
             raise ConfigError(f"noise_amplitude must be >= 0, got {self.noise_amplitude}")
         if not 0.0 < self.neg_keep_rate <= 1.0:
             raise ConfigError(f"neg_keep_rate must lie in (0, 1], got {self.neg_keep_rate}")
+        if not self.signal_features:
+            raise ConfigError("signal_features is empty; labels would be pure coin flips")
         known = {f"cont_{i:02d}" for i in range(self.n_continuous)}
         unknown = set(self.signal_features) - known
         if unknown:
@@ -113,9 +115,6 @@ def generate(config: SynthConfig):
     probability; negatives survive with probability ``neg_keep_rate``
     while every positive is kept.
     """
-    if not config.signal_features:
-        raise ConfigError("signal_features is empty; labels would be pure coin flips")
-
     n = config.n_customers
     rng = np.random.default_rng(config.seed)
 

@@ -459,7 +459,7 @@ def test_criterion_11_importance_accounting():
         if partition_sum != flat_sum:
             exact = False
         tops.append(max(totals, key=totals.get))
-    report = build_importance_report(result.models, "total_gain", matrix.column_names)
+    report = build_importance_report(result.models, "total_gain")
     tail = report.cumulative[-1][1]
     signal_first = sum(1 for t in tops if t.startswith("cont_00"))
     ok = exact and abs(tail - 1.0) <= 1e-9 and signal_first >= 4

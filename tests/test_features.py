@@ -154,12 +154,6 @@ def test_encode_one_hot_unseen_is_all_zeros():
     np.testing.assert_array_equal(got, [[0, 0, 0], [0, 0, 0]])
 
 
-def test_encode_one_hot_needs_vocabulary():
-    codes = {"region": np.asarray([1], dtype=np.int64)}
-    with pytest.raises(ConfigError, match="one-hot encoding needs a fitted code vocabulary"):
-        encode_categorical(codes, None)
-
-
 def test_one_hot_vocabulary_without_a_column_is_an_error():
     table = random_statement_table(np.random.default_rng(3), 10)
     spec = AggregationSpec(encode="one-hot")

@@ -210,6 +210,19 @@ def test_parse_header_mismatch_raises(tmp_path):
         parse_csv(path, SCHEMA)
 
 
+@pytest.mark.parametrize("schema, message", [
+    (SCHEMA[1:], "schema must declare exactly one identifier column, found 0"),
+    ([*SCHEMA, ColumnSchema("paid_date", "date")], "schema may declare at most one date column"),
+], ids=["no-identifier", "two-dates"])
+def test_parse_checks_a_python_built_schema_like_load_schema(tmp_path, schema, message):
+    # the list rules hold for a schema that never went through load_schema
+    path = make_csv(tmp_path, "A,2017-03-01,0.5,0.1,2\n",
+                    header=",".join(c.name for c in schema))
+    with pytest.raises(ConfigError, match=f"^{message}$") as raised:
+        parse_csv(path, schema)
+    assert raised.value.exit_code == 2
+
+
 def test_parse_empty_file_raises(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("", encoding="utf-8")

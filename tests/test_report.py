@@ -82,16 +82,6 @@ def test_report_fold_order_invariance():
     assert forward.cumulative == backward.cumulative
 
 
-def test_report_rejects_stray_columns():
-    with pytest.raises(DataError, match=r"models split on columns outside the shared set: \['gamma'\]"):
-        build_importance_report(three_folds(), column_names=["alpha", "beta"])
-    # the shared set may be wider than what was split on
-    report = build_importance_report(
-        three_folds(), column_names=["alpha", "beta", "gamma", "delta"]
-    )
-    assert "delta" not in report.box
-
-
 def test_report_of_splitless_models_is_empty_and_single_model_is_rejected():
     # fold models of a `rounds: 0` member never split
     report = build_importance_report([fold_model([]), fold_model([])])

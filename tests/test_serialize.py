@@ -6,12 +6,13 @@ import io
 import json
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from credit_stack import features, ingest, pipeline, synth
+from credit_stack import cli, features, ingest, pipeline, serialize, synth
 from credit_stack.cv_stack import FoldPlan, save_oof
 from credit_stack.errors import ConfigError, DataError
 from credit_stack.gbdt import TrainConfig
@@ -28,6 +29,7 @@ from credit_stack.serialize import (
 from oracles import read_csv_by_reader, write_csv_by_writer
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "credit_stack"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 BOM = b"\xef\xbb\xbf"
 OVERSIZED = "C" * 200_000  # past the csv module's default field size limit
 
@@ -86,7 +88,7 @@ PATHS = {"data": "d.csv", "labels": "l.csv", "schema": "s.json", "out_dir": "out
      "aggregation spec key 'columns' names 'cont_00'"),
     (lambda: pipeline.PipelineConfig(**PATHS, members=(
         pipeline.MemberConfig("a"), pipeline.MemberConfig("b", meta_from=("a", "a")))),
-     "member 1 key 'meta_from' names 'a'"),
+     "member key 'meta_from' names 'a'"),
     (lambda: synth.SynthConfig(n_customers=40, signal_features=("cont_01", "cont_01")),
      "synth config key 'signal_features' names 'cont_01'"),
 ], ids=["continuous_stats", "categorical_stats", "columns", "meta_from", "signal_features"])
@@ -106,22 +108,55 @@ def test_config_built_in_python_names_each_entry_once(build, what):
     (lambda: ColumnSchema("x", "continuous", valid_range=(0.0, "1")),
      "column schema key 'valid_range' must be a [low, high] pair of finite numbers"),
     (lambda: pipeline.PipelineConfig(**PATHS, members=(pipeline.MemberConfig("a", train={
-        "rounds": "x"}),)), "member 0 'train' train config key 'rounds' must be an integer"),
+        "rounds": "x"}),)), "member 'train' train config key 'rounds' must be an integer"),
     (lambda: pipeline.PipelineConfig(**PATHS, members=(pipeline.MemberConfig("a", features={
         "encode": "bits"}),)), "encode must be one of"),
     (lambda: pipeline.PipelineConfig(**PATHS, members=(pipeline.MemberConfig(
-        "a", features=TrainConfig()),)), "member 0 'features' aggregation spec must be a JSON"),
+        "a", features=TrainConfig()),)), "member 'features' aggregation spec must be a JSON"),
     (lambda: pipeline.PipelineConfig(**PATHS, members="ab"),
      "pipeline config key 'members' must be a list of member objects, got 'ab'"),
     (lambda: pipeline.PipelineConfig(**PATHS, members=(7,)), "member 0 must be a JSON object"),
     (lambda: pipeline.PipelineConfig(**PATHS, members=({"name": "a", "train": []},)),
      "member 0 'train' train config must be a JSON object"),
+    (lambda: ColumnSchema("x", "bogus"), "unknown column kind 'bogus' for 'x'"),
+    (lambda: ColumnSchema("x", "categorical", valid_range=(0.0, 1.0)),
+     "valid_range of 'x' needs a continuous column"),
+    (lambda: ColumnSchema("x", "continuous", valid_range=(2.0, 1.0)),
+     "valid_range low > high for 'x'"),
+    (lambda: synth.SynthConfig(n_customers=50, signal_features=()),
+     "signal_features is empty; labels would be pure coin flips"),
+    (lambda: pipeline.MemberConfig("a\n"),
+     "member name 'a\\n' must be letters, digits, _ or -"),
+    (lambda: pipeline.MemberConfig(5), "member key 'name' must be a string, got 5"),
 ], ids=["bool-int", "nan", "path-str", "valid_range", "member-train-dict", "member-features-dict",
-        "features-wrong-class", "members-str", "member-int", "member-dict-train-list"])
+        "features-wrong-class", "members-str", "member-int", "member-dict-train-list",
+        "column-kind", "column-range-kind", "column-range-order", "synth-no-signal",
+        "member-name-pattern", "member-name-int"])
 def test_config_built_in_python_is_checked_like_json(build, what):
     with pytest.raises(ConfigError, match=f"^{re.escape(what)}") as raised:
         build()
     assert raised.value.exit_code == 2
+
+
+def test_nested_configs_are_checked_when_built_and_not_again(monkeypatch):
+    # a member's spec and train config are checked as a dict, then once when
+    # built; holding them in a member or a pipeline checks them no more
+    checked = Counter()
+    check = serialize.check_config_doc
+
+    def counting(doc, what, config_class):
+        checked[config_class.__name__] += 1
+        return check(doc, what, config_class)
+
+    monkeypatch.setattr(serialize, "check_config_doc", counting)
+    config = pipeline.config_from_json(CONFIGS / "pipeline.json")
+    n_members = len(config.members)
+    assert n_members >= 2
+    for name in ("MemberConfig", "AggregationSpec", "TrainConfig"):
+        assert checked[name] <= 2 * n_members, (name, checked)
+    checked.clear()
+    assert cli._override(config, seed=7).seed == 7
+    assert checked == {"PipelineConfig": 1}
 
 
 MEMBER_DOCS = [{"name": "a", "meta_from": []}, {"name": "b", "meta_from": ["a"]}]

@@ -1,5 +1,6 @@
-"""Rules on the package source itself: every imported name is used, and
-the exit-code tiers in ``errors.py`` are the only exception classes."""
+"""Rules on the package source itself: every imported name is used, the
+exit-code tiers in ``errors.py`` are the only exception classes, and every
+config class checks itself when built."""
 
 import ast
 import importlib
@@ -65,3 +66,37 @@ def test_one_error_class_per_exit_code():
     tiers = (errors.ConfigError, errors.DataError, errors.TrainError)
     assert [tier.exit_code for tier in tiers] == [2, 3, 4]
     assert issubclass(errors.FoldTrainingError, errors.TrainError)
+
+
+def _unchecked_config_classes(tree: ast.Module) -> list[str]:
+    """Classes that set ``config_name`` but whose ``__post_init__`` does not
+    call ``check_config_object``: a nested config is trusted as built."""
+    offenders = []
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef) or not any(
+            isinstance(stmt, ast.Assign)
+            and "config_name" in {getattr(t, "id", None) for t in stmt.targets}
+            for stmt in node.body
+        ):
+            continue
+        calls = {call.func.id for stmt in node.body
+                 if isinstance(stmt, ast.FunctionDef) and stmt.name == "__post_init__"
+                 for call in ast.walk(stmt)
+                 if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
+        if "check_config_object" not in calls:
+            offenders.append(node.name)
+    return offenders
+
+
+def test_every_config_class_checks_itself_when_built():
+    found = {
+        path.name: unchecked
+        for path in MODULES
+        if (unchecked := _unchecked_config_classes(ast.parse(path.read_text(encoding="utf-8"))))
+    }
+    assert found == {}
+    # the guard sees a config class, and one without the check
+    tree = ast.parse("@dataclass\nclass A:\n    config_name = 'a'\n"
+                     "    def __post_init__(self):\n        check_config_object(self)\n"
+                     "@dataclass\nclass B:\n    config_name = 'b'\n    x: int = 0\n")
+    assert _unchecked_config_classes(tree) == ["B"]
